@@ -37,7 +37,6 @@ from .core import (
     validate_alpha,
 )
 from .gfs import InsufficientTermsError, RationalGF, fit_recurrence, make_gf, series
-from .linalg import SingularMatrixError, linsolve
 
 __all__ = [
     "CFiniteSeq", "PosExpr", "Positivity", "PVResult",
@@ -49,7 +48,6 @@ __all__ = [
     "canonicalize", "evolve", "expand_Fn", "initial_value", "is_dead",
     "root_state", "state_oracle", "u_alpha_oracle", "validate_alpha",
     "InsufficientTermsError", "RationalGF", "fit_recurrence", "make_gf", "series",
-    "SingularMatrixError", "linsolve",
 ]
 
 __version__ = "0.1.0"

@@ -43,35 +43,49 @@ class CFiniteSeq:
         return len(self.rec)
 
 
-_TERM_CACHE: dict[CFiniteSeq, list[int]] = {}
+class SeqMemo:
+    """Memo of one sequence: its terms, prefix sums of linear forms over
+    them, and dominant-root and growth certificates per annihilator.  Every
+    entry is a pure function of the sequence and its key, so what a caller
+    reads never depends on which caller filled it first."""
 
+    def __init__(self, seq: CFiniteSeq):
+        self.seq = seq
+        self.vals: list[int] = list(seq.init)
+        self.prefix: dict[tuple[int, ...], list[int]] = {}
+        self.certs: dict[tuple[int, ...], roots.DominantRootCert | None] = {}
+        self.growth: dict[tuple[tuple[int, ...], int], _GrowthData | None] = {}
 
-def ensure_terms(seq: CFiniteSeq, n: int) -> list[int]:
-    """The cached value list, grown to cover index n; callers may index it
-    but must not mutate it."""
-    vals = _TERM_CACHE.get(seq)
-    if vals is None:
-        vals = _TERM_CACHE[seq] = list(seq.init)
-    if len(vals) <= n:
-        L = seq.order
-        rec = seq.rec
-        while len(vals) <= n:
-            vals.append(sum(c * v for c, v in zip(rec, reversed(vals[-L:]))))
-    return vals
+    def values(self, n: int) -> list[int]:
+        """The value list, grown to cover index n; callers may index it but
+        must not mutate it."""
+        vals = self.vals
+        if len(vals) <= n:
+            L = self.seq.order
+            rec = self.seq.rec
+            while len(vals) <= n:
+                vals.append(sum(c * v for c, v in zip(rec, reversed(vals[-L:]))))
+        return vals
+
+    def partial_sum(self, form: tuple[int, ...], n: int) -> int:
+        """sum_{m<n} <form, f(m..m+L-1)>, extended incrementally."""
+        pre = self.prefix.get(form)
+        if pre is None:
+            pre = self.prefix[form] = [0]
+        if len(pre) <= n:
+            fs = self.values(n + self.seq.order)
+            while len(pre) <= n:
+                m = len(pre) - 1
+                val = sum(c * fs[m + j] for j, c in enumerate(form) if c)
+                pre.append(pre[-1] + val)
+        return pre[n]
 
 
 def term(seq: CFiniteSeq, n: int) -> int:
-    """f(n), by iterating the recurrence (values are cached per sequence)."""
+    """f(n), by iterating the recurrence."""
     if n < 0:
         raise ValueError("term index must be nonnegative")
-    return ensure_terms(seq, n)[n]
-
-
-def terms(seq: CFiniteSeq, n: int) -> list[int]:
-    """[f(0), ..., f(n-1)]."""
-    if n <= 0:
-        return []
-    return list(ensure_terms(seq, n - 1)[:n])
+    return SeqMemo(seq).values(n)[n]
 
 
 def reduce_shift(seq: CFiniteSeq, J: int) -> tuple[int, ...]:
@@ -241,33 +255,15 @@ class Positivity:
         return self.kind == "positive_for_all"
 
 
-_PREFIX_CACHE: dict[tuple[CFiniteSeq, tuple[int, ...]], list[int]] = {}
-
-
-def _partial_sum(seq: CFiniteSeq, form: tuple[int, ...], n: int) -> int:
-    """sum_{m<n} <form, f(m..m+L-1)>, cached incrementally."""
-    key = (seq, form)
-    pre = _PREFIX_CACHE.get(key)
-    if pre is None:
-        pre = _PREFIX_CACHE[key] = [0]
-    if len(pre) <= n:
-        fs = ensure_terms(seq, n + seq.order)
-        while len(pre) <= n:
-            m = len(pre) - 1
-            val = sum(c * fs[m + j] for j, c in enumerate(form) if c)
-            pre.append(pre[-1] + val)
-    return pre[n]
-
-
-def expr_value(expr: PosExpr, n: int) -> int:
+def expr_value(memo: SeqMemo, expr: PosExpr, n: int) -> int:
     v = expr.const
     if expr.shifts:
         max_off = max(off for _, off in expr.shifts)
-        fs = ensure_terms(expr.seq, n + max_off)
+        fs = memo.values(n + max_off)
         for c, off in expr.shifts:
             v += c * fs[n + off]
     for c, form in expr.partials:
-        v += c * _partial_sum(expr.seq, form, n)
+        v += c * memo.partial_sum(form, n)
     return v
 
 
@@ -281,7 +277,7 @@ def _annihilator(expr: PosExpr) -> list[int]:
     return A
 
 
-def _minimal_annihilator(expr: PosExpr, A: list[int], n0: int) -> list[int]:
+def _minimal_annihilator(memo: SeqMemo, expr: PosExpr, A: list[int], n0: int) -> list[int]:
     """Shrink A to a smaller exact annihilator when the expression actually
     satisfies one (e.g. a plain geometric inside a higher-order closure).
 
@@ -290,7 +286,7 @@ def _minimal_annihilator(expr: PosExpr, A: list[int], n0: int) -> list[int]:
     points, which forces w = 0 forever by the recurrence A/m satisfied by w.
     """
     k = polys.degree(A)
-    window = [expr_value(expr, n) for n in range(n0, n0 + 3 * k + 8)]
+    window = [expr_value(memo, expr, n) for n in range(n0, n0 + 3 * k + 8)]
     L, C = gfs.berlekamp_massey(window)
     if L >= k or 2 * L + 2 > len(window):
         return A
@@ -303,13 +299,14 @@ def _minimal_annihilator(expr: PosExpr, A: list[int], n0: int) -> list[int]:
     need = polys.degree(polys.normalize(quot)) + 1
     d = polys.degree(cand)
     for s in range(need):
-        w = sum(cand[j] * expr_value(expr, n0 + s + j) for j in range(d + 1))
+        w = sum(cand[j] * expr_value(memo, expr, n0 + s + j) for j in range(d + 1))
         if w != 0:
             return A
     return cand
 
 
-def certify_eventually_positive(expr: PosExpr, horizon: int = 64) -> Positivity:
+def certify_eventually_positive(expr: PosExpr, horizon: int = 64,
+                                memo: SeqMemo | None = None) -> Positivity:
     """Sound certificate that expr(n) > 0 for every n >= 0.
 
     Exact positivity is checked for n = 0..horizon; beyond the horizon the
@@ -319,46 +316,51 @@ def certify_eventually_positive(expr: PosExpr, horizon: int = 64) -> Positivity:
     an explicit geometric tail bound gives a crossover index past which the
     dominant mode provably wins, and everything up to the crossover is
     checked exactly.  Any failed sub-certificate yields "unknown".
+
+    memo must belong to expr.seq; without one a throwaway memo is used.
     """
+    if memo is None:
+        memo = SeqMemo(expr.seq)
     for n in range(horizon + 1):
-        if expr_value(expr, n) <= 0:
+        if expr_value(memo, expr, n) <= 0:
             return Positivity("not_always_positive", n)
 
     L = expr.seq.order
     max_off = max((off for _, off in expr.shifts), default=0)
     n0 = 2 * L + max_off + 2
     A = _annihilator(expr)
-    A = _minimal_annihilator(expr, A, n0)
+    A = _minimal_annihilator(memo, expr, A, n0)
     k = polys.degree(A)
 
     # eventually-zero difference => eventually constant (> 0 was checked)
-    dvals = [expr_value(expr, n + 1) - expr_value(expr, n) for n in range(n0, n0 + 2 * k + 2)]
+    dvals = [expr_value(memo, expr, n + 1) - expr_value(memo, expr, n)
+             for n in range(n0, n0 + 2 * k + 2)]
     if all(v == 0 for v in dvals[-(k + 1):]):
         start = n0 + k + 1
         for n in range(horizon + 1, start + 1):
-            if expr_value(expr, n) <= 0:
+            if expr_value(memo, expr, n) <= 0:
                 return Positivity("not_always_positive", n)
         return Positivity("positive_for_all")
 
     if k == 1:
         # exactly geometric: expr(n) = expr(n0) * a^(n - n0) for n >= n0
         a = -A[0]
-        base = expr_value(expr, n0)
+        base = expr_value(memo, expr, n0)
         for n in range(horizon + 1, n0 + 1):
-            if expr_value(expr, n) <= 0:
+            if expr_value(memo, expr, n) <= 0:
                 return Positivity("not_always_positive", n)
         if base > 0 and a >= 1:
             return Positivity("positive_for_all")
         return Positivity("unknown")
 
-    gd = _growth_data(tuple(A), n0)
+    gd = _growth_data(memo, tuple(A), n0)
     if gd is None:
         return Positivity("unknown")
 
     # leading projection c = w(n0) / (A'(rho) * rho^n0)
     w0 = Iv.point(0)
     for j in range(k):
-        w0 = w0 + gd.b[j] * Iv.point(expr_value(expr, n0 + j))
+        w0 = w0 + gd.b[j] * Iv.point(expr_value(memo, expr, n0 + j))
     c = w0.divided_by(gd.dA_rho_pow)
     if not c.lo > 0:
         return Positivity("unknown")
@@ -367,7 +369,7 @@ def certify_eventually_positive(expr: PosExpr, horizon: int = 64) -> Positivity:
     tpow = Fraction(1)
     rpow = Iv.point(1)
     for j in range(max(k - 1, 1)):
-        eps = Iv.point(expr_value(expr, n0 + j)) - c * gd.rho_pow * rpow
+        eps = Iv.point(expr_value(memo, expr, n0 + j)) - c * gd.rho_pow * rpow
         M = max(M, roots.round_up(eps.abs_hi() / tpow))
         # tpow under-approximates tau^j: dividing by it can only inflate M
         tpow = roots.round_down(tpow * gd.tau)
@@ -384,7 +386,7 @@ def certify_eventually_positive(expr: PosExpr, horizon: int = 64) -> Positivity:
         if n_star > n0 + 20000:
             return Positivity("unknown")
     for n in range(horizon + 1, n_star + 1):
-        if expr_value(expr, n) <= 0:
+        if expr_value(memo, expr, n) <= 0:
             return Positivity("not_always_positive", n)
     return Positivity("positive_for_all")
 
@@ -404,16 +406,15 @@ class _GrowthData:
     rho_lo_pow: Fraction  # rho.lo^n0
 
 
-_GROWTH_CACHE: dict[tuple[tuple[int, ...], int], "_GrowthData | None"] = {}
-
-
-def _growth_data(A: tuple[int, ...], n0: int) -> "_GrowthData | None":
+def _growth_data(memo: SeqMemo, A: tuple[int, ...], n0: int) -> _GrowthData | None:
     key = (A, n0)
-    if key in _GROWTH_CACHE:
-        return _GROWTH_CACHE[key]
+    if key in memo.growth:
+        return memo.growth[key]
+    if A not in memo.certs:
+        memo.certs[A] = roots.dominant_root_certificate(list(A))
+    cert = memo.certs[A]
     out = None
     k = len(A) - 1
-    cert = _dominant_cert_cached(A)
     if cert is not None and cert.rho.lo > 1:
         rho = cert.rho
         # B = A / (X - rho), interval coefficients via synthetic division
@@ -434,7 +435,7 @@ def _growth_data(A: tuple[int, ...], n0: int) -> "_GrowthData | None":
             out = _GrowthData(rho=rho, b=tuple(b), tau=tau, rho_pow=rho_pow,
                               dA_rho_pow=dA * rho_pow,
                               rho_lo_pow=roots.round_down(rho.lo ** n0))
-    _GROWTH_CACHE[key] = out
+    memo.growth[key] = out
     return out
 
 
@@ -447,16 +448,3 @@ def _iv_pow(x: Iv, n: int) -> Iv:
     for _ in range(n):
         acc = acc * x
     return acc
-
-
-def _pow_frac(x: Fraction, n: int) -> Fraction:
-    return x ** n
-
-
-_DOM_CERT_CACHE: dict[tuple[int, ...], roots.DominantRootCert | None] = {}
-
-
-def _dominant_cert_cached(A: tuple[int, ...]):
-    if A not in _DOM_CERT_CACHE:
-        _DOM_CERT_CACHE[A] = roots.dominant_root_certificate(list(A))
-    return _DOM_CERT_CACHE[A]

@@ -140,31 +140,32 @@ def _emit(doc: dict, pretty_gf: gfs.RationalGF | None, args) -> None:
     sys.stdout.write("\n")
 
 
-def cmd_gf(args) -> int:
+def _closed_system(args) -> closure.StateSystem | None:
+    """Close the state space of the spec file at the requested alpha; on a
+    state limit print the closure report to stderr and return None."""
     spec, file_alpha = load_spec_file(args.spec)
     alpha = _resolve_alpha(args, file_alpha)
     try:
-        sys_ = closure.build_system(spec, alpha, limit=args.limit)
+        return closure.build_system(spec, alpha, limit=args.limit)
     except closure.LimitExceeded as exc:
         json.dump(exc.report.to_json(), sys.stderr)
         sys.stderr.write("\n")
+        return None
+
+
+def cmd_gf(args) -> int:
+    sys_ = _closed_system(args)
+    if sys_ is None:
         return EXIT_LIMIT
-    method = args.method
+    method = "fit" if args.method == "auto" else args.method
     gf = closure.solve_gf(sys_, method=method)
-    if method == "auto":
-        method = "eliminate" if sys_.dim <= 64 else "fit"
     _emit({**_gf_json(gf), "dim": sys_.dim, "method": method}, gf, args)
     return EXIT_OK
 
 
 def cmd_matrix(args) -> int:
-    spec, file_alpha = load_spec_file(args.spec)
-    alpha = _resolve_alpha(args, file_alpha)
-    try:
-        sys_ = closure.build_system(spec, alpha, limit=args.limit)
-    except closure.LimitExceeded as exc:
-        json.dump(exc.report.to_json(), sys.stderr)
-        sys.stderr.write("\n")
+    sys_ = _closed_system(args)
+    if sys_ is None:
         return EXIT_LIMIT
     doc = {
         "dim": sys_.dim,
@@ -185,13 +186,8 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_terms(args) -> int:
-    spec, file_alpha = load_spec_file(args.spec)
-    alpha = _resolve_alpha(args, file_alpha)
-    try:
-        sys_ = closure.build_system(spec, alpha, limit=args.limit)
-    except closure.LimitExceeded as exc:
-        json.dump(exc.report.to_json(), sys.stderr)
-        sys.stderr.write("\n")
+    sys_ = _closed_system(args)
+    if sys_ is None:
         return EXIT_LIMIT
     terms = closure.stream_terms(sys_, args.n)
     if args.digits_only:
@@ -253,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gf", help="closed-form generating function via state closure")
     add_common(p)
-    p.add_argument("--method", choices=("auto", "eliminate", "fit"), default="auto")
+    p.add_argument("--method", choices=("auto", "eliminate", "fit"), default="auto",
+                   help="fit streams 2*dim+10 terms and reconstructs (auto is fit); "
+                        "eliminate interpolates Bareiss determinants")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_gf)
 

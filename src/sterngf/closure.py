@@ -66,42 +66,40 @@ class StateSystem:
 def build_system(spec: ProductSpec, alpha, limit: int = 5000) -> StateSystem:
     """FIFO worklist closure from the root state.
 
-    Deterministic: evolution rows are sorted, so discovery order and indexing
-    depend only on the inputs.  Raises LimitExceeded (with a ClosureReport)
-    as soon as the number of distinct live states passes the limit.
+    Deterministic: evolution rows are sorted, so discovery order, indexing
+    and the report depend only on the inputs.  Raises LimitExceeded (with a
+    ClosureReport) as soon as the number of distinct live states passes the
+    limit.
     """
     root = core.root_state(alpha, spec.seq.order)
     index: dict[State, int] = {root: 0}
     states = [root]
     rows: list[list[tuple[int, int]]] = []
     queue: deque[State] = deque([root])
-    dead_seen: set[State] = set()
-    cache = core._cache(spec)
+    dead: set[State] = set()  # dead targets this closure's rows dropped
 
     while queue:
         st = queue.popleft()
-        row = core.evolve(spec, st)
+        row = core.evolve(spec, st, dead)
         for _, tgt in row:
             if tgt not in index:
                 index[tgt] = len(states)
                 states.append(tgt)
                 queue.append(tgt)
                 if len(states) > limit:
-                    dead_seen.update(s for s, d in cache.dead.items() if d)
                     sample = tuple(list(queue)[-4:])
                     raise LimitExceeded(ClosureReport(
                         state_count=len(states),
-                        dead_discarded_count=len(dead_seen),
+                        dead_discarded_count=len(dead),
                         limit=limit,
                         outcome="limit_exceeded",
                         frontier_sample=sample,
                     ))
         rows.append([(index[tgt], c) for c, tgt in row])
 
-    dead_seen.update(s for s, d in cache.dead.items() if d)
     report = ClosureReport(
         state_count=len(states),
-        dead_discarded_count=len(dead_seen),
+        dead_discarded_count=len(dead),
         limit=limit,
         outcome="closed",
     )
@@ -122,17 +120,15 @@ def stream_terms(sys: StateSystem, n: int) -> list[int]:
 def solve_gf(sys: StateSystem, method: str = "auto") -> gfs.RationalGF:
     """Root component of (I - tM)^{-1} v in canonical form.
 
-    eliminate: exact Cramer quotient det/det over Z[t], each determinant
-    recovered from integer Bareiss eliminations at interpolation points.
-    fit: stream 2*dim + 10 exact terms and reconstruct; rigorous because the
-    true denominator divides det(I - tM), of degree at most dim.
-    auto picks eliminate for dim <= 64, fit beyond.
+    fit (also "auto"): stream 2*dim + 10 exact terms and reconstruct;
+    rigorous because the true denominator divides det(I - tM), of degree at
+    most dim.  eliminate: exact Cramer quotient det/det over Z[t], each
+    determinant recovered from integer Bareiss eliminations at
+    interpolation points.
     """
-    if method == "auto":
-        method = "eliminate" if sys.dim <= 64 else "fit"
     if method == "eliminate":
         return _solve_eliminate(sys)
-    if method == "fit":
+    if method in ("auto", "fit"):
         n_terms = 2 * sys.dim + 10
         terms = stream_terms(sys, n_terms - 1)
         gf = gfs.fit_recurrence(terms, max_den_deg=sys.dim, guard=3)

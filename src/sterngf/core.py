@@ -32,15 +32,17 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 import numpy as np
 
-from . import cfinite, polys
-from .cfinite import CFiniteSeq, PosExpr, certify_eventually_positive, reduce_shift, shift_level, term
+from . import polys
+from .cfinite import CFiniteSeq, PosExpr, SeqMemo, certify_eventually_positive, reduce_shift, shift_level
 
 DEFAULT_MAX_COEFFS = 1 << 28
 _INT64_GUARD = 1 << 62
+SPEC_MEMO_LIMIT = 16  # per-spec memos kept at once, least recently used dropped
 
 
 class SpecValidationError(ValueError):
@@ -97,21 +99,22 @@ class ProductSpec:
             seen.add(e)
         object.__setattr__(self, "terms", tt)
         horizon = deadness_horizon()
+        memo = _cache(self).memo  # reloading a spec reuses its certificates
         for _, e in tt:
             if any(e):
                 for i in range(horizon + 1):
-                    if _form_at(self.seq, e, i) < 0:
+                    if _form_at(memo, e, i) < 0:
                         raise SpecValidationError(
                             f"exponent form {e} is negative at level {i}")
                 expr = PosExpr(self.seq, shifts=tuple(
                     (x, j) for j, x in enumerate(e) if x), const=1)
-                if not certify_eventually_positive(expr, horizon).is_positive:
+                if not certify_eventually_positive(expr, horizon, memo=memo).is_positive:
                     raise SpecValidationError(
                         f"cannot certify exponent form {e} stays nonnegative")
 
 
-def _form_at(seq: CFiniteSeq, form: tuple[int, ...], i: int) -> int:
-    fs = cfinite.ensure_terms(seq, i + len(form))
+def _form_at(memo: SeqMemo, form: tuple[int, ...], i: int) -> int:
+    fs = memo.values(i + len(form))
     return sum(c * fs[i + j] for j, c in enumerate(form) if c)
 
 
@@ -149,12 +152,17 @@ def root_state(alpha, L: int) -> State:
 
 
 # ---------------------------------------------------------------------------
-# per-spec caches
+# per-spec memo
 
 
 class _SpecCache:
+    """Everything memoized for one spec: the sequence memo, level degree
+    bounds, deadness verdicts and dominant-term certificates.  Each entry is
+    a function of the spec alone."""
+
     def __init__(self, spec: ProductSpec):
         self.spec = spec
+        self.memo = SeqMemo(spec.seq)
         self.maxdeg: list[int] = []
         self.U_prefix: list[int] = [polys.degree(list(spec.P))]
         self.dead: dict[State, bool] = {}
@@ -163,7 +171,7 @@ class _SpecCache:
     def level_maxdeg(self, m: int) -> int:
         while len(self.maxdeg) <= m:
             i = len(self.maxdeg)
-            self.maxdeg.append(max(_form_at(self.spec.seq, e, i) for _, e in self.spec.terms))
+            self.maxdeg.append(max(_form_at(self.memo, e, i) for _, e in self.spec.terms))
         return self.maxdeg[m]
 
     def degree_bound(self, n: int) -> int:
@@ -184,7 +192,7 @@ class _SpecCache:
         seq = self.spec.seq
         terms = self.spec.terms
         best = max(range(len(terms)),
-                   key=lambda j: _form_at(seq, terms[j][1], start))
+                   key=lambda j: _form_at(self.memo, terms[j][1], start))
         e_star = terms[best][1]
         for j, (_, e) in enumerate(terms):
             if j == best:
@@ -192,18 +200,15 @@ class _SpecCache:
             diff = tuple(a - b for a, b in zip(e_star, e))
             expr = PosExpr(seq, shifts=tuple(
                 (x, start + t) for t, x in enumerate(diff) if x), const=1)
-            if not certify_eventually_positive(expr).is_positive:
+            if not certify_eventually_positive(expr, memo=self.memo).is_positive:
                 return None
         return best
 
 
-_SPEC_CACHES: dict[ProductSpec, _SpecCache] = {}
-
-
+@lru_cache(maxsize=SPEC_MEMO_LIMIT)
 def _cache(spec: ProductSpec) -> _SpecCache:
-    if spec not in _SPEC_CACHES:
-        _SPEC_CACHES[spec] = _SpecCache(spec)
-    return _SPEC_CACHES[spec]
+    """The spec's memo, from the one bounded registry of them."""
+    return _SpecCache(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +234,8 @@ def is_dead(spec: ProductSpec, state: State, horizon: int | None = None) -> bool
     return verdict
 
 
-def _offsets_at(spec: ProductSpec, state: State, n: int) -> list[int]:
-    seq = spec.seq
-    fs = cfinite.ensure_terms(seq, n + seq.order)
+def _offsets_at(memo: SeqMemo, state: State, n: int) -> list[int]:
+    fs = memo.values(n + memo.seq.order)
     out = []
     for d, beta in state.factors:
         s = -d
@@ -246,7 +250,7 @@ def _deadness_verdict(spec: ProductSpec, cache: _SpecCache, state: State, H: int
     if len(state.factors) < 2:
         return False
     seq = spec.seq
-    fs = cfinite.ensure_terms(seq, H + seq.order + 1)
+    fs = cache.memo.values(H + seq.order + 1)
     cache.degree_bound(H)
     bounds = cache.U_prefix
     for n in range(H + 1):
@@ -266,7 +270,6 @@ def _deadness_verdict(spec: ProductSpec, cache: _SpecCache, state: State, H: int
     j_star = cache.dominant_term_from(start)
     if j_star is None:
         return False
-    seq = spec.seq
     L = seq.order
     e_star = spec.terms[j_star][1]
     # partial-sum form for levels >= start, rewritten over f(m..m+L-1)
@@ -279,7 +282,7 @@ def _deadness_verdict(spec: ProductSpec, cache: _SpecCache, state: State, H: int
     tail_form = tuple(tail_form)
     base = cache.degree_bound(start)
 
-    offs = _offsets_at(spec, state, start)
+    offs = _offsets_at(cache.memo, state, start)
     order = sorted(range(len(offs)), key=lambda i: offs[i], reverse=True)
     pairs = [(i, j) for i in order for j in reversed(order) if i != j]
     for i, j in pairs:
@@ -289,7 +292,7 @@ def _deadness_verdict(spec: ProductSpec, cache: _SpecCache, state: State, H: int
         shifts = tuple((x, start + t) for t, x in enumerate(delta) if x)
         expr = PosExpr(seq, shifts=shifts, partials=((-1, tail_form),),
                        const=-(d_i - d_j) - base)
-        if certify_eventually_positive(expr).is_positive:
+        if certify_eventually_positive(expr, memo=cache.memo).is_positive:
             return True
     return False
 
@@ -298,14 +301,16 @@ def _deadness_verdict(spec: ProductSpec, cache: _SpecCache, state: State, H: int
 # evolution
 
 
-def evolve(spec: ProductSpec, state: State) -> list[tuple[int, State]]:
+def evolve(spec: ProductSpec, state: State,
+           dead: set[State] | None = None) -> list[tuple[int, State]]:
     """Exact identity f_S(n) = sum coeff * f_S'(n-1), valid for all n >= 1.
 
     Every beta is first rewritten one level down, then the product of factor
     terms is expanded: each factor independently picks a term (c_j, e_j),
     contributing e_j to its beta and c_j to the coefficient.  The resulting
-    raw states are canonicalized, merged, and pruned of dead targets.  The
-    row is returned sorted, so system construction is deterministic.
+    raw states are canonicalized, merged, and pruned of dead targets, which
+    are added to `dead` when it is given.  The row is returned sorted, so
+    system construction is deterministic.
     """
     seq = spec.seq
     shifted = [(d, shift_level(seq, beta)) for d, beta in state.factors]
@@ -317,7 +322,14 @@ def evolve(spec: ProductSpec, state: State) -> list[tuple[int, State]]:
                for (d, beta), (_, e) in zip(shifted, pick)]
         st = canonicalize(raw)
         acc[st] = acc.get(st, 0) + coeff
-    row = [(c, st) for st, c in acc.items() if c != 0 and not is_dead(spec, st)]
+    row = []
+    for st, c in acc.items():
+        if c == 0:
+            continue
+        if not is_dead(spec, st):
+            row.append((c, st))
+        elif dead is not None:
+            dead.add(st)
     row.sort(key=lambda t: t[1].sort_key())
     return row
 
@@ -363,7 +375,7 @@ def expand_Fn(spec: ProductSpec, n: int, *, force_python: bool = False,
     else:
         lst = list(spec.P)
     for m in range(n):
-        exps = [(c, _form_at(spec.seq, e, m)) for c, e in spec.terms]
+        exps = [(c, _form_at(cache.memo, e, m)) for c, e in spec.terms]
         width = max(e for _, e in exps)
         if arr is not None:
             mx = int(np.abs(arr).max())
@@ -394,7 +406,7 @@ def state_oracle(spec: ProductSpec, state: State, n: int, *, coeffs=None) -> int
     """Direct evaluation of the state's correlation sum at level n."""
     a = expand_Fn(spec, n) if coeffs is None else coeffs
     deg = len(a) - 1
-    offs = _offsets_at(spec, state, n)
+    offs = _offsets_at(_cache(spec).memo, state, n)
     k_lo = max(offs)
     k_hi = min(o + deg for o in offs)
     total = 0

@@ -78,13 +78,6 @@ def series(gf: RationalGF, n_terms: int) -> list[Fraction]:
     return out
 
 
-def evaluate(gf: RationalGF, t) -> Fraction:
-    d = polys.eval_at(list(gf.den), t)
-    if d == 0:
-        raise ZeroDivisionError("pole of the generating function")
-    return Fraction(polys.eval_at(list(gf.num), t)) / d
-
-
 def berlekamp_massey(terms: list) -> tuple[int, list[Fraction]]:
     """Minimal connection polynomial of a finite sequence over Q.
 

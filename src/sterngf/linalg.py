@@ -1,38 +1,10 @@
-# Exact linear algebra helpers: dense Gaussian elimination over Fraction,
-# fraction-free Bareiss elimination over the integers, and Lagrange
-# interpolation.  Sizes here are moderate (transfer-matrix solves), so
-# simplicity and exactness win over asymptotics.
+# Exact linear algebra helpers: fraction-free Bareiss elimination over the
+# integers and Lagrange interpolation.  Sizes here are moderate
+# (transfer-matrix solves), so simplicity and exactness win over asymptotics.
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-class SingularMatrixError(ValueError):
-    pass
-
-
-def linsolve(A: list[list], b: list) -> list[Fraction]:
-    """Solve A x = b exactly over the rationals.
-
-    A must be square and nonsingular; raises SingularMatrixError otherwise.
-    Pivoting picks the largest available nonzero entry in the column.
-    """
-    n = len(A)
-    if any(len(row) != n for row in A) or len(b) != n:
-        raise ValueError("linsolve needs a square system")
-    M = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(A, b)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(M[r][col]))
-        if M[piv][col] == 0:
-            raise SingularMatrixError(f"singular at column {col}")
-        M[col], M[piv] = M[piv], M[col]
-        pval = M[col][col]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col] / pval
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[i][n] / M[i][i] for i in range(n)]
 
 
 def bareiss_solve_last(M: list[list[int]]) -> tuple[int, int]:

@@ -39,10 +39,6 @@ def neg(a: list) -> list:
     return [-c for c in a]
 
 
-def sub(a: list, b: list) -> list:
-    return add(a, neg(b))
-
-
 def scale(a: list, c) -> list:
     if c == 0:
         return []
@@ -58,13 +54,6 @@ def mul(a: list, b: list) -> list:
             for j, y in enumerate(b):
                 res[i + j] += x * y
     return normalize(res)
-
-
-def pow_(a: list, n: int) -> list:
-    res = [1]
-    for _ in range(n):
-        res = mul(res, a)
-    return res
 
 
 def eval_at(p: list, x):

@@ -33,7 +33,7 @@ def test_gf_base_stern(capsys):
     assert doc["num"] == [1, -2]
     assert doc["den"] == [1, -5, 2]
     assert doc["dim"] == 2
-    assert doc["method"] == "eliminate"
+    assert doc["method"] == "fit"
 
 
 def test_gf_alpha_override_and_pretty(capsys):

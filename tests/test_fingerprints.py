@@ -1,0 +1,178 @@
+"""Output fingerprints on the cookbook specs.
+
+The sha256 digests below were recorded before the per-spec memo replaced the
+process-global caches; any change to what `matrix`, `gf` (its `num`, `den`
+and `dim`; `method` is left out) or `pv` print shows up here.  The challenge
+limit report is produced in a fresh interpreter, where its counts do not
+depend on anything the test session ran before.
+"""
+
+import hashlib
+import io
+import json
+import os
+import pathlib
+import subprocess
+import sys
+from contextlib import redirect_stdout
+
+import pytest
+
+from sterngf import cli
+
+COOKBOOK = pathlib.Path(cli.__file__).parent / "cookbook"
+
+CASES = [
+    ("matrix", "base_stern", "1"), ("matrix", "base_stern", "2"),
+    ("matrix", "base_stern", "3"), ("matrix", "base_stern", "5"),
+    ("matrix", "base_stern", "1,1"), ("matrix", "base_stern", "1,1,1"),
+    ("matrix", "fibonacci", "1"), ("matrix", "fibonacci", "2"),
+    ("matrix", "fibonacci", "3"), ("matrix", "fibonacci", "1,1"),
+    ("matrix", "tribonacci", "1"), ("matrix", "quadonacci", "1"),
+    ("matrix", "pentanacci", "1"),
+    ("gf", "base_stern", "1"), ("gf", "base_stern", "2"),
+    ("gf", "base_stern", "3"), ("gf", "base_stern", "5"),
+    ("gf", "base_stern", "1,1"), ("gf", "base_stern", "1,1,1"),
+    ("gf", "fibonacci", "1"), ("gf", "fibonacci", "2"),
+    ("gf", "fibonacci", "3"), ("gf", "fibonacci", "1,1"),
+    ("gf", "tribonacci", "1"), ("gf", "quadonacci", "1"),
+    ("gf", "pentanacci", "1"),
+    ("pv", "base_stern", None), ("pv", "fibonacci", None),
+    ("pv", "tribonacci", None), ("pv", "quadonacci", None),
+    ("pv", "pentanacci", None), ("pv", "challenge", None),
+    ("terms", "base_stern", "2", "-n", "300"),
+    ("terms", "fibonacci", "2", "-n", "200"),
+    ("terms", "tribonacci", "1", "-n", "200", "--digits-only"),
+    ("oracle", "fibonacci", "2", "-n", "15"),
+    ("oracle", "challenge", "2", "-n", "10"),
+    ("guess", "base_stern", "2", "-n", "12"),
+    ("guess", "fibonacci", "2", "-n", "22"),
+]
+
+LIMIT_ARGV = ["gf", str(COOKBOOK / "challenge.json"), "--limit", "150"]
+
+EXPECTED = {
+    "matrix base_stern [1]":
+        "55150ceb6f4d504dae3b5e6076e15325622c48cb30f252943070fb10d68c234f",
+    "matrix base_stern [2]":
+        "5117973c47a12ece24b3fe0333199c06ae4da64359facafdb5ffd3b88533a1cf",
+    "matrix base_stern [3]":
+        "af27661cd8a998b189dbc0ec4fc9e34d6ae2f466e287e87691136c3bc3a8349d",
+    "matrix base_stern [5]":
+        "fafb500d9a1d6f828625f911377d975e8da02c5a8d26c5e4a4b4d37456f1212d",
+    "matrix base_stern [1,1]":
+        "32d244c98c965ba8473c60e145c6114be409826f2b21b67609cce141ee676128",
+    "matrix base_stern [1,1,1]":
+        "bd09058034e5334c5648d9a5bfabaca274670aad4646992dc9ac213f04c4bfac",
+    "matrix fibonacci [1]":
+        "55150ceb6f4d504dae3b5e6076e15325622c48cb30f252943070fb10d68c234f",
+    "matrix fibonacci [2]":
+        "0afe3c9b596fce4278d5417f3d285e4ce636482f899928a6b87f1cd9ffe5002f",
+    "matrix fibonacci [3]":
+        "910d1de5551d6beab6384d0bdec03cb0b2e3fcdb33e8ba7665eba13aa55a5a95",
+    "matrix fibonacci [1,1]":
+        "403c2a96dcf67e6248759d0621280a89ba031e92707ec3b3a94ddec93993dbcf",
+    "matrix tribonacci [1]":
+        "04439c0780052e0345b44d2a62588ee4a9a0d5c931aa738e1045433c04bbc823",
+    "matrix quadonacci [1]":
+        "e5574b1cb738fc98030f7bf62d24e84d6461d97e3e5525f05e1ae5d785a158d6",
+    "matrix pentanacci [1]":
+        "c5d53f0d4d597e025aef85ed5d290e4824d9785763af1a847068d44881ae9e61",
+    "gf base_stern [1]":
+        "ca90513fc7a95ac11247fa8e92e64e9ee618ec0dbb380b32b3c363b61b90ae1c",
+    "gf base_stern [2]":
+        "d6c257dc4ad6919a8a01004ca3e48f3511a99f18679f8f62eda19b56190d1ef6",
+    "gf base_stern [3]":
+        "b1ea6d081e4c00e8008e7cb0c124ab885edf403f563961e77687b141a0c77e5b",
+    "gf base_stern [5]":
+        "7cec3ef10f3e7e75fd461a34bf7c8bfb38fb295dccac4d96ce2f18ed3c6c348a",
+    "gf base_stern [1,1]":
+        "712552957821c9d1d3c69acb7ab2892e2529931f25dc2c951c8e36984434ac65",
+    "gf base_stern [1,1,1]":
+        "eb6a0f1f9d017dbb3f038bbeb6f94ad360864b2a0f86b422da0d77b586dfb4ae",
+    "gf fibonacci [1]":
+        "ca90513fc7a95ac11247fa8e92e64e9ee618ec0dbb380b32b3c363b61b90ae1c",
+    "gf fibonacci [2]":
+        "ed43eb9ca9d9e390c93a58bcb4ea001df52aac4d3747d23d8b29c9fd41c5996c",
+    "gf fibonacci [3]":
+        "c0d49d1fa71606c163d7c92c77418e5e2502c4382ad3741b9cf630a854e0dd7c",
+    "gf fibonacci [1,1]":
+        "bd10fa70322f358f0dd11f7e818b72df101d15558676c37a27cdaab78ab20ed5",
+    "gf tribonacci [1]":
+        "d3733697a84b8bb63f35e18bd73d3ec641c3d5b30472a3fe8fdc14bd302d3917",
+    "gf quadonacci [1]":
+        "1551790feb611b30eff38668bde43c6c02fc9af410ea2d71d4359f6f20c73e13",
+    "gf pentanacci [1]":
+        "59137ea3fbd75eb27e910593bfa79838d2f87bad5f5c13ffb56e20ae47994e79",
+    "pv base_stern":
+        "ef019b2fd8247159a0ff7fa6596e9f77d509081e1d6bd88a88072cc8b190afee",
+    "pv fibonacci":
+        "f16584b90ba02b91045090d0c6610619c1bbda3a63c51385348bea597be366ff",
+    "pv tribonacci":
+        "686a9a5f852cf19f505f3f963b7bb50ec46cd843c70414052654f0fd1544ac1a",
+    "pv quadonacci":
+        "579462c95cb22e512329bc0b960c4e67c4b0e1f8ab9a83ee475129f0450008b9",
+    "pv pentanacci":
+        "b44c6df2c9cffc437a6eae73d8049c66217512fcc6998ec4c9bf20a0f3cbd112",
+    "pv challenge":
+        "b3f70fd173b74dfe726bb54a276093a0a815b87f86d4f4d5d8ac44987145e699",
+    "terms base_stern [2] -n 300":
+        "b3ddf010e842d439cca2c650ee1769f827c3641f73e0f0bcb76e3ce0a6c3cfe7",
+    "terms fibonacci [2] -n 200":
+        "b53f2fc0e5b193e0f14fcd560b6f41dd1eb7656d78c0c0a0751d9278edcd98b7",
+    "terms tribonacci [1] -n 200 --digits-only":
+        "b2fa1e1449610204cc6a6a71ae1f9a72fca5d01178dff562454a51c5237cd033",
+    "oracle fibonacci [2] -n 15":
+        "1ed36488bb69e1b57dd4864c44d3f64b3591ba09d1f23ffb200d1caf94b1fd2e",
+    "oracle challenge [2] -n 10":
+        "7ac2ca72afe5ecfd484547430660e23b79cd17dae2b4fc0112e24fc2362997df",
+    "guess base_stern [2] -n 12":
+        "fa9c6d9b274b0af53d282fc462aaf836d03c79ede677cd1f0e3287037b8a0642",
+    "guess fibonacci [2] -n 22":
+        "6c24ace1ed4f6ce467638288f8b51040e76d2b9c3501e7d883310a48b4573f9d",
+}
+
+EXPECTED_LIMIT = (
+    "6c25b788101cde01f7b22600661f5f4eaaf9e515d808e76d55e84f6e74f8a9cb")
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def fingerprint(cmd: str, spec: str, alpha: str | None = None, *extra: str) -> str:
+    argv = [cmd, str(COOKBOOK / f"{spec}.json")]
+    if alpha is not None:
+        argv += ["--alpha", alpha]
+    argv += extra
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    out = buf.getvalue()
+    if cmd == "gf":
+        doc = json.loads(out)
+        del doc["method"]
+        out = json.dumps(doc)
+    return _sha(out)
+
+
+def limit_fingerprint() -> str:
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-m", "sterngf", *LIMIT_ARGV],
+                         capture_output=True, text=True, env=env, check=False)
+    return _sha(f"{res.returncode}\n{res.stdout}\n{res.stderr}")
+
+
+def case_id(case) -> str:
+    cmd, spec, alpha, *extra = case
+    return " ".join([cmd, spec] + ([f"[{alpha}]"] if alpha else []) + extra)
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_output_fingerprint(case):
+    assert fingerprint(*case) == EXPECTED[case_id(case)]
+
+
+def test_challenge_limit_report_fingerprint():
+    assert limit_fingerprint() == EXPECTED_LIMIT

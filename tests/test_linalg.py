@@ -1,46 +1,19 @@
+import itertools
 import random
+from math import prod
 
-from fractions import Fraction
-
-import pytest
-
-from sterngf.gfs import evaluate, make_gf
-from sterngf.linalg import SingularMatrixError, bareiss_solve_last, lagrange_interpolate, linsolve
+from sterngf.linalg import bareiss_solve_last, lagrange_interpolate
 
 
-def test_linsolve_identity():
-    b = [Fraction(3), Fraction(-1), Fraction(7)]
-    A = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert linsolve(A, b) == b
-
-
-def test_linsolve_singular():
-    with pytest.raises(SingularMatrixError):
-        linsolve([[0, 0], [0, 0]], [1, 2])
-
-
-def test_linsolve_worked_2x2_gf_system():
-    # (I - tM) x = v at t = 1/10 for M = [[3,4],[1,2]], v = (1,0); the root
-    # component must equal the generating function evaluated at 1/10
-    t = Fraction(1, 10)
-    A = [[1 - 3 * t, -4 * t], [-t, 1 - 2 * t]]
-    x = linsolve(A, [1, 0])
-    gf = make_gf([1, -2], [1, -5, 2])
-    assert x[0] == evaluate(gf, t) == Fraction(20, 13)
-
-
-def test_linsolve_residual_random():
-    rng = random.Random(5)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        A = [[Fraction(rng.randint(-6, 6)) for _ in range(n)] for _ in range(n)]
-        b = [Fraction(rng.randint(-6, 6)) for _ in range(n)]
-        try:
-            x = linsolve(A, b)
-        except SingularMatrixError:
-            continue
-        for row, rhs in zip(A, b):
-            assert sum(c * xi for c, xi in zip(row, x)) == rhs
+def leibniz_det(A):
+    """Determinant as the signed sum over permutations, independent of any
+    elimination."""
+    n = len(A)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(A[i][perm[i]] for i in range(n))
+    return total
 
 
 def test_bareiss_matches_cramer():
@@ -51,10 +24,10 @@ def test_bareiss_matches_cramer():
         v = [rng.randint(-5, 5) for _ in range(n)]
         aug = [row + [rhs] for row, rhs in zip(A, v)]
         detA, detB = bareiss_solve_last(aug)
-        if detA == 0:
-            continue
-        x = linsolve(A, v)
-        assert x[n - 1] == Fraction(detB, detA)
+        assert detA == leibniz_det(A)
+        if detA != 0:  # on singular input Bareiss stops early with (0, 0)
+            B = [row[:-1] + [rhs] for row, rhs in zip(A, v)]
+            assert detB == leibniz_det(B)
 
 
 def test_lagrange_interpolate():
