@@ -17,10 +17,9 @@ must treat it conservatively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import gfs, polys, roots
-from .roots import Iv
+from .roots import GRID, GRID_BITS, Iv
 
 
 @dataclass(frozen=True)
@@ -67,8 +66,9 @@ class SeqMemo:
                 vals.append(sum(c * v for c, v in zip(rec, reversed(vals[-L:]))))
         return vals
 
-    def partial_sum(self, form: tuple[int, ...], n: int) -> int:
-        """sum_{m<n} <form, f(m..m+L-1)>, extended incrementally."""
+    def prefix_sums(self, form: tuple[int, ...], n: int) -> list[int]:
+        """S(m) = sum_{i<m} <form, f(i..i+L-1)> as a list grown to cover
+        index n; callers may index it but must not mutate it."""
         pre = self.prefix.get(form)
         if pre is None:
             pre = self.prefix[form] = [0]
@@ -78,7 +78,7 @@ class SeqMemo:
                 m = len(pre) - 1
                 val = sum(c * fs[m + j] for j, c in enumerate(form) if c)
                 pre.append(pre[-1] + val)
-        return pre[n]
+        return pre
 
 
 def term(seq: CFiniteSeq, n: int) -> int:
@@ -255,16 +255,25 @@ class Positivity:
         return self.kind == "positive_for_all"
 
 
-def expr_value(memo: SeqMemo, expr: PosExpr, n: int) -> int:
-    v = expr.const
+def expr_values(memo: SeqMemo, expr: PosExpr, N: int) -> list[int]:
+    """expr(0..N) as one list, from slices of the memo's value and prefix
+    lists."""
+    out = [expr.const] * (N + 1)
     if expr.shifts:
-        max_off = max(off for _, off in expr.shifts)
-        fs = memo.values(n + max_off)
+        fs = memo.values(N + max(off for _, off in expr.shifts))
         for c, off in expr.shifts:
-            v += c * fs[n + off]
+            out = [v + c * f for v, f in zip(out, fs[off:off + N + 1])]
     for c, form in expr.partials:
-        v += c * memo.partial_sum(form, n)
-    return v
+        out = [v + c * p for v, p in zip(out, memo.prefix_sums(form, N))]
+    return out
+
+
+def _verdict(vals: list[int], lo: int, hi: int, kind: str = "positive_for_all") -> Positivity:
+    """A witness at the least n in lo..hi with vals[n] <= 0, else `kind`."""
+    for n in range(lo, hi + 1):
+        if vals[n] <= 0:
+            return Positivity("not_always_positive", n)
+    return Positivity(kind)
 
 
 def _annihilator(expr: PosExpr) -> list[int]:
@@ -277,32 +286,45 @@ def _annihilator(expr: PosExpr) -> list[int]:
     return A
 
 
-def _minimal_annihilator(memo: SeqMemo, expr: PosExpr, A: list[int], n0: int) -> list[int]:
-    """Shrink A to a smaller exact annihilator when the expression actually
-    satisfies one (e.g. a plain geometric inside a higher-order closure).
+def _minimal_annihilator(vals: list[int], A: list[int], n0: int) -> list[int]:
+    """Shrink A to a smaller exact annihilator when the expression, given by
+    its values vals, actually satisfies one (e.g. a plain geometric inside a
+    higher-order closure).
 
     A candidate m is guessed from a value window and accepted only on proof:
     m must divide A, and w = m(E)expr must vanish on deg(A/m) consecutive
     points, which forces w = 0 forever by the recurrence A/m satisfied by w.
     """
     k = polys.degree(A)
-    window = [expr_value(memo, expr, n) for n in range(n0, n0 + 3 * k + 8)]
+    window = vals[n0:n0 + 3 * k + 8]
     L, C = gfs.berlekamp_massey(window)
     if L >= k or 2 * L + 2 > len(window):
         return A
-    cand = polys.to_int_coeffs(list(reversed(C)))  # X^L + c_1 X^{L-1} + ...
-    if not cand or cand[-1] != 1:
+    if any(c.denominator != 1 for c in C):
+        return A  # the candidate must be a monic integer polynomial
+    cand = [int(c) for c in reversed(C)]  # X^L + c_1 X^{L-1} + ...
+    quot = _monic_quotient(A, cand)
+    if quot is None:
         return A
-    if not polys.divides(cand, A):
-        return A
-    quot, _ = polys.divmod_exact(A, cand)
-    need = polys.degree(polys.normalize(quot)) + 1
-    d = polys.degree(cand)
-    for s in range(need):
-        w = sum(cand[j] * expr_value(memo, expr, n0 + s + j) for j in range(d + 1))
+    d = len(cand) - 1
+    for s in range(len(quot)):
+        w = sum(cand[j] * vals[n0 + s + j] for j in range(d + 1))
         if w != 0:
             return A
     return cand
+
+
+def _monic_quotient(a: list[int], m: list[int]) -> list[int] | None:
+    """a / m by integer synthetic division (m monic), or None when m does
+    not divide a."""
+    d = len(m) - 1
+    rem = list(a)
+    quo = [0] * (len(a) - d)
+    for k in range(len(quo) - 1, -1, -1):
+        q = quo[k] = rem[k + d]
+        for i, c in enumerate(m):
+            rem[k + i] -= q * c
+    return None if any(rem) else quo
 
 
 def certify_eventually_positive(expr: PosExpr, horizon: int = 64,
@@ -317,41 +339,30 @@ def certify_eventually_positive(expr: PosExpr, horizon: int = 64,
     dominant mode provably wins, and everything up to the crossover is
     checked exactly.  Any failed sub-certificate yields "unknown".
 
+    The expression is evaluated once, as a list of its values; the bounds
+    past the horizon are integer numerators on the interval grid of `roots`.
     memo must belong to expr.seq; without one a throwaway memo is used.
     """
     if memo is None:
         memo = SeqMemo(expr.seq)
-    for n in range(horizon + 1):
-        if expr_value(memo, expr, n) <= 0:
-            return Positivity("not_always_positive", n)
-
-    L = expr.seq.order
     max_off = max((off for _, off in expr.shifts), default=0)
-    n0 = 2 * L + max_off + 2
+    n0 = 2 * expr.seq.order + max_off + 2
     A = _annihilator(expr)
-    A = _minimal_annihilator(memo, expr, A, n0)
+    vals = expr_values(memo, expr, max(horizon, n0 + 3 * polys.degree(A) + 7))
+    head = _verdict(vals, 0, horizon)
+    if not head.is_positive:
+        return head
+    A = _minimal_annihilator(vals, A, n0)
     k = polys.degree(A)
 
     # eventually-zero difference => eventually constant (> 0 was checked)
-    dvals = [expr_value(memo, expr, n + 1) - expr_value(memo, expr, n)
-             for n in range(n0, n0 + 2 * k + 2)]
-    if all(v == 0 for v in dvals[-(k + 1):]):
-        start = n0 + k + 1
-        for n in range(horizon + 1, start + 1):
-            if expr_value(memo, expr, n) <= 0:
-                return Positivity("not_always_positive", n)
-        return Positivity("positive_for_all")
+    if all(vals[n + 1] == vals[n] for n in range(n0 + k + 1, n0 + 2 * k + 2)):
+        return _verdict(vals, horizon + 1, n0 + k + 1)
 
     if k == 1:
         # exactly geometric: expr(n) = expr(n0) * a^(n - n0) for n >= n0
-        a = -A[0]
-        base = expr_value(memo, expr, n0)
-        for n in range(horizon + 1, n0 + 1):
-            if expr_value(memo, expr, n) <= 0:
-                return Positivity("not_always_positive", n)
-        if base > 0 and a >= 1:
-            return Positivity("positive_for_all")
-        return Positivity("unknown")
+        grows = vals[n0] > 0 and -A[0] >= 1
+        return _verdict(vals, horizon + 1, n0, "positive_for_all" if grows else "unknown")
 
     gd = _growth_data(memo, tuple(A), n0)
     if gd is None:
@@ -360,50 +371,52 @@ def certify_eventually_positive(expr: PosExpr, horizon: int = 64,
     # leading projection c = w(n0) / (A'(rho) * rho^n0)
     w0 = Iv.point(0)
     for j in range(k):
-        w0 = w0 + gd.b[j] * Iv.point(expr_value(memo, expr, n0 + j))
+        w0 = w0 + gd.b[j] * Iv.point(vals[n0 + j])
     c = w0.divided_by(gd.dA_rho_pow)
     if not c.lo > 0:
         return Positivity("unknown")
 
-    M = Fraction(0)
-    tpow = Fraction(1)
+    num, den = gd.tau
+    M = 0
+    tpow = GRID  # tau^j, rounded down: dividing by it can only inflate M
+    c_rho_pow = c * gd.rho_pow
     rpow = Iv.point(1)
     for j in range(max(k - 1, 1)):
-        eps = Iv.point(expr_value(memo, expr, n0 + j)) - c * gd.rho_pow * rpow
-        M = max(M, roots.round_up(eps.abs_hi() / tpow))
-        # tpow under-approximates tau^j: dividing by it can only inflate M
-        tpow = roots.round_down(tpow * gd.tau)
+        eps = Iv.point(vals[n0 + j]) - c_rho_pow * rpow
+        M = max(M, -(-(eps.abs_hi() << GRID_BITS) // tpow))
+        tpow = tpow * num // den
         rpow = rpow * gd.rho
 
     # crossover: smallest n* >= n0 with c rho^n > M tau^(n - n0) onwards
-    lo_side = roots.round_down(c.lo * gd.rho_lo_pow)
+    rho_lo = gd.rho.lo
+    lo_side = c.lo * gd.rho_lo_pow >> GRID_BITS
     hi_side = M
     n_star = n0
     while lo_side <= hi_side:
-        lo_side = roots.round_down(lo_side * gd.rho.lo)
-        hi_side = roots.round_up(hi_side * gd.tau)
+        lo_side = lo_side * rho_lo >> GRID_BITS
+        hi_side = -(-hi_side * num // den)
         n_star += 1
         if n_star > n0 + 20000:
             return Positivity("unknown")
-    for n in range(horizon + 1, n_star + 1):
-        if expr_value(memo, expr, n) <= 0:
-            return Positivity("not_always_positive", n)
-    return Positivity("positive_for_all")
+    if n_star >= len(vals):
+        vals = expr_values(memo, expr, n_star)
+    return _verdict(vals, horizon + 1, n_star)
 
 
 @dataclass(frozen=True)
 class _GrowthData:
     """Annihilator-level certificate data, reusable across expressions:
     dominant-root enclosure rho, interval coefficients of B = A/(X - rho),
-    the geometric tail ratio tau with tau^(k-1) >= sum |b_j| tau^j, and the
-    fixed powers appearing in the projection formulas."""
+    the geometric tail ratio tau = num/den with tau^(k-1) >= sum |b_j| tau^j,
+    and the fixed powers appearing in the projection formulas.  Bounds are
+    integer numerators on the grid of `roots.Iv`."""
 
     rho: Iv
     b: tuple[Iv, ...]
-    tau: Fraction
+    tau: tuple[int, int]  # exact (num, den)
     rho_pow: Iv           # rho^n0
     dA_rho_pow: Iv        # A'(rho) * rho^n0
-    rho_lo_pow: Fraction  # rho.lo^n0
+    rho_lo_pow: int       # rho.lo^n0, rounded down
 
 
 def _growth_data(memo: SeqMemo, A: tuple[int, ...], n0: int) -> _GrowthData | None:
@@ -415,36 +428,31 @@ def _growth_data(memo: SeqMemo, A: tuple[int, ...], n0: int) -> _GrowthData | No
     cert = memo.certs[A]
     out = None
     k = len(A) - 1
-    if cert is not None and cert.rho.lo > 1:
+    if cert is not None and cert.rho.lo > GRID:
         rho = cert.rho
         # B = A / (X - rho), interval coefficients via synthetic division
         b: list[Iv] = [Iv.point(0)] * k
         b[k - 1] = Iv.point(A[k])
         for j in range(k - 1, 0, -1):
             b[j - 1] = Iv.point(A[j]) + rho * b[j]
-        dA = iv_poly_eval_deriv(list(A), rho)
+        dA = roots.iv_poly_eval(polys.deriv(list(A)), rho)
+        # tau = rho.lo * i/16 for the least i that passes, tested exactly
+        # over the common denominator den = 16 * GRID
         b_hi = [bj.abs_hi() for bj in b[: k - 1]]
+        den = 16 * GRID
         tau = None
-        for num in range(1, 16):
-            t = rho.lo * Fraction(num, 16)
-            if t ** (k - 1) >= sum(bh * t ** j for j, bh in enumerate(b_hi)):
-                tau = t
+        for i in range(1, 16):
+            t = rho.lo * i
+            if GRID * t ** (k - 1) >= sum(bh * t ** j * den ** (k - 1 - j)
+                                          for j, bh in enumerate(b_hi)):
+                tau = (t, den)
                 break
         if tau is not None and not dA.contains_zero():
-            rho_pow = _iv_pow(rho, n0)
+            rho_pow = Iv.point(1)
+            for _ in range(n0):
+                rho_pow = rho_pow * rho
             out = _GrowthData(rho=rho, b=tuple(b), tau=tau, rho_pow=rho_pow,
                               dA_rho_pow=dA * rho_pow,
-                              rho_lo_pow=roots.round_down(rho.lo ** n0))
+                              rho_lo_pow=rho.lo ** n0 >> (GRID_BITS * (n0 - 1)))
     memo.growth[key] = out
     return out
-
-
-def iv_poly_eval_deriv(coeffs: list[int], x: Iv) -> Iv:
-    return roots.iv_poly_eval(polys.deriv(coeffs), x)
-
-
-def _iv_pow(x: Iv, n: int) -> Iv:
-    acc = Iv.point(1)
-    for _ in range(n):
-        acc = acc * x
-    return acc

@@ -43,6 +43,7 @@ from .cfinite import CFiniteSeq, PosExpr, SeqMemo, certify_eventually_positive, 
 DEFAULT_MAX_COEFFS = 1 << 28
 _INT64_GUARD = 1 << 62
 SPEC_MEMO_LIMIT = 16  # per-spec memos kept at once, least recently used dropped
+DEAD_MEMO_LIMIT = 1 << 15  # deadness verdicts kept per spec, oldest dropped
 
 
 class SpecValidationError(ValueError):
@@ -99,7 +100,10 @@ class ProductSpec:
             seen.add(e)
         object.__setattr__(self, "terms", tt)
         horizon = deadness_horizon()
-        memo = _cache(self).memo  # reloading a spec reuses its certificates
+        cache = _cache(self)  # reloading a validated spec skips the checks
+        if horizon in cache.validated:
+            return
+        memo = cache.memo
         for _, e in tt:
             if any(e):
                 for i in range(horizon + 1):
@@ -111,6 +115,7 @@ class ProductSpec:
                 if not certify_eventually_positive(expr, horizon, memo=memo).is_positive:
                     raise SpecValidationError(
                         f"cannot certify exponent form {e} stays nonnegative")
+        cache.validated.add(horizon)
 
 
 def _form_at(memo: SeqMemo, form: tuple[int, ...], i: int) -> int:
@@ -157,8 +162,9 @@ def root_state(alpha, L: int) -> State:
 
 class _SpecCache:
     """Everything memoized for one spec: the sequence memo, level degree
-    bounds, deadness verdicts and dominant-term certificates.  Each entry is
-    a function of the spec alone."""
+    bounds, deadness verdicts (at most DEAD_MEMO_LIMIT), dominant-term
+    certificates, tail forms and the horizons the spec was validated at.
+    Each entry is a function of the spec alone."""
 
     def __init__(self, spec: ProductSpec):
         self.spec = spec
@@ -167,6 +173,8 @@ class _SpecCache:
         self.U_prefix: list[int] = [polys.degree(list(spec.P))]
         self.dead: dict[State, bool] = {}
         self.dom_term: dict[int, int | None] = {}
+        self.tail_forms: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.validated: set[int] = set()
 
     def level_maxdeg(self, m: int) -> int:
         while len(self.maxdeg) <= m:
@@ -180,6 +188,20 @@ class _SpecCache:
             m = len(self.U_prefix) - 1
             self.U_prefix.append(self.U_prefix[-1] + self.level_maxdeg(m))
         return self.U_prefix[n]
+
+    def tail_form(self, j_star: int, start: int) -> tuple[int, ...]:
+        """Term j_star's exponent form at levels >= start, rewritten over
+        f(m..m+L-1): its partial sums are the degree bound's growth there."""
+        key = (j_star, start)
+        if key not in self.tail_forms:
+            seq = self.spec.seq
+            form = [0] * seq.order
+            for t, x in enumerate(self.spec.terms[j_star][1]):
+                if x:
+                    for u, r in enumerate(reduce_shift(seq, start + t)):
+                        form[u] += x * r
+            self.tail_forms[key] = tuple(form)
+        return self.tail_forms[key]
 
     def dominant_term_from(self, start: int) -> int | None:
         """Index j* whose exponent form dominates every other term's form for
@@ -226,11 +248,14 @@ def is_dead(spec: ProductSpec, state: State, horizon: int | None = None) -> bool
     certificate returns False (alive), which is always safe.
     """
     cache = _cache(spec)
-    if state in cache.dead:
-        return cache.dead[state]
+    dead = cache.dead
+    if state in dead:
+        return dead[state]
     H = deadness_horizon() if horizon is None else horizon
     verdict = _deadness_verdict(spec, cache, state, H)
-    cache.dead[state] = verdict
+    if len(dead) >= DEAD_MEMO_LIMIT:
+        del dead[next(iter(dead))]
+    dead[state] = verdict
     return verdict
 
 
@@ -246,40 +271,30 @@ def _offsets_at(memo: SeqMemo, state: State, n: int) -> list[int]:
     return out
 
 
+def _offset_list(fs: list[int], d: int, beta: tuple[int, ...], count: int) -> list[int]:
+    """<beta, f(n..n+L-1)> - d for n = 0..count-1."""
+    out = [-d] * count
+    for j, b in enumerate(beta):
+        if b:
+            out = [o + b * f for o, f in zip(out, fs[j:j + count])]
+    return out
+
+
 def _deadness_verdict(spec: ProductSpec, cache: _SpecCache, state: State, H: int) -> bool:
     if len(state.factors) < 2:
         return False
     seq = spec.seq
     fs = cache.memo.values(H + seq.order + 1)
     cache.degree_bound(H)
-    bounds = cache.U_prefix
-    for n in range(H + 1):
-        lo = hi = None
-        for d, beta in state.factors:
-            s = -d
-            for j, b in enumerate(beta):
-                if b:
-                    s += b * fs[n + j]
-            if lo is None or s < lo:
-                lo = s
-            if hi is None or s > hi:
-                hi = s
-        if hi - lo <= bounds[n]:
+    cols = [_offset_list(fs, d, beta, H + 1) for d, beta in state.factors]
+    for offs, bound in zip(zip(*cols), cache.U_prefix):
+        if max(offs) - min(offs) <= bound:
             return False
     start = H + 1
     j_star = cache.dominant_term_from(start)
     if j_star is None:
         return False
-    L = seq.order
-    e_star = spec.terms[j_star][1]
-    # partial-sum form for levels >= start, rewritten over f(m..m+L-1)
-    tail_form = [0] * L
-    for t, x in enumerate(e_star):
-        if x:
-            red = reduce_shift(seq, start + t)
-            for u in range(L):
-                tail_form[u] += x * red[u]
-    tail_form = tuple(tail_form)
+    tail_form = cache.tail_form(j_star, start)
     base = cache.degree_bound(start)
 
     offs = _offsets_at(cache.memo, state, start)

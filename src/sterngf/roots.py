@@ -21,21 +21,25 @@ from . import polys
 
 _SQRT_SCALE = 1 << 64
 
-# Interval endpoints are rounded outward onto this dyadic grid after every
-# operation.  Enclosures only widen, so certificates stay sound, and endpoint
-# bit-sizes stay bounded instead of exploding under repeated exact products.
-_GRID_BITS = 96
-_GRID = 1 << _GRID_BITS
+# Disk bounds and interval endpoints are rounded outward onto this dyadic grid;
+# intervals (`Iv`) hold the integer numerators, so interval arithmetic is
+# integer arithmetic.  Enclosures only widen, so certificates stay sound, and
+# endpoint bit-sizes stay bounded instead of exploding under repeated products.
+GRID_BITS = 96
+GRID = 1 << GRID_BITS
+
+
+def _grid_floor(x: Fraction) -> int:
+    scaled = x * GRID
+    return scaled.numerator // scaled.denominator
 
 
 def round_down(x: Fraction) -> Fraction:
-    scaled = x * _GRID
-    return Fraction(scaled.numerator // scaled.denominator, _GRID)
+    return Fraction(_grid_floor(x), GRID)
 
 
 def round_up(x: Fraction) -> Fraction:
-    scaled = x * _GRID
-    return Fraction(-((-scaled.numerator) // scaled.denominator), _GRID)
+    return Fraction(-_grid_floor(-x), GRID)
 
 
 def sqrt_bounds(q: Fraction) -> tuple[Fraction, Fraction]:
@@ -52,25 +56,27 @@ def sqrt_bounds(q: Fraction) -> tuple[Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class Iv:
-    """Closed rational interval [lo, hi]."""
+    """Closed interval [lo/2^96, hi/2^96]: lo and hi are integer numerators
+    on the dyadic grid.  Every operation rounds outward onto the grid, with
+    floor/ceil shifts of exact integer products."""
 
-    lo: Fraction
-    hi: Fraction
+    lo: int
+    hi: int
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError("empty interval")
 
     def __add__(self, other: "Iv") -> "Iv":
-        return Iv(round_down(self.lo + other.lo), round_up(self.hi + other.hi))
+        return Iv(self.lo + other.lo, self.hi + other.hi)
 
     def __sub__(self, other: "Iv") -> "Iv":
-        return Iv(round_down(self.lo - other.hi), round_up(self.hi - other.lo))
+        return Iv(self.lo - other.hi, self.hi - other.lo)
 
     def __mul__(self, other: "Iv") -> "Iv":
         c = (self.lo * other.lo, self.lo * other.hi,
              self.hi * other.lo, self.hi * other.hi)
-        return Iv(round_down(min(c)), round_up(max(c)))
+        return Iv(min(c) >> GRID_BITS, -(-max(c) >> GRID_BITS))
 
     def __neg__(self) -> "Iv":
         return Iv(-self.hi, -self.lo)
@@ -78,24 +84,29 @@ class Iv:
     def divided_by(self, other: "Iv") -> "Iv":
         if other.lo <= 0 <= other.hi:
             raise ZeroDivisionError("interval denominator contains zero")
-        c = (self.lo / other.lo, self.lo / other.hi,
-             self.hi / other.lo, self.hi / other.hi)
-        return Iv(round_down(min(c)), round_up(max(c)))
+        lo, hi = self.lo << GRID_BITS, self.hi << GRID_BITS
+        return Iv(min(lo // other.lo, lo // other.hi, hi // other.lo, hi // other.hi),
+                  -min(-lo // other.lo, -lo // other.hi, -hi // other.lo, -hi // other.hi))
 
-    def abs_hi(self) -> Fraction:
+    def abs_hi(self) -> int:
+        """Numerator of max |x| over the interval."""
         return max(abs(self.lo), abs(self.hi))
 
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
     @staticmethod
-    def point(x) -> "Iv":
-        f = Fraction(x)
-        return Iv(f, f)
+    def point(n: int) -> "Iv":
+        return Iv(n << GRID_BITS, n << GRID_BITS)
+
+    @staticmethod
+    def enclose(lo: Fraction, hi: Fraction) -> "Iv":
+        """The grid interval enclosing [lo, hi], rounded outward."""
+        return Iv(_grid_floor(lo), -_grid_floor(-hi))
 
 
-def iv_poly_eval(coeffs: list, x: Iv) -> Iv:
-    """Interval Horner evaluation of an integer/rational polynomial."""
+def iv_poly_eval(coeffs: list[int], x: Iv) -> Iv:
+    """Interval Horner evaluation of an integer polynomial."""
     acc = Iv.point(0)
     for c in reversed(coeffs):
         acc = acc * x + Iv.point(c)
@@ -196,7 +207,7 @@ class DominantRootCert:
     """Certificate that a monic integer polynomial has a unique, simple,
     real dominant root, with rational bounds on it."""
 
-    rho: Iv                      # encloses the dominant root
+    rho: Iv                      # encloses the dominant root, rounded outward
     others_mod_hi: Fraction      # upper bound on |z| for every other root
     disks: tuple[RootDisk, ...]  # all disks, dominant first
 
@@ -217,8 +228,7 @@ def dominant_root_certificate(monic_coeffs: list[int]) -> DominantRootCert | Non
     if n == 0:
         return None
     if n == 1:
-        rho = Fraction(-p[0])
-        return DominantRootCert(Iv(rho, rho), Fraction(0), ())
+        return DominantRootCert(Iv.point(-p[0]), Fraction(0), ())
     disks = certified_disks(p)
     if disks is None:
         return None
@@ -240,6 +250,6 @@ def dominant_root_certificate(monic_coeffs: list[int]) -> DominantRootCert | Non
     # real part lies in [re - radius, re + radius].
     if not d.re - d.radius > 0:
         return None
-    rho = Iv(d.re - d.radius, d.re + d.radius)
+    rho = Iv.enclose(d.re - d.radius, d.re + d.radius)
     ordered = (d,) + tuple(others)
     return DominantRootCert(rho, sigma, ordered)

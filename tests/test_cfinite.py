@@ -1,7 +1,12 @@
+import json
+import pathlib
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sterngf import cli
 from sterngf.cfinite import (
     CFiniteSeq,
     PosExpr,
@@ -186,3 +191,67 @@ def test_positivity_alternating_unknown_or_witness():
     seq = CFiniteSeq((1,), (-2,))
     expr = PosExpr(seq, shifts=((1, 0),))
     assert certify_eventually_positive(expr).kind != "positive_for_all"
+
+
+COOKBOOK_SEQS = sorted({
+    CFiniteSeq(tuple(d["seq"]["init"]), tuple(d["seq"]["rec"]))
+    for d in (json.loads(p.read_text())
+              for p in (pathlib.Path(cli.__file__).parent / "cookbook").glob("*.json"))
+}, key=lambda seq: (seq.order, seq.init, seq.rec))
+CHECK_UPTO = 300
+
+
+@st.composite
+def cookbook_exprs(draw):
+    """Shifted terms, at most one partial sum and a constant over a cookbook
+    sequence, with a horizon that is often short, so the tail certificate
+    does the work."""
+    seq = draw(st.sampled_from(COOKBOOK_SEQS))
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    shifts = draw(st.lists(st.tuples(coeff, st.integers(0, 9)), max_size=3))
+    partials = draw(st.lists(st.tuples(
+        coeff, st.tuples(*[st.integers(-2, 2)] * seq.order)), max_size=1))
+    const = draw(st.integers(-40, 40))
+    horizon = draw(st.sampled_from([0, 2, 5, 12, 64]))
+    return PosExpr(seq, tuple(shifts), tuple(partials), const), horizon
+
+
+def brute_values(expr: PosExpr, upto: int) -> list[int]:
+    """expr(0..upto) straight from the recurrence, independently of the memo."""
+    seq = expr.seq
+    L = seq.order
+    f = list(seq.init)
+    while len(f) < upto + 10 + L:
+        f.append(sum(c * v for c, v in zip(seq.rec, reversed(f[-L:]))))
+    out = [expr.const + sum(c * f[n + off] for c, off in expr.shifts)
+           for n in range(upto + 1)]
+    for c, form in expr.partials:
+        total = 0
+        for n in range(upto + 1):
+            out[n] += c * total
+            total += sum(b * f[n + j] for j, b in enumerate(form))
+    return out
+
+
+# 2f(n+1) - 3f(n) on the Fibonacci-style sequence 1, 2, 3, 5, ... is
+# 1, 0, 1, 1, 2, 3, ...: its dominant mode is positive, so at horizon 0 only
+# the exact check up to the crossover can find the zero at n = 1
+DIP = PosExpr(CFiniteSeq((1, 2), (1, 1)), shifts=((2, 1), (-3, 0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cookbook_exprs())
+@example((DIP, 0))
+@example((PosExpr(DIP.seq, DIP.shifts, const=1), 0))
+def test_certificate_sound_on_cookbook_sequences(case):
+    expr, horizon = case
+    res = certify_eventually_positive(expr, horizon)
+    if res.kind == "unknown":
+        return
+    vals = brute_values(expr, max(CHECK_UPTO, res.witness or 0))
+    if res.kind == "positive_for_all":
+        assert min(vals) > 0
+    else:
+        assert res.kind == "not_always_positive"
+        assert vals[res.witness] <= 0
+        assert all(v > 0 for v in vals[:res.witness])

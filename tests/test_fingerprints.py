@@ -1,10 +1,12 @@
 """Output fingerprints on the cookbook specs.
 
 The sha256 digests below were recorded before the per-spec memo replaced the
-process-global caches; any change to what `matrix`, `gf` (its `num`, `den`
-and `dim`; `method` is left out) or `pv` print shows up here.  The challenge
-limit report is produced in a fresh interpreter, where its counts do not
-depend on anything the test session ran before.
+process-global caches, and those of base_stern `[6]` and `[1,1,1,1]`,
+tribonacci `[2]`, the heavy cases and the `--alpha 2` limit report before
+the integer interval kernel; any change to what `matrix`, `gf` (its `num`,
+`den` and `dim`; `method` is left out) or `pv` print shows up here.  The
+challenge limit reports are produced in a fresh interpreter, where their
+counts do not depend on anything the test session ran before.
 """
 
 import hashlib
@@ -30,6 +32,8 @@ CASES = [
     ("matrix", "fibonacci", "3"), ("matrix", "fibonacci", "1,1"),
     ("matrix", "tribonacci", "1"), ("matrix", "quadonacci", "1"),
     ("matrix", "pentanacci", "1"),
+    ("matrix", "base_stern", "6"), ("matrix", "base_stern", "1,1,1,1"),
+    ("matrix", "tribonacci", "2"),
     ("gf", "base_stern", "1"), ("gf", "base_stern", "2"),
     ("gf", "base_stern", "3"), ("gf", "base_stern", "5"),
     ("gf", "base_stern", "1,1"), ("gf", "base_stern", "1,1,1"),
@@ -49,7 +53,14 @@ CASES = [
     ("guess", "fibonacci", "2", "-n", "22"),
 ]
 
+# heavier closures, seconds each: extended tier only
+EXTENDED_CASES = [
+    ("matrix", "quadonacci", "2"), ("matrix", "fibonacci", "4"),
+]
+
 LIMIT_ARGV = ["gf", str(COOKBOOK / "challenge.json"), "--limit", "150"]
+LIMIT_ALPHA2_ARGV = ["gf", str(COOKBOOK / "challenge.json"),
+                     "--alpha", "2", "--limit", "500"]
 
 EXPECTED = {
     "matrix base_stern [1]":
@@ -78,6 +89,16 @@ EXPECTED = {
         "e5574b1cb738fc98030f7bf62d24e84d6461d97e3e5525f05e1ae5d785a158d6",
     "matrix pentanacci [1]":
         "c5d53f0d4d597e025aef85ed5d290e4824d9785763af1a847068d44881ae9e61",
+    "matrix base_stern [6]":
+        "f8ab2995bf54cdbe2dc20478122407f375d1c7ee7b3b047afb366b2019f2fe17",
+    "matrix base_stern [1,1,1,1]":
+        "f6004533d8f86739974a139373189f367e4054e8d471eef42280b2eba420a048",
+    "matrix tribonacci [2]":
+        "3844b1b5128f5ba05823a52955b69949a377e2ce7ac9d693fbe7dba196b88c30",
+    "matrix quadonacci [2]":
+        "514274496cea2f25c7788ff6ac457ef85604f953733edce0536aa4593190c31c",
+    "matrix fibonacci [4]":
+        "5b5b090a10c18bedc837ceb60d74d6cd54eecbc907c55945b51dc63b4d914a05",
     "gf base_stern [1]":
         "ca90513fc7a95ac11247fa8e92e64e9ee618ec0dbb380b32b3c363b61b90ae1c",
     "gf base_stern [2]":
@@ -134,6 +155,8 @@ EXPECTED = {
 
 EXPECTED_LIMIT = (
     "6c25b788101cde01f7b22600661f5f4eaaf9e515d808e76d55e84f6e74f8a9cb")
+EXPECTED_LIMIT_ALPHA2 = (
+    "475e9b7f2e1c1a36b3bccb317b790fa5287042861800fd441d5469a34bf2f682")
 
 
 def _sha(text: str) -> str:
@@ -156,10 +179,10 @@ def fingerprint(cmd: str, spec: str, alpha: str | None = None, *extra: str) -> s
     return _sha(out)
 
 
-def limit_fingerprint() -> str:
+def limit_fingerprint(argv=LIMIT_ARGV) -> str:
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    res = subprocess.run([sys.executable, "-m", "sterngf", *LIMIT_ARGV],
+    res = subprocess.run([sys.executable, "-m", "sterngf", *argv],
                          capture_output=True, text=True, env=env, check=False)
     return _sha(f"{res.returncode}\n{res.stdout}\n{res.stderr}")
 
@@ -174,5 +197,15 @@ def test_output_fingerprint(case):
     assert fingerprint(*case) == EXPECTED[case_id(case)]
 
 
+@pytest.mark.extended
+@pytest.mark.parametrize("case", EXTENDED_CASES, ids=case_id)
+def test_heavy_output_fingerprint(case):
+    assert fingerprint(*case) == EXPECTED[case_id(case)]
+
+
 def test_challenge_limit_report_fingerprint():
     assert limit_fingerprint() == EXPECTED_LIMIT
+
+
+def test_challenge_alpha2_limit_report_fingerprint():
+    assert limit_fingerprint(LIMIT_ALPHA2_ARGV) == EXPECTED_LIMIT_ALPHA2

@@ -1,12 +1,20 @@
 """Memo ownership: results and reports depend on their inputs only, the
-per-spec memos stay within their bound, and no module keeps a hidden
+per-spec memos and their deadness tables stay within their bounds, a
+validated spec is not re-validated on reload, and no module keeps a hidden
 process-global container."""
 
 import importlib
+import json
+import pathlib
 import pkgutil
 
+import pytest
+
 import sterngf
-from sterngf import CFiniteSeq, ProductSpec, build_system, core
+from sterngf import CFiniteSeq, ProductSpec, build_system, cli, core
+from sterngf.cfinite import certify_eventually_positive
+
+COOKBOOK = pathlib.Path(cli.__file__).parent / "cookbook"
 
 FIB = ProductSpec(P=(1,), seq=CFiniteSeq((1, 2), (1, 1)),
                   terms=((1, (0, 0)), (1, (1, 0)), (1, (0, 1))))
@@ -55,3 +63,49 @@ def test_no_module_level_containers():
             elif hasattr(val, "cache_parameters") and val.cache_parameters()["maxsize"] is None:
                 found.append(f"{mod.__name__}.{name} (unbounded lru_cache)")
     assert found == []
+
+
+def write_spec(path, P, init, rec, exps):
+    path.write_text(json.dumps({
+        "P": P, "seq": {"init": init, "rec": rec},
+        "factor": [{"c": 1, "e": e} for e in exps]}))
+    return str(path)
+
+
+def test_reload_skips_validated_checks(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return certify_eventually_positive(*args, **kwargs)
+
+    monkeypatch.setattr(core, "certify_eventually_positive", counting)
+    path = write_spec(tmp_path / "fresh.json", [1, 7, 3], [1, 2], [1, 1],
+                      [[0, 0], [1, 0], [0, 1]])
+    first, _ = cli.load_spec_file(path)
+    assert len(calls) == 2  # one per nonzero exponent form
+    again, _ = cli.load_spec_file(path)
+    assert again == first
+    assert len(calls) == 2
+
+
+def test_invalid_spec_raises_on_every_load(tmp_path):
+    # f(i) = -2^i: the form <(1,), f(i..)> is negative from level 0 on
+    path = write_spec(tmp_path / "negative.json", [1], [-1], [2], [[0], [1]])
+    for _ in range(3):
+        with pytest.raises(cli.SpecFileError, match="negative at level 0"):
+            cli.load_spec_file(path)
+
+
+def test_deadness_table_is_bounded(monkeypatch):
+    spec, _ = cli.load_spec_file(str(COOKBOOK / "base_stern.json"))
+    alphas = [[2], [3], [4], [5], [1, 1], [1, 1, 1], [2, 2], [1, 2], [2, 1, 2]]
+    core._cache.cache_clear()
+    free = [snapshot(build_system(spec, a)) for a in alphas]
+    assert len(core._cache(spec).dead) > 40
+    core._cache.cache_clear()
+    monkeypatch.setattr(core, "DEAD_MEMO_LIMIT", 40)
+    capped = [snapshot(build_system(spec, a)) for a in alphas]
+    assert len(core._cache(spec).dead) == 40
+    assert capped == free
+    core._cache.cache_clear()

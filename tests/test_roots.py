@@ -3,8 +3,15 @@ import random
 
 from fractions import Fraction
 
+import pytest
+
 from sterngf import polys
-from sterngf.roots import Iv, certified_disks, dominant_root_certificate, sqrt_bounds
+from sterngf.roots import GRID, Iv, certified_disks, dominant_root_certificate, sqrt_bounds
+
+
+def bounds(x: Iv) -> tuple[Fraction, Fraction]:
+    """The endpoints as rationals (Iv holds their numerators over GRID)."""
+    return Fraction(x.lo, GRID), Fraction(x.hi, GRID)
 
 
 def test_sqrt_bounds_bracket():
@@ -17,20 +24,40 @@ def test_sqrt_bounds_bracket():
 
 
 def test_interval_arithmetic_encloses():
+    """Intervals hold integer numerators on the 2^-96 grid.  Every operation
+    encloses the exact results at the endpoints and at interior points, and
+    rounds outward by at most one grid step; the random rationals are off the
+    grid, so the rounding is exercised."""
     rng = random.Random(6)
+    step = Fraction(1, GRID)
+
+    def rational():
+        return Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+
+    def draw():
+        a, b = sorted((rational(), rational()))
+        x = Iv.enclose(a, b)
+        lo, hi = bounds(x)
+        assert lo <= a and b <= hi and a - lo < step and hi - b < step
+        return x, (lo, hi, lo + (hi - lo) * Fraction(rng.randint(0, 7), 7))
+
     for _ in range(200):
-        a = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
-        b = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
-        x = Iv(min(a, b), max(a, b))
-        c = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
-        d = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
-        y = Iv(min(c, d), max(c, d))
-        for val_x in (x.lo, x.hi):
-            for val_y in (y.lo, y.hi):
-                s = x + y
-                assert s.lo <= val_x + val_y <= s.hi
-                p = x * y
-                assert p.lo <= val_x * val_y <= p.hi
+        (x, xs), (y, ys) = draw(), draw()
+        ops = [(x + y, lambda u, v: u + v), (x - y, lambda u, v: u - v),
+               (x * y, lambda u, v: u * v)]
+        if y.contains_zero():
+            with pytest.raises(ZeroDivisionError):
+                x.divided_by(y)
+        else:
+            ops.append((x.divided_by(y), lambda u, v: u / v))
+        for z, op in ops:
+            lo, hi = bounds(z)
+            exact = [op(u, v) for u in xs for v in ys]
+            assert lo <= min(exact) and max(exact) <= hi
+            assert min(exact) - lo < step and hi - max(exact) < step
+        assert bounds(-x) == (-xs[1], -xs[0])
+        assert Fraction(x.abs_hi(), GRID) == max(abs(u) for u in xs)
+        assert x.contains_zero() == (xs[0] <= 0 <= xs[1])
 
 
 def test_disks_contain_known_integer_roots():
@@ -50,7 +77,8 @@ def test_disks_contain_known_integer_roots():
 def test_dominant_certificate_golden_ratio():
     cert = dominant_root_certificate([-1, -1, 1])  # X^2 - X - 1
     assert cert is not None
-    assert Fraction(1618, 1000) < cert.rho.lo <= cert.rho.hi < Fraction(1619, 1000)
+    lo, hi = bounds(cert.rho)
+    assert Fraction(1618, 1000) < lo <= hi < Fraction(1619, 1000)
     assert cert.others_mod_hi < 1
 
 
@@ -61,7 +89,8 @@ def test_dominant_certificate_rejects_tied_moduli():
 
 def test_dominant_certificate_degree_one():
     cert = dominant_root_certificate([-3, 1])
-    assert cert.rho.lo == cert.rho.hi == 3
+    assert cert.rho == Iv.point(3)
+    assert bounds(cert.rho) == (3, 3)
 
 
 def test_deadness_horizon_env_override():
