@@ -17,6 +17,7 @@ must treat it conservatively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import gfs, polys, roots
 from .roots import GRID, GRID_BITS, Iv
@@ -132,7 +133,6 @@ def indicial_poly(seq: CFiniteSeq) -> list[int]:
 class PVResult:
     kind: str  # "pv" | "not_pv" | "undecided"
     reason: str = ""
-    margin: float = 0.0
     roots: tuple = ()  # (re, im, radius) floats, informational only
 
     @property
@@ -141,22 +141,19 @@ class PVResult:
 
 
 def _cyclotomic_factor(p: list[int], max_deg: int) -> int | None:
-    """Smallest k with Phi_k dividing p and deg Phi_k <= max_deg, else None."""
-    k = 1
-    while True:
-        phi = polys.cyclotomic(k)
-        if polys.degree(phi) > max_deg:
-            # Phi_k degrees are not monotone in k, so scan a safe stretch
-            if k > 4 * max_deg * max_deg + 6:
-                return None
-            k += 1
+    """Smallest k with Phi_k dividing p and deg Phi_k <= max_deg, else None.
+
+    deg Phi_k = phi(k) >= sqrt(k/2), so no k beyond 2 max_deg^2 qualifies
+    (Bradford & Davenport, ISSAC 1988)."""
+    for k in range(1, 2 * max_deg * max_deg + 1):
+        if sum(1 for j in range(1, k + 1) if gcd(j, k) == 1) > max_deg:
             continue
-        if polys.divides(phi, p):
+        if polys.exact_quotient(p, polys.cyclotomic(k)) is not None:
             return k
-        k += 1
+    return None
 
 
-def pv_classify(seq: CFiniteSeq, margin: float = 1e-9) -> PVResult:
+def pv_classify(seq: CFiniteSeq) -> PVResult:
     """Decide whether the dominant indicial root is a PV number, counting all
     other roots of the indicial polynomial as its conjugates.
 
@@ -184,12 +181,12 @@ def pv_classify(seq: CFiniteSeq, margin: float = 1e-9) -> PVResult:
     repeated = polys.poly_gcd(q, polys.deriv(q))
     disks = roots.certified_disks(sf)
     if disks is None:
-        return PVResult("undecided", "root approximations degenerate", margin)
+        return PVResult("undecided", "root approximations degenerate")
     rep_disks = []
     if polys.degree(repeated) >= 1:
         rep_disks = roots.certified_disks(repeated)
         if rep_disks is None:
-            return PVResult("undecided", "root approximations degenerate", margin)
+            return PVResult("undecided", "root approximations degenerate")
 
     info = tuple((float(d.re), float(d.im), float(d.radius)) for d in disks)
     dom = max(disks, key=lambda d: d.mod_hi)
@@ -206,27 +203,27 @@ def pv_classify(seq: CFiniteSeq, margin: float = 1e-9) -> PVResult:
             continue
         if d.mod_lo > 1:
             return PVResult("not_pv", "a conjugate lies outside the unit circle", roots=info)
-        return PVResult("undecided", "a conjugate is numerically on the unit circle", margin, info)
+        return PVResult("undecided", "a conjugate is numerically on the unit circle", info)
 
     # a repeated root acts as its own conjugate: it must be inside the circle
     for d in rep_disks:
         if not d.mod_hi < 1:
             if d.mod_lo > 1:
                 return PVResult("not_pv", "a repeated root of modulus greater than 1", roots=info)
-            return PVResult("undecided", "a repeated root is numerically on the unit circle", margin, info)
+            return PVResult("undecided", "a repeated root is numerically on the unit circle", info)
 
     # dominant disk: isolated (so it holds exactly one distinct root), with a
     # certified modulus above 1; every other root being inside the circle
     # forces that root to be real (a non-real root would need an
     # equal-modulus conjugate among the others)
     if not dom.mod_lo > 1:
-        return PVResult("undecided", "dominant root numerically on the unit circle", margin, info)
+        return PVResult("undecided", "dominant root numerically on the unit circle", info)
     for o in rest:
         gap = roots.sqrt_bounds((dom.re - o.re) ** 2 + (dom.im - o.im) ** 2)[0]
         if not gap > dom.radius + o.radius:
-            return PVResult("undecided", "dominant root not isolated numerically", margin, info)
+            return PVResult("undecided", "dominant root not isolated numerically", info)
     if not dom.re - dom.radius > 1:
-        return PVResult("undecided", "dominant root numerically at 1", margin, info)
+        return PVResult("undecided", "dominant root numerically at 1", info)
     return PVResult("pv", roots=info)
 
 
@@ -300,10 +297,9 @@ def _minimal_annihilator(vals: list[int], A: list[int], n0: int) -> list[int]:
     L, C = gfs.berlekamp_massey(window)
     if L >= k or 2 * L + 2 > len(window):
         return A
-    if any(c.denominator != 1 for c in C):
-        return A  # the candidate must be a monic integer polynomial
-    cand = [int(c) for c in reversed(C)]  # X^L + c_1 X^{L-1} + ...
-    quot = _monic_quotient(A, cand)
+    cand = C[::-1]  # C[0] X^L + c_1 X^{L-1} + ...
+    # A is monic, so a candidate dividing it over Z is monic (C[0] = 1)
+    quot = polys.exact_quotient(A, cand)
     if quot is None:
         return A
     d = len(cand) - 1
@@ -312,19 +308,6 @@ def _minimal_annihilator(vals: list[int], A: list[int], n0: int) -> list[int]:
         if w != 0:
             return A
     return cand
-
-
-def _monic_quotient(a: list[int], m: list[int]) -> list[int] | None:
-    """a / m by integer synthetic division (m monic), or None when m does
-    not divide a."""
-    d = len(m) - 1
-    rem = list(a)
-    quo = [0] * (len(a) - d)
-    for k in range(len(quo) - 1, -1, -1):
-        q = quo[k] = rem[k + d]
-        for i, c in enumerate(m):
-            rem[k + i] -= q * c
-    return None if any(rem) else quo
 
 
 def certify_eventually_positive(expr: PosExpr, horizon: int = 64,

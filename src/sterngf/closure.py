@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import core, gfs, linalg, polys
 from .core import ProductSpec, State

@@ -237,13 +237,13 @@ def _cache(spec: ProductSpec) -> _SpecCache:
 # deadness
 
 
-def is_dead(spec: ProductSpec, state: State, horizon: int | None = None) -> bool:
+def is_dead(spec: ProductSpec, state: State) -> bool:
     """Sound test that the state's correlation sum vanishes for every n >= 0.
 
     At level n the factor supports are intervals of length U(n) starting at
     <beta_i, f(n..)> - d_i; the product can only be nonzero when they all
     intersect, so a support spread exceeding U(n) at every level kills the
-    state.  The spread is checked exactly for n <= horizon; beyond, one
+    state.  The spread is checked exactly up to deadness_horizon(); beyond, one
     factor pair's gap must be certified positive forever.  Any inconclusive
     certificate returns False (alive), which is always safe.
     """
@@ -251,8 +251,7 @@ def is_dead(spec: ProductSpec, state: State, horizon: int | None = None) -> bool
     dead = cache.dead
     if state in dead:
         return dead[state]
-    H = deadness_horizon() if horizon is None else horizon
-    verdict = _deadness_verdict(spec, cache, state, H)
+    verdict = _deadness_verdict(spec, cache, state, deadness_horizon())
     if len(dead) >= DEAD_MEMO_LIMIT:
         del dead[next(iter(dead))]
     dead[state] = verdict

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import polys
 
@@ -28,17 +28,10 @@ class RationalGF:
         return f"({polys.pretty(list(self.num))}) / ({polys.pretty(list(self.den))})"
 
 
-def _clear_jointly(num: list, den: list) -> tuple[list, list]:
-    """Scale both polynomials by one rational so they become integer with
-    coprime joint content; the quotient num/den is unchanged."""
-    scale = 1
-    for c in list(num) + list(den):
-        d = Fraction(c).denominator
-        scale = scale * d // gcd(scale, d)
-    num = [int(Fraction(c) * scale) for c in num]
-    den = [int(Fraction(c) * scale) for c in den]
-    c = gcd(polys.content(num), polys.content(den))
-    return [x // c for x in num], [x // c for x in den]
+def _integral(values: list) -> list[int]:
+    """values (ints or Fractions) times the lcm of their denominators."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def make_gf(num: list, den: list) -> RationalGF:
@@ -48,12 +41,15 @@ def make_gf(num: list, den: list) -> RationalGF:
         raise ZeroDivisionError("zero denominator")
     if polys.is_zero(num):
         return RationalGF((), (1,))
-    num, den = _clear_jointly(num, den)
+    # one rational scale makes both integer with coprime joint content
+    ints = _integral(num + den)
+    c = polys.content(ints)
+    num, den = [x // c for x in ints[:len(num)]], [x // c for x in ints[len(num):]]
     g = polys.poly_gcd(num, den)
     if polys.degree(g) > 0:
-        num, _ = polys.divmod_exact(num, g)
-        den, _ = polys.divmod_exact(den, g)
-        num, den = _clear_jointly(num, den)
+        # g is primitive, so by Gauss's lemma the quotients are integral and
+        # keep the joint content 1
+        num, den = polys.exact_quotient(num, g), polys.exact_quotient(den, g)
     if den[0] < 0:
         num, den = polys.neg(num), polys.neg(den)
     elif den[0] == 0:
@@ -78,54 +74,19 @@ def series(gf: RationalGF, n_terms: int) -> list[Fraction]:
     return out
 
 
-def berlekamp_massey(terms: list) -> tuple[int, list[Fraction]]:
+def berlekamp_massey(terms: list) -> tuple[int, list[int]]:
     """Minimal connection polynomial of a finite sequence over Q.
 
-    Returns (L, C) with C = [1, c_1, ..., c_L'] (L' <= L) such that
-    terms[n] = -sum(C[i] * terms[n-i] for i = 1..) holds for L <= n < len(terms),
-    and no shorter linear recurrence generates the whole sequence from its
-    seed.  Integer input takes a fraction-free path (scaled Massey updates
-    with content stripping), since exact rational updates grind on the huge
-    values exact term streams produce.
+    Returns (L, C), C a primitive integer list with C[0] > 0 and
+    len(C) - 1 <= L, such that sum(C[i] * terms[n-i] for i = 0..) = 0 holds
+    for L <= n < len(terms), and no shorter linear recurrence generates the
+    whole sequence from its seed.  Massey's iteration runs fraction-free:
+    any scalar multiple of a connection vector is one, so the update
+    C' = b*C - d*x^m*B needs no division, and stripping the content of C'
+    keeps it primitive.  Rational terms are first scaled to integers, which
+    changes no linear recurrence.
     """
-    if all(isinstance(t, int) for t in terms):
-        L, C = _berlekamp_massey_int(terms)
-        lead = Fraction(C[0])
-        return L, [c / lead for c in C]
-    C = [Fraction(1)]
-    B = [Fraction(1)]
-    L, m, b = 0, 1, Fraction(1)
-    for n, s_n in enumerate(terms):
-        d = Fraction(s_n)
-        for i in range(1, L + 1):
-            if i < len(C):
-                d += C[i] * terms[n - i]
-        if d == 0:
-            m += 1
-        elif 2 * L <= n:
-            T = list(C)
-            coef = d / b
-            if len(C) < len(B) + m:
-                C = C + [Fraction(0)] * (len(B) + m - len(C))
-            for i, Bi in enumerate(B):
-                C[i + m] -= coef * Bi
-            L, B, b, m = n + 1 - L, T, d, 1
-        else:
-            coef = d / b
-            if len(C) < len(B) + m:
-                C = C + [Fraction(0)] * (len(B) + m - len(C))
-            for i, Bi in enumerate(B):
-                C[i + m] -= coef * Bi
-            m += 1
-    while len(C) > 1 and C[-1] == 0:
-        C.pop()
-    return L, C
-
-
-def _berlekamp_massey_int(terms: list[int]) -> tuple[int, list[int]]:
-    """Massey iteration over Z: any scalar multiple of a connection vector is
-    a connection vector, so the update C' = b*C - d*x^m*B avoids division and
-    the content of C' is stripped to keep coefficients primitive."""
+    terms = _integral(terms)
     C = [1]
     B = [1]
     L, m, b = 0, 1, 1
@@ -162,7 +123,7 @@ def fit_recurrence(terms: list, max_den_deg: int, guard: int = 3) -> RationalGF 
     """Reconstruct the rational generating function behind exact sequence terms.
 
     Finds the minimal linear recurrence annihilating the tail of the sequence
-    (Berlekamp-Massey over Q), rebuilds the numerator by convolution, and
+    (Berlekamp-Massey), rebuilds the numerator by convolution, and
     accepts only when the fit is overdetermined by at least `guard` extra
     terms beyond the 2L values that pin an order-L recurrence.  Returns None
     ("no fit") when the minimal recurrence needs a denominator of degree
@@ -178,9 +139,9 @@ def fit_recurrence(terms: list, max_den_deg: int, guard: int = 3) -> RationalGF 
             f"with guard {guard}; need {2 * max_den_deg + 1 + guard}"
         )
     L, C = berlekamp_massey(terms)
-    num = [Fraction(0)] * max(L, 1)
+    num = [0] * max(L, 1)
     for j in range(min(L, n_terms)):
-        acc = Fraction(0)
+        acc = 0
         for i in range(min(j, len(C) - 1) + 1):
             acc += C[i] * terms[j - i]
         num[j] = acc

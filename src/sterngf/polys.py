@@ -1,12 +1,13 @@
 # Dense univariate polynomials as ascending coefficient lists.
 #
 # [1, -5, 2] is 1 - 5t + 2t^2.  The zero polynomial is the empty list and
-# every function returns a normalized list (no trailing zeros).  Entries are
-# Python ints or Fractions; arithmetic never leaves exact types.
+# every function returns a normalized list (no trailing zeros).  Division,
+# gcd, square-free part and cyclotomics take and return integer polynomials:
+# by Gauss's lemma a primitive (or monic) divisor of an integer polynomial
+# over Q also divides it over Z, so no rational arithmetic is needed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -26,23 +27,8 @@ def is_zero(p: list) -> bool:
     return len(p) == 0
 
 
-def add(a: list, b: list) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    res = list(a)
-    for i, c in enumerate(b):
-        res[i] += c
-    return normalize(res)
-
-
 def neg(a: list) -> list:
     return [-c for c in a]
-
-
-def scale(a: list, c) -> list:
-    if c == 0:
-        return []
-    return [c * x for x in a]
 
 
 def mul(a: list, b: list) -> list:
@@ -56,44 +42,28 @@ def mul(a: list, b: list) -> list:
     return normalize(res)
 
 
-def eval_at(p: list, x):
-    """Horner evaluation; exact for int/Fraction arguments."""
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def deriv(p: list) -> list:
     return normalize([i * c for i, c in enumerate(p)][1:])
 
 
-def divmod_exact(a: list, b: list) -> tuple[list, list]:
-    """Quotient and remainder over the rationals.  b must be nonzero."""
+def exact_quotient(a: list, b: list) -> list | None:
+    """a / b by integer synthetic division, or None when a step leaves a
+    remainder (b does not divide a over Z).  For a primitive or monic b this
+    is divisibility over Q as well (Gauss's lemma)."""
+    a, b = normalize(a), normalize(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in a]
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    db, lead = len(b) - 1, Fraction(b[-1])
-    while len(normalize(rem)) - 1 >= db:
-        rem = normalize(rem)
-        k = len(rem) - 1 - db
-        q = rem[-1] / lead
+    d, lead = len(b) - 1, b[-1]
+    rem = list(a)
+    quo = [0] * max(0, len(a) - d)
+    for k in range(len(quo) - 1, -1, -1):
+        q, r = divmod(rem[k + d], lead)
+        if r:
+            return None
         quo[k] = q
         for i, c in enumerate(b):
             rem[k + i] -= q * c
-        rem[-1] = Fraction(0)
-    return normalize(quo), normalize(rem)
-
-
-def divides(b: list, a: list) -> bool:
-    """True iff b divides a exactly (over Q)."""
-    if not a:
-        return True
-    if not b:
-        return False
-    _, r = divmod_exact(a, b)
-    return is_zero(r)
+    return None if any(rem) else quo
 
 
 def content(p: list) -> int:
@@ -104,17 +74,10 @@ def content(p: list) -> int:
     return g
 
 
-def to_int_coeffs(p: list) -> list:
-    """Clear denominators of a rational polynomial, returning a primitive
-    integer polynomial with the same roots (sign of the leading coeff kept)."""
-    if not p:
-        return []
-    den = 1
-    for c in p:
-        den = den * Fraction(c).denominator // gcd(den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * den) for c in p]
-    g = content(ints)
-    return [c // g for c in ints]
+def primitive(p: list) -> list:
+    """p divided by its content (sign kept)."""
+    g = content(p)
+    return [c // g for c in p] if g > 1 else list(p)
 
 
 def pseudo_rem(a: list, b: list) -> list:
@@ -141,11 +104,11 @@ def poly_gcd(a: list, b: list) -> list:
     every step keeps coefficient growth tame on high-degree inputs, where
     plain rational Euclid blows up.
     """
-    a, b = to_int_coeffs(normalize(a)), to_int_coeffs(normalize(b))
+    a, b = primitive(normalize(a)), primitive(normalize(b))
     if degree(a) < degree(b):
         a, b = b, a
     while b:
-        r = to_int_coeffs(pseudo_rem(a, b))
+        r = primitive(pseudo_rem(a, b))
         a, b = b, r
     g = a
     if g and g[-1] < 0:
@@ -155,14 +118,13 @@ def poly_gcd(a: list, b: list) -> list:
 
 def square_free_part(p: list) -> list:
     """p with repeated roots collapsed to multiplicity one (primitive, int)."""
-    p = to_int_coeffs(p)
+    p = primitive(p)
     if degree(p) < 1:
         return p
     g = poly_gcd(p, deriv(p))
     if degree(g) < 1:
         return p
-    q, _ = divmod_exact(p, g)
-    return to_int_coeffs(q)
+    return exact_quotient(p, g)
 
 
 def cyclotomic(k: int) -> list:
@@ -171,9 +133,8 @@ def cyclotomic(k: int) -> list:
     num = [-1] + [0] * (k - 1) + [1]
     for d in range(1, k):
         if k % d == 0:
-            num, r = divmod_exact(num, cyclotomic(d))
-            assert is_zero(r)
-    return to_int_coeffs(num)
+            num = exact_quotient(num, cyclotomic(d))
+    return num
 
 
 def pretty(p: list, var: str = "t") -> str:

@@ -209,7 +209,6 @@ class DominantRootCert:
 
     rho: Iv                      # encloses the dominant root, rounded outward
     others_mod_hi: Fraction      # upper bound on |z| for every other root
-    disks: tuple[RootDisk, ...]  # all disks, dominant first
 
 
 def dominant_root_certificate(monic_coeffs: list[int]) -> DominantRootCert | None:
@@ -228,7 +227,7 @@ def dominant_root_certificate(monic_coeffs: list[int]) -> DominantRootCert | Non
     if n == 0:
         return None
     if n == 1:
-        return DominantRootCert(Iv.point(-p[0]), Fraction(0), ())
+        return DominantRootCert(Iv.point(-p[0]), Fraction(0))
     disks = certified_disks(p)
     if disks is None:
         return None
@@ -250,6 +249,4 @@ def dominant_root_certificate(monic_coeffs: list[int]) -> DominantRootCert | Non
     # real part lies in [re - radius, re + radius].
     if not d.re - d.radius > 0:
         return None
-    rho = Iv.enclose(d.re - d.radius, d.re + d.radius)
-    ordered = (d,) + tuple(others)
-    return DominantRootCert(rho, sigma, ordered)
+    return DominantRootCert(Iv.enclose(d.re - d.radius, d.re + d.radius), sigma)

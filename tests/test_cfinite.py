@@ -1,15 +1,19 @@
 import json
 import pathlib
 import random
+from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sterngf import cli
+from sterngf import cli, polys
 from sterngf.cfinite import (
     CFiniteSeq,
     PosExpr,
+    _cyclotomic_factor,
     certify_eventually_positive,
     indicial_poly,
     pv_classify,
@@ -129,6 +133,69 @@ def test_pv_conjugate_outside():
 def test_pv_no_root_exceeding_one():
     res = pv_classify(CFiniteSeq((1,), (1,)))
     assert res.kind == "not_pv"
+
+
+def rational_divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by b by long division over Q."""
+    rem = [Fraction(c) for c in a]
+    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(rem) >= len(b):
+        k = len(rem) - len(b)
+        q = quo[k] = rem[-1] / b[-1]
+        for i, c in enumerate(b):
+            rem[k + i] -= q * c
+        rem.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
+
+
+@lru_cache(maxsize=None)
+def rational_cyclotomic(k: int) -> tuple:
+    num = [-1] + [0] * (k - 1) + [1]
+    for d in range(1, k):
+        if k % d == 0:
+            num, rem = rational_divmod(num, list(rational_cyclotomic(d)))
+            assert not rem
+    return tuple(num)
+
+
+@lru_cache(maxsize=None)
+def totient(k: int) -> int:
+    return sum(1 for j in range(1, k + 1) if gcd(j, k) == 1)
+
+
+def reference_cyclotomic_factor(p: list, max_deg: int):
+    """The scan over every k up to 4 L^2 + 6 that pv_classify used to make,
+    with deg Phi_k = phi(k) and divisibility over Q."""
+    for k in range(1, 4 * max_deg * max_deg + 7):
+        if totient(k) <= max_deg and not rational_divmod(p, list(rational_cyclotomic(k)))[1]:
+            return k
+    return None
+
+
+PV_PIN_POLYS = [
+    [-2, -1, 1], [-2, -1, -1, 1], [-2, 1, -2, 1], [-2, -1, -1, -1, -1, 1],
+    [-2, 3, -3, 1], [-2, 1, 0, 0, -2, 1], [-2, 3, -3, 3, -3, 1],
+    [-2, 1, 2, -1, -2, 1], [1, 2, -1, -2, 1], [-6, -1, -2, 1], [-1, -1, 0, 1],
+]
+
+
+def test_cyclotomic_factor_matches_reference_scan():
+    for q in PV_PIN_POLYS:
+        assert _cyclotomic_factor(q, len(q) - 1) == reference_cyclotomic_factor(q, len(q) - 1), q
+    assert [_cyclotomic_factor(q, len(q) - 1) for q in PV_PIN_POLYS[:8]] == [
+        2, 3, 4, 5, 6, 8, 10, 12]
+    rng = random.Random(5)
+    small = [k for k in range(1, 40) if totient(k) <= 6]
+    for _ in range(150):
+        g = [rng.randint(-3, 3) for _ in range(rng.randint(0, 6))] + [rng.choice([1, -1, 2])]
+        p = polys.mul(g, list(rational_cyclotomic(rng.choice(small))))
+        if rng.random() < 0.3:
+            p = polys.mul(p, list(rational_cyclotomic(rng.choice(small))))
+        p = [int(c) for c in p]
+        L = len(p) - 1
+        assert _cyclotomic_factor(p, L) == reference_cyclotomic_factor(p, L), p
 
 
 # ---------------------------------------------------------------------------

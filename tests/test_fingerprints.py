@@ -3,7 +3,8 @@
 The sha256 digests below were recorded before the per-spec memo replaced the
 process-global caches, and those of base_stern `[6]` and `[1,1,1,1]`,
 tribonacci `[2]`, the heavy cases and the `--alpha 2` limit report before
-the integer interval kernel; any change to what `matrix`, `gf` (its `num`,
+the integer interval kernel, and the `pv` pins on constructed indicial
+polynomials before the integer polynomial kernel; any change to what `matrix`, `gf` (its `num`,
 `den` and `dim`; `method` is left out) or `pv` print shows up here.  The
 challenge limit reports are produced in a fresh interpreter, where their
 counts do not depend on anything the test session ran before.
@@ -153,6 +154,48 @@ EXPECTED = {
         "6c24ace1ed4f6ce467638288f8b51040e76d2b9c3501e7d883310a48b4573f9d",
 }
 
+# indicial polynomials (ascending) for `pv` on constructed specs: (X - 2)
+# times a cyclotomic factor of each order, a repeated dominant root, a
+# conjugate pair outside the unit circle and the plastic number (PV)
+PV_CASES = {
+    "(X-2)*Phi_2": [-2, -1, 1],
+    "(X-2)*Phi_3": [-2, -1, -1, 1],
+    "(X-2)*Phi_4": [-2, 1, -2, 1],
+    "(X-2)*Phi_5": [-2, -1, -1, -1, -1, 1],
+    "(X-2)*Phi_6": [-2, 3, -3, 1],
+    "(X-2)*Phi_8": [-2, 1, 0, 0, -2, 1],
+    "(X-2)*Phi_10": [-2, 3, -3, 3, -3, 1],
+    "(X-2)*Phi_12": [-2, 1, 2, -1, -2, 1],
+    "(X^2-X-1)^2": [1, 2, -1, -2, 1],
+    "(X-3)*(X^2+X+2)": [-6, -1, -2, 1],
+    "X^3-X-1": [-1, -1, 0, 1],
+}
+
+EXPECTED_PV = {
+    "(X-2)*Phi_2":
+        "2d2cc31719f8a723459656f7f7741eea506c40940280aed40b8339c8cbbb0a81",
+    "(X-2)*Phi_3":
+        "6890c4a95aefc32efd95f78a68c652024e6ec0742cb192415318f8ebc1aae758",
+    "(X-2)*Phi_4":
+        "b87a3ff80e4dc4d6907c64e0ce850057a1dfd6d9b2688cc1fb425d02783efbd1",
+    "(X-2)*Phi_5":
+        "1c276a8a3c7b06fbb6cef2d555ead9b67915a62454cbb0a1735dbc86734949ef",
+    "(X-2)*Phi_6":
+        "3a64a78e8f606f1e7a47c2bd9d9ec804b8c623877e26b5dc73cd096111da8e3d",
+    "(X-2)*Phi_8":
+        "2adbb25ff942b98b6dbe340265f232c245e02928ba5e26c14d9015d8fb257a54",
+    "(X-2)*Phi_10":
+        "034089ca52e3225405e043fb55cda1dbc2264fe32b77bbaa654e21b0cc346864",
+    "(X-2)*Phi_12":
+        "bc7ecb7b228a333d41e9a6447b0fa423063198d6360c3c3b3245ed2df48b2c19",
+    "(X^2-X-1)^2":
+        "be2aa70e74f14d87872ee320ac973c2b3a276e4a2cf2d79de0b84539406b1235",
+    "(X-3)*(X^2+X+2)":
+        "0b2fe08448900cfb36f0aefef92140bcbab6fac3c5741cc0903e2538a3bcde6e",
+    "X^3-X-1":
+        "3347b6feab0bd41ca8d630cd00e7f840b18825af0616218c02bee7c2de2a6001",
+}
+
 EXPECTED_LIMIT = (
     "6c25b788101cde01f7b22600661f5f4eaaf9e515d808e76d55e84f6e74f8a9cb")
 EXPECTED_LIMIT_ALPHA2 = (
@@ -187,6 +230,22 @@ def limit_fingerprint(argv=LIMIT_ARGV) -> str:
     return _sha(f"{res.returncode}\n{res.stdout}\n{res.stderr}")
 
 
+def pv_fingerprint(q: list[int], tmp_path) -> str:
+    """Digest of `pv` on a spec whose indicial polynomial is q (ascending,
+    monic); its one factor has exponent zero, so loading certifies nothing."""
+    L = len(q) - 1
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "seq": {"init": [1] * L, "rec": [-q[L - i] for i in range(1, L + 1)]},
+        "factor": [{"c": 1, "e": [0] * L}]}))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(["pv", str(path)]) == 0
+    doc = json.loads(buf.getvalue())
+    assert doc["indicial"] == q
+    return _sha(buf.getvalue())
+
+
 def case_id(case) -> str:
     cmd, spec, alpha, *extra = case
     return " ".join([cmd, spec] + ([f"[{alpha}]"] if alpha else []) + extra)
@@ -201,6 +260,11 @@ def test_output_fingerprint(case):
 @pytest.mark.parametrize("case", EXTENDED_CASES, ids=case_id)
 def test_heavy_output_fingerprint(case):
     assert fingerprint(*case) == EXPECTED[case_id(case)]
+
+
+@pytest.mark.parametrize("name", PV_CASES)
+def test_pv_fingerprint(name, tmp_path):
+    assert pv_fingerprint(PV_CASES[name], tmp_path) == EXPECTED_PV[name]
 
 
 def test_challenge_limit_report_fingerprint():

@@ -1,6 +1,5 @@
 import random
-
-from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -37,8 +36,8 @@ def test_make_gf_canonicalizes_sign_and_content():
     assert gf.den == (1, -14, -47)
     # common polynomial factor and common content are removed; the value is
     # preserved, never rescaled
-    gf2 = make_gf(polys.scale(polys.mul([1, 1], [1, -2]), 3),
-                  polys.scale(polys.mul([1, 1], [1, -5, 2]), 3))
+    gf2 = make_gf([3 * c for c in polys.mul([1, 1], [1, -2])],
+                  [3 * c for c in polys.mul([1, 1], [1, -5, 2])])
     assert gf2.num == (1, -2) and gf2.den == (1, -5, 2)
     half = make_gf([1, -2], [2, -10, 4])
     assert half.den == (2, -10, 4)  # distinct value, distinct canonical form
@@ -73,6 +72,28 @@ def test_berlekamp_massey_minimal_order():
     L, C = berlekamp_massey(u2_terms(10))
     assert L == 2
     assert C == [1, -5, 2]
+
+
+def test_berlekamp_massey_primitive_integer():
+    rng = random.Random(3)
+    for _ in range(30):
+        den = [rng.choice([2, 3, -2, 5])] + [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
+        num = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]
+        if not polys.normalize(den[1:]) or not polys.normalize(num):
+            continue
+        terms = series(make_gf(num, den), 16)
+        scale = 1
+        for t in terms:
+            scale = scale * t.denominator // gcd(scale, t.denominator)
+        ints = [int(t * scale) for t in terms]
+        L, C = berlekamp_massey(terms)
+        assert all(type(c) is int for c in C)
+        assert C[0] > 0 and polys.content(C) == 1
+        # a rational sequence and the same sequence scaled to integers
+        assert berlekamp_massey(ints) == (L, C)
+        assert berlekamp_massey([3 * t for t in terms]) == (L, C)
+        for n in range(L, len(terms)):
+            assert sum(c * terms[n - i] for i, c in enumerate(C)) == 0
 
 
 def test_fit_recurrence_u2():

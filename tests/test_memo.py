@@ -1,8 +1,9 @@
 """Memo ownership: results and reports depend on their inputs only, the
 per-spec memos and their deadness tables stay within their bounds, a
-validated spec is not re-validated on reload, and no module keeps a hidden
-process-global container."""
+validated spec is not re-validated on reload, no module keeps a hidden
+process-global container, and the integer kernel modules use no Fraction."""
 
+import ast
 import importlib
 import json
 import pathlib
@@ -62,6 +63,25 @@ def test_no_module_level_containers():
                 found.append(f"{mod.__name__}.{name}")
             elif hasattr(val, "cache_parameters") and val.cache_parameters()["maxsize"] is None:
                 found.append(f"{mod.__name__}.{name} (unbounded lru_cache)")
+    assert found == []
+
+
+def test_integer_kernel_modules_do_not_import_fractions():
+    """Polynomials, certificates, states, closure and the CLI compute over
+    Z; Fraction belongs to the rational edges (gfs, linalg, roots)."""
+    pkg = pathlib.Path(sterngf.__file__).parent
+    found = []
+    for name in ("polys", "cfinite", "core", "closure", "cli"):
+        tree = ast.parse((pkg / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "fractions" for m in mods):
+                found.append(name)
     assert found == []
 
 

@@ -1,7 +1,5 @@
 import random
 
-from fractions import Fraction
-
 from sterngf import polys
 
 
@@ -28,15 +26,38 @@ def test_normalize_strips_trailing_zeros():
     assert polys.degree([]) == -1
 
 
-def test_divmod_exact_roundtrip():
+def plus(a, b):
+    n = max(len(a), len(b))
+    return polys.normalize([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                            for i in range(n)])
+
+
+def test_exact_quotient_roundtrip():
     rng = random.Random(11)
-    for _ in range(30):
-        b = [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 3)]
-        q = [rng.randint(-3, 3) for _ in range(rng.randint(0, 4))]
-        r = [rng.randint(-3, 3) for _ in range(max(0, len(b) - 2))]
-        a = polys.add(polys.mul(b, q), r)
-        q2, r2 = polys.divmod_exact(a, b)
-        assert polys.add(polys.mul(b, q2), r2) == polys.normalize([Fraction(x) for x in a])
+    for _ in range(40):
+        # a monic b, then a primitive non-monic one
+        for lead in (1, rng.choice([-3, 2, 3])):
+            b = [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))] + [lead]
+            b = polys.primitive(b)
+            q = polys.normalize([rng.randint(-3, 3) for _ in range(rng.randint(0, 5))])
+            assert polys.exact_quotient(polys.mul(b, q), b) == q
+            r = polys.normalize([rng.randint(-3, 3) for _ in range(len(b) - 1)])
+            if r:  # deg r < deg b
+                assert polys.exact_quotient(plus(polys.mul(b, q), r), b) is None
+
+
+def test_exact_quotient_is_division_over_Z():
+    # 1 + t = (2 + 2t) / 2 over Q, but no integer quotient exists
+    assert polys.exact_quotient([1, 1], [2, 2]) is None
+    assert polys.exact_quotient([2, 2], [1, 1]) == [2]
+    assert polys.exact_quotient([], [1, 1]) == []
+    assert polys.exact_quotient([1], [1, 1]) is None
+
+
+def test_primitive():
+    assert polys.primitive([4, -6, 2]) == [2, -3, 1]
+    assert polys.primitive([-4, 6, -2]) == [-2, 3, -1]
+    assert polys.primitive([]) == []
 
 
 def test_poly_gcd_common_factor():
@@ -65,7 +86,5 @@ def test_cyclotomic_small():
     assert prod == [-1, 0, 0, 0, 0, 0, 1]
 
 
-def test_eval_and_deriv():
-    p = [1, -5, 2]
-    assert polys.eval_at(p, Fraction(1, 10)) == Fraction(52, 100)
-    assert polys.deriv(p) == [-5, 4]
+def test_deriv():
+    assert polys.deriv([1, -5, 2]) == [-5, 4]
