@@ -35,15 +35,28 @@ _LOG10_2 = 0.30102999566398114
 def decimal_digits(n: int) -> int:
     """Number of decimal digits of |n| without a string conversion (exact
     sequence terms easily exceed the interpreter's int-to-str print guard)."""
-    n = abs(n)
-    if n == 0:
-        return 1
-    d = max(1, int(n.bit_length() * _LOG10_2))
-    while 10 ** d <= n:
-        d += 1
-    while d > 1 and 10 ** (d - 1) > n:
-        d -= 1
-    return d
+    return decimal_digit_counts([n])[0]
+
+
+def decimal_digit_counts(terms: list[int]) -> list[int]:
+    """decimal_digits of each term, walking one running power of ten from
+    term to term instead of raising 10 to each term's size afresh; a term
+    more than one digit away from its predecessor restarts the walk from
+    the bit-length estimate."""
+    out = []
+    d, lower, upper = 1, 1, 10  # lower = 10**(d-1), upper = 10**d
+    for t in terms:
+        n = abs(t)
+        est = max(1, int(n.bit_length() * _LOG10_2))
+        if abs(est - d) > 1:
+            d, upper = est, 10 ** est
+            lower = upper // 10
+        while n >= upper:
+            d, lower, upper = d + 1, upper, upper * 10
+        while d > 1 and n < lower:
+            d, lower, upper = d - 1, lower // 10, lower
+        out.append(d)
+    return out
 
 
 class SpecFileError(ValueError):
@@ -191,7 +204,7 @@ def cmd_terms(args) -> int:
         return EXIT_LIMIT
     terms = closure.stream_terms(sys_, args.n)
     if args.digits_only:
-        json.dump([decimal_digits(t) for t in terms], sys.stdout)
+        json.dump(decimal_digit_counts(terms), sys.stdout)
     else:
         json.dump(terms, sys.stdout)
     sys.stdout.write("\n")

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
-from . import polys
+from . import modular, polys
 
 
 class InsufficientTermsError(ValueError):
@@ -28,10 +29,11 @@ class RationalGF:
         return f"({polys.pretty(list(self.num))}) / ({polys.pretty(list(self.den))})"
 
 
-def _integral(values: list) -> list[int]:
-    """values (ints or Fractions) times the lcm of their denominators."""
+def _integral(values: list) -> tuple[int, list[int]]:
+    """(scale, values times scale) for ints or Fractions, with scale the lcm
+    of their denominators."""
     scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def make_gf(num: list, den: list) -> RationalGF:
@@ -42,10 +44,13 @@ def make_gf(num: list, den: list) -> RationalGF:
     if polys.is_zero(num):
         return RationalGF((), (1,))
     # one rational scale makes both integer with coprime joint content
-    ints = _integral(num + den)
+    _, ints = _integral(num + den)
     c = polys.content(ints)
     num, den = [x // c for x in ints[:len(num)]], [x // c for x in ints[len(num):]]
-    g = polys.poly_gcd(num, den)
+    # one prime not dividing lc(den) at which the images are coprime proves
+    # num and den coprime over Z; only then is the PRS gcd skipped
+    p = next((q for q in modular.PRIMES if den[-1] % q), None)
+    g = [1] if p and modular.gcd_degree(num, den, p) == 0 else polys.poly_gcd(num, den)
     if polys.degree(g) > 0:
         # g is primitive, so by Gauss's lemma the quotients are integral and
         # keep the joint content 1
@@ -86,7 +91,7 @@ def berlekamp_massey(terms: list) -> tuple[int, list[int]]:
     keeps it primitive.  Rational terms are first scaled to integers, which
     changes no linear recurrence.
     """
-    terms = _integral(terms)
+    _, terms = _integral(terms)
     C = [1]
     B = [1]
     L, m, b = 0, 1, 1
@@ -119,16 +124,72 @@ def berlekamp_massey(terms: list) -> tuple[int, list[int]]:
     return L, C
 
 
+def _massey_mod(s: list[int], p: int) -> tuple[int, list[int]]:
+    """Berlekamp-Massey over GF(p): (L, C) with C[0] = 1, deg C <= L and no
+    trailing zeros, for residues s in [0, p)."""
+    rs = s[::-1]  # rs[N-1-n+i] == s[n-i], so a slice lines up with C
+    top = len(s) - 1
+    C, B = [1], [1]
+    L, m, b_inv = 0, 1, 1
+    for n in range(len(s)):
+        k = top - n
+        d = sum(map(mul, C, rs[k:k + len(C)])) % p
+        if not d:
+            m += 1
+            continue
+        q = d * b_inv % p
+        T = C
+        C = C + [0] * (len(B) + m - len(C))
+        C[m:m + len(B)] = [(c - q * x) % p for c, x in zip(C[m:m + len(B)], B)]
+        if 2 * L <= n:
+            L, B, b_inv, m = n + 1 - L, T, pow(d, -1, p), 1
+        else:
+            m += 1
+    while C[-1] == 0:
+        C.pop()
+    return L, C
+
+
 def fit_recurrence(terms: list, max_den_deg: int, guard: int = 3) -> RationalGF | None:
     """Reconstruct the rational generating function behind exact sequence terms.
 
-    Finds the minimal linear recurrence annihilating the tail of the sequence
-    (Berlekamp-Massey), rebuilds the numerator by convolution, and
-    accepts only when the fit is overdetermined by at least `guard` extra
-    terms beyond the 2L values that pin an order-L recurrence.  Returns None
-    ("no fit") when the minimal recurrence needs a denominator of degree
-    beyond max_den_deg, raises InsufficientTermsError when the supplied data
-    could not have certified a degree-max_den_deg fit in the first place.
+    The answer is that of Berlekamp-Massey over Q: the minimal linear
+    recurrence of the terms (length L, connection polynomial C) and the
+    numerator C * terms mod t^L.  It is None ("no fit") when deg C exceeds
+    max_den_deg or the window is shorter than L + deg C + guard, i.e. not
+    overdetermined by `guard` terms.  InsufficientTermsError means the window
+    could not have certified a degree-max_den_deg fit at all.
+
+    Massey runs only over the 31-bit primes of `modular.PRIMES`, on the terms
+    scaled to integers, with C normalised to C[0] = 1.  For all but finitely
+    many primes the run mod p is the image of the run over Q: same L, same
+    deg C, C mod p.  Primes are grouped by (L, deg C); one outside the
+    largest group is unlucky and is set aside.  After each prime the group's
+    C is combined by CRT and lifted: symmetric residues are exact once the
+    modulus passes 2 max |C[i]|, which covers every integer sequence (by
+    Fatou its reduced denominator has den[0] = 1); rational reconstruction
+    covers rational ones.
+
+    Acceptance is exact.  A lift that annihilates the last term is made a
+    candidate GF, and is returned only if `_reproduces` holds on every term
+    and the degree checks pass with L = max(deg den, deg num + 1) taken from
+    the candidate (else None).  It is the answer over Q: two GFs that
+    reproduce N >= L1 + L2 terms are equal, since num1*den2 - num2*den1 has
+    degree below L1 + L2 and vanishes mod t^N.  A reproducing candidate has
+    L >= L_Q by minimality, and L <= the group's L, which is L_Q once the
+    group holds one prime whose run is the image of the run over Q; and two
+    minimal fits that both pass the guard check are equal by the same
+    degree count.
+
+    The loop ends: the lift from such primes is C itself once the modulus
+    passes the Hadamard bound of the window's Hankel minors (which bound the
+    numerators and denominators of C), and C always reproduces its window.
+    When the group's modular L and deg C already fail a degree check, two
+    agreeing primes settle None without a lift: the C over Q of a saturated
+    window has coefficients of that Hadamard size, beyond any prime table.
+    None is the conservative answer, and no GF is returned without the exact
+    check.  A fit whose coefficients outgrow the whole table raises
+    ArithmeticError.
     """
     n_terms = len(terms)
     if max_den_deg < 0:
@@ -138,23 +199,37 @@ def fit_recurrence(terms: list, max_den_deg: int, guard: int = 3) -> RationalGF 
             f"{n_terms} terms cannot certify denominator degree {max_den_deg} "
             f"with guard {guard}; need {2 * max_den_deg + 1 + guard}"
         )
-    L, C = berlekamp_massey(terms)
-    num = [0] * max(L, 1)
-    for j in range(min(L, n_terms)):
-        acc = 0
-        for i in range(min(j, len(C) - 1) + 1):
-            acc += C[i] * terms[j - i]
-        num[j] = acc
-    gf = make_gf(num, C)
-    den_deg = polys.degree(list(gf.den))
-    if den_deg > max_den_deg:
-        return None
-    if n_terms < L + den_deg + guard:
-        # recurrence window shorter than denominator unknowns plus the guard
-        return None
-    if not _reproduces(gf, terms):
-        return None
-    return gf
+
+    def rejected(L: int, den_deg: int) -> bool:
+        return den_deg > max_den_deg or n_terms < L + den_deg + guard
+
+    scale, s = _integral(terms)
+    rev = s[::-1]
+    groups: dict[tuple[int, int], list] = {}  # (L, deg C) -> [primes, modulus, C mod modulus]
+    for p in modular.PRIMES:
+        L, C = _massey_mod([x % p for x in s], p)
+        group = groups.get((L, len(C) - 1))
+        if group is None:
+            group = groups[L, len(C) - 1] = [1, p, C]
+        else:
+            group[:] = [group[0] + 1, group[1] * p, modular.crt(group[2], group[1], C, p)]
+        count, modulus, res = group
+        if count < max(g[0] for g in groups.values()):
+            continue
+        if rejected(L, len(C) - 1):
+            if count >= 2:
+                return None
+            continue
+        for lift in (modular.symmetric_lift, modular.rational_lift):
+            den = lift(res, modulus)
+            if den is None or (L < n_terms and sum(map(mul, den, rev))):
+                continue  # does not even annihilate the last term
+            num = [sum(map(mul, den[:j + 1], s[j::-1])) for j in range(max(L, 1))]
+            gf = make_gf(num, [scale * c for c in den])
+            if _reproduces(gf, terms):
+                den_deg = len(gf.den) - 1
+                return None if rejected(max(den_deg, len(gf.num)), den_deg) else gf
+    raise ArithmeticError(f"fit needs more than {len(modular.PRIMES)} primes")
 
 
 def _reproduces(gf: RationalGF, terms: list) -> bool:

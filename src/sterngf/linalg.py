@@ -1,10 +1,8 @@
-# Exact linear algebra helpers: fraction-free Bareiss elimination over the
-# integers and Lagrange interpolation.  Sizes here are moderate
+# Exact linear algebra helpers over the integers: fraction-free Bareiss
+# elimination and Newton interpolation.  Sizes here are moderate
 # (transfer-matrix solves), so simplicity and exactness win over asymptotics.
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def bareiss_solve_last(M: list[list[int]]) -> tuple[int, int]:
@@ -34,23 +32,29 @@ def bareiss_solve_last(M: list[list[int]]) -> tuple[int, int]:
     return sign * A[n - 1][n - 1], sign * A[n - 1][n]
 
 
-def lagrange_interpolate(points: list[int], values: list) -> list:
-    """Coefficients (ascending, Fractions) of the unique polynomial of degree
-    < len(points) through the given (point, value) pairs."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        # basis polynomial prod_{j != i} (x - xj) / (xi - xj)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis[:]
-            for k in range(len(basis) - 1):
-                basis[k] -= xj * basis[k + 1]
-            denom *= xi - xj
-        w = Fraction(yi) / denom
-        for k in range(len(basis)):
-            coeffs[k] += w * basis[k]
+def lagrange_interpolate(points: list[int], values: list[int]) -> list[int]:
+    """Integer coefficients (ascending) of the unique polynomial of degree
+    < len(points) through the given (point, value) pairs, by Newton's
+    divided differences.
+
+    For an integer polynomial at integer points every divided difference is
+    an integer (for t^m it is the complete homogeneous polynomial h_{m-k} of
+    the points), so each division is exact; one that leaves a remainder
+    raises ValueError, as the interpolant then has non-integer coefficients.
+    """
+    c = list(values)
+    n = len(c)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            q, r = divmod(c[i] - c[i - 1], points[i] - points[i - k])
+            if r:
+                raise ValueError("interpolant has non-integer coefficients")
+            c[i] = q
+    # Horner on the Newton form: c[n-1], then (.)(t - points[k]) + c[k]
+    coeffs = [0] * n
+    for k in range(n - 1, -1, -1):
+        xk = points[k]
+        for j in range(n - 1, 0, -1):
+            coeffs[j] = coeffs[j - 1] - xk * coeffs[j]
+        coeffs[0] = c[k] - xk * coeffs[0]
     return coeffs

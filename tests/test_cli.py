@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -158,3 +159,15 @@ def test_missing_alpha_is_invalid(capsys, tmp_path):
     code, _, err = run(capsys, "gf", str(p))
     assert code == 4
     assert "alpha" in err
+
+
+def test_decimal_digit_counts_match_string_lengths():
+    rng = random.Random(13)
+    terms = [0, 9, 10, 99, 100, -1000, 10 ** 50 - 1, 10 ** 50, 0, 10 ** 400, 7]
+    terms += [rng.randint(-10 ** rng.randint(0, 300), 10 ** rng.randint(0, 300))
+              for _ in range(500)]
+    growing = [3 ** k for k in range(2000)]
+    for seq in (terms, growing):
+        want = [len(str(abs(t))) for t in seq]
+        assert cli.decimal_digit_counts(seq) == want
+        assert [cli.decimal_digits(t) for t in seq] == want

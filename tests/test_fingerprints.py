@@ -3,8 +3,10 @@
 The sha256 digests below were recorded before the per-spec memo replaced the
 process-global caches, and those of base_stern `[6]` and `[1,1,1,1]`,
 tribonacci `[2]`, the heavy cases and the `--alpha 2` limit report before
-the integer interval kernel, and the `pv` pins on constructed indicial
-polynomials before the integer polynomial kernel; any change to what `matrix`, `gf` (its `num`,
+the integer interval kernel, the `pv` pins on constructed indicial
+polynomials before the integer polynomial kernel, and `gf` fibonacci `[4]`,
+tribonacci `[1,1]` and tribonacci `[2] --method eliminate` before the
+multi-modular fit; any change to what `matrix`, `gf` (its `num`,
 `den` and `dim`; `method` is left out) or `pv` print shows up here.  The
 challenge limit reports are produced in a fresh interpreter, where their
 counts do not depend on anything the test session ran before.
@@ -42,6 +44,7 @@ CASES = [
     ("gf", "fibonacci", "3"), ("gf", "fibonacci", "1,1"),
     ("gf", "tribonacci", "1"), ("gf", "quadonacci", "1"),
     ("gf", "pentanacci", "1"),
+    ("gf", "fibonacci", "4"), ("gf", "tribonacci", "1,1"),
     ("pv", "base_stern", None), ("pv", "fibonacci", None),
     ("pv", "tribonacci", None), ("pv", "quadonacci", None),
     ("pv", "pentanacci", None), ("pv", "challenge", None),
@@ -57,6 +60,7 @@ CASES = [
 # heavier closures, seconds each: extended tier only
 EXTENDED_CASES = [
     ("matrix", "quadonacci", "2"), ("matrix", "fibonacci", "4"),
+    ("gf", "tribonacci", "2", "--method", "eliminate"),
 ]
 
 LIMIT_ARGV = ["gf", str(COOKBOOK / "challenge.json"), "--limit", "150"]
@@ -126,6 +130,12 @@ EXPECTED = {
         "1551790feb611b30eff38668bde43c6c02fc9af410ea2d71d4359f6f20c73e13",
     "gf pentanacci [1]":
         "59137ea3fbd75eb27e910593bfa79838d2f87bad5f5c13ffb56e20ae47994e79",
+    "gf fibonacci [4]":
+        "640898ebef9e84b87e3d2c92815699902ca117668979416f6db83665532b4899",
+    "gf tribonacci [1,1]":
+        "8659ccef0fbd786e97ccc2e1225978ff540cb0d9a133f677ff16dd5f28218f5c",
+    "gf tribonacci [2] --method eliminate":
+        "d13a32c967e196c17357752c0beca67e74fabc5522127f5eed83fc2d1ed615d4",
     "pv base_stern":
         "ef019b2fd8247159a0ff7fa6596e9f77d509081e1d6bd88a88072cc8b190afee",
     "pv fibonacci":

@@ -1,11 +1,13 @@
 import random
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm, prod
 
 import pytest
 
-from sterngf import polys
+from sterngf import gfs, modular, polys
 from sterngf.gfs import (
     InsufficientTermsError,
+    RationalGF,
     berlekamp_massey,
     fit_recurrence,
     make_gf,
@@ -139,3 +141,205 @@ def test_fit_round_trip_random_small():
         got = fit_recurrence(terms, max_den_deg=polys.degree(list(g.den)) + 1)
         assert got == g, (num, den)
         done += 1
+
+
+def reference_fit(terms, max_den_deg, guard=3):
+    """fit_recurrence as it ran on Berlekamp-Massey over Q: the reference the
+    multi-modular fit is held to."""
+    L, C = berlekamp_massey(terms)
+    num = [sum(C[i] * terms[j - i] for i in range(min(j, len(C) - 1) + 1))
+           for j in range(L)] or [0]
+    gf = make_gf(num, C)
+    den_deg = polys.degree(list(gf.den))
+    if den_deg > max_den_deg or len(terms) < L + den_deg + guard:
+        return None
+    return gf if series(gf, len(terms)) == list(terms) else None
+
+
+def random_gf(rng, bits, den_deg, num_deg, d0=1):
+    def coeff():
+        return rng.randint(-2 ** bits, 2 ** bits)
+    while True:
+        g = make_gf([coeff() for _ in range(num_deg + 1)],
+                    [d0] + [coeff() for _ in range(den_deg)])
+        if len(g.den) == den_deg + 1 and len(g.num) == num_deg + 1:
+            return g
+
+
+def fit_order(g):
+    """L = max(deg den, deg num + 1) of a canonical GF."""
+    return max(len(g.den) - 1, len(g.num))
+
+
+def assert_fits_like_reference(terms, max_den_deg, guard=3):
+    got = fit_recurrence(terms, max_den_deg, guard)
+    assert got == reference_fit(terms, max_den_deg, guard)
+    return got
+
+
+def test_fit_matches_reference_on_wide_integer_gfs(monkeypatch):
+    # den[0] = 1 and 200-bit coefficients: the symmetric lift needs 7 primes
+    runs = []
+    massey_mod = gfs._massey_mod
+    monkeypatch.setattr(gfs, "_massey_mod", lambda s, p: runs.append(p) or massey_mod(s, p))
+    rng = random.Random(7)
+    for _ in range(12):
+        g = random_gf(rng, 200, rng.randint(1, 4), rng.randint(0, 4))
+        n = 2 * fit_order(g) + 3 + rng.randint(0, 4)
+        terms = [int(x) for x in series(g, n)]
+        runs.clear()
+        assert assert_fits_like_reference(terms, len(g.den) - 1) == g
+        assert len(runs) >= 7
+
+
+def test_fit_matches_reference_on_rational_series():
+    # den[0] in {2, 3}: the terms are fractions, the lift is rational
+    rng = random.Random(8)
+    done = 0
+    while done < 20:
+        g = random_gf(rng, rng.choice([3, 40]), rng.randint(1, 3),
+                      rng.randint(0, 3), d0=rng.choice([2, 3]))
+        terms = series(g, 2 * fit_order(g) + 5)
+        if all(t.denominator == 1 for t in terms):
+            continue
+        assert assert_fits_like_reference(terms, fit_order(g)) == g
+        done += 1
+
+
+def test_fit_matches_reference_on_published_hard_table():
+    for max_den_deg in (3, 10, 11):
+        assert assert_fits_like_reference(PUBLISHED_HARD_TABLE, max_den_deg) is None
+
+
+def test_fit_matches_reference_on_polynomial_parts():
+    rng = random.Random(9)
+    for _ in range(15):
+        d = rng.randint(1, 3)
+        g = random_gf(rng, 30, d, d + rng.randint(1, 6))
+        terms = [int(x) for x in series(g, 2 * fit_order(g) + 3)]
+        assert assert_fits_like_reference(terms, d + 1) == g
+
+
+def test_fit_matches_reference_at_the_guard_threshold():
+    # n_terms one either side of L + deg den + guard; with a polynomial part
+    # (L >= deg den + 2) both windows are long enough to be asked.  Below
+    # the edge the answer is None; at it, g when the window pins g (n_terms
+    # >= 2L), else whatever shorter fit the window admits, as over Q
+    rng = random.Random(10)
+    outcomes = set()
+    for _ in range(20):
+        d = rng.randint(1, 3)
+        g = random_gf(rng, rng.choice([5, 100]), d, d + rng.randint(1, 5))
+        L = fit_order(g)
+        guard = rng.choice([0, 1, 3, L - d, L - d + 2])
+        for n in (L + d + guard - 1, L + d + guard):
+            terms = [int(x) for x in series(g, n)]
+            got = assert_fits_like_reference(terms, d, guard)
+            outcomes.add((n - L - d - guard, got == g))
+            if n < L + d + guard or n >= 2 * L:
+                assert got == (g if n == L + d + guard else None)
+    assert outcomes >= {(-1, False), (0, True), (0, False)}
+    # without a polynomial part the window is long enough, and a degree
+    # bound one short of the denominator rejects
+    g = random_gf(rng, 60, 3, 2)
+    terms = [int(x) for x in series(g, 2 * 3 + 3)]
+    assert assert_fits_like_reference(terms, 2) is None
+
+
+def test_fit_never_runs_massey_over_q(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Berlekamp-Massey over Q on the fit path")
+
+    monkeypatch.setattr(gfs, "berlekamp_massey", refuse)
+    assert fit_recurrence(u2_terms(10), max_den_deg=3) == make_gf([1, -2], [1, -5, 2])
+    assert fit_recurrence(PUBLISHED_HARD_TABLE, max_den_deg=10) is None
+
+
+def test_fit_rejects_a_lift_every_prime_agrees_on():
+    # u2 with one term moved by the product of the whole prime table: every
+    # prime sees u2 and lifts its GF, yet the terms are u2 + P*t^12, whose
+    # GF over Q has the same denominator and L = 15.  Only the exact
+    # check stands between that lift and a wrong answer; with every prime
+    # of the table unlucky the fit cannot decide, and says so
+    terms = u2_terms(30)
+    terms[12] += prod(modular.PRIMES)
+    want = reference_fit(terms, 10)
+    assert want.den == (1, -5, 2) and len(want.num) == 15
+    with pytest.raises(ArithmeticError):
+        fit_recurrence(terms, max_den_deg=10)
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin: bases 2, 3, 5, 7 decide every n below
+    3 215 031 751."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_prime_table():
+    assert [n for n in range(200) if is_prime(n)] == [
+        n for n in range(2, 200) if all(n % q for q in range(2, n))]
+    assert is_prime(2 ** 31 - 1) and not is_prime(2 ** 31 - 3)
+    assert len(set(modular.PRIMES)) == len(modular.PRIMES) == 64
+    for p in modular.PRIMES:
+        assert 2 ** 30 < p < 2 ** 31 and is_prime(p), p
+
+
+def test_make_gf_falls_back_to_poly_gcd_without_certificate(monkeypatch):
+    calls = []
+    poly_gcd = polys.poly_gcd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(gfs.polys, "poly_gcd", counting)
+    p = modular.PRIMES[0]
+    # coprime over Z, and coprime images: no PRS gcd
+    assert make_gf([1, -2], [1, -5, 2]) == make_gf([2, -4], [2, -10, 4])
+    assert calls == []
+    # a shared factor over Z: the images share it too, so the PRS gcd runs
+    gf = make_gf(polys.mul([1, 1], [1, -2]), polys.mul([1, 1], [1, -5, 2]))
+    assert gf == RationalGF((1, -2), (1, -5, 2)) and len(calls) == 1
+    # coprime over Z, but t divides both images mod p: the PRS gcd decides
+    assert make_gf([p, 1], [p, 2]) == RationalGF((p, 1), (p, 2))
+    assert len(calls) == 2
+
+
+def test_modular_lifts_and_gcd():
+    rng = random.Random(11)
+    for _ in range(20):
+        vals = [rng.randint(-2 ** 90, 2 ** 90) for _ in range(5)]
+        res, m = [v % modular.PRIMES[0] for v in vals], modular.PRIMES[0]
+        for p in modular.PRIMES[1:4]:
+            res, m = modular.crt(res, m, [v % p for v in vals], p), m * p
+        assert modular.symmetric_lift(res, m) == vals
+        # fractions with 40-bit parts need 2*40+1 bits of modulus; m has 124
+        fracs = [Fraction(rng.randint(-2 ** 40, 2 ** 40), rng.randint(1, 2 ** 40))
+                 for _ in range(4)]
+        scale = lcm(*(f.denominator for f in fracs))
+        res = [f.numerator * pow(f.denominator, -1, m) % m for f in fracs]
+        assert modular.rational_lift(res, m) == [
+            f.numerator * (scale // f.denominator) for f in fracs]
+    p = modular.PRIMES[0]
+    assert modular.gcd_degree(polys.mul([1, 1], [1, -2]), polys.mul([1, 1], [3, 1]), p) == 1
+    assert modular.gcd_degree([1, -2], [1, -5, 2], p) == 0
+    assert modular.gcd_degree([p, 1], [p, 2], p) == 1
+    assert modular.gcd_degree([], [], p) == -1

@@ -1,6 +1,9 @@
 import itertools
 import random
+from fractions import Fraction
 from math import prod
+
+import pytest
 
 from sterngf.linalg import bareiss_solve_last, lagrange_interpolate
 
@@ -35,3 +38,37 @@ def test_lagrange_interpolate():
     pts = [0, 1, -1]
     vals = [2, 4, 6]
     assert lagrange_interpolate(pts, vals) == [2, -1, 3]
+
+
+def fraction_lagrange(points, values):
+    """The rational Lagrange formula, as a reference."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(zip(points, values)):
+        basis, denom = [Fraction(1)], Fraction(1)
+        for j, xj in enumerate(points):
+            if j != i:
+                basis = [Fraction(0)] + basis
+                for k in range(len(basis) - 1):
+                    basis[k] -= xj * basis[k + 1]
+                denom *= xi - xj
+        for k, b in enumerate(basis):
+            coeffs[k] += Fraction(yi) / denom * b
+    return coeffs
+
+
+def test_newton_interpolation_matches_lagrange_on_integer_polynomials():
+    rng = random.Random(12)
+    for _ in range(30):
+        n = rng.randint(1, 12)
+        poly = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(n)]
+        points = [(k + 1) // 2 * (-1) ** (k + 1) for k in range(n)]  # 0, 1, -1, 2, ...
+        rng.shuffle(points)
+        values = [sum(c * x ** i for i, c in enumerate(poly)) for x in points]
+        got = lagrange_interpolate(points, values)
+        assert got == poly == fraction_lagrange(points, values)
+        assert all(type(c) is int for c in got)
+
+
+def test_newton_interpolation_rejects_non_integer_interpolant():
+    with pytest.raises(ValueError):
+        lagrange_interpolate([0, 2], [0, 1])  # t / 2

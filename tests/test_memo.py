@@ -67,11 +67,12 @@ def test_no_module_level_containers():
 
 
 def test_integer_kernel_modules_do_not_import_fractions():
-    """Polynomials, certificates, states, closure and the CLI compute over
-    Z; Fraction belongs to the rational edges (gfs, linalg, roots)."""
+    """Polynomials, certificates, states, closure, interpolation, the
+    modular kernel and the CLI compute over Z; Fraction belongs to the
+    rational edges (gfs, roots)."""
     pkg = pathlib.Path(sterngf.__file__).parent
     found = []
-    for name in ("polys", "cfinite", "core", "closure", "cli"):
+    for name in ("polys", "cfinite", "core", "closure", "cli", "linalg", "modular"):
         tree = ast.parse((pkg / f"{name}.py").read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
