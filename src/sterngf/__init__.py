@@ -29,11 +29,13 @@ from .core import (
     canonicalize,
     evolve,
     expand_Fn,
+    expand_levels,
     initial_value,
     is_dead,
     root_state,
     state_oracle,
     u_alpha_oracle,
+    u_alpha_terms,
     validate_alpha,
 )
 from .gfs import InsufficientTermsError, RationalGF, fit_recurrence, make_gf, series
@@ -45,8 +47,9 @@ __all__ = [
     "ClosureReport", "LimitExceeded", "StateSystem", "build_system",
     "guess_gf", "solve_gf", "stream_terms",
     "ProductSpec", "ResourceLimitError", "SpecValidationError", "State",
-    "canonicalize", "evolve", "expand_Fn", "initial_value", "is_dead",
-    "root_state", "state_oracle", "u_alpha_oracle", "validate_alpha",
+    "canonicalize", "evolve", "expand_Fn", "expand_levels", "initial_value",
+    "is_dead", "root_state", "state_oracle", "u_alpha_oracle", "u_alpha_terms",
+    "validate_alpha",
     "InsufficientTermsError", "RationalGF", "fit_recurrence", "make_gf", "series",
 ]
 

@@ -214,7 +214,7 @@ def cmd_terms(args) -> int:
 def cmd_oracle(args) -> int:
     spec, file_alpha = load_spec_file(args.spec)
     alpha = _resolve_alpha(args, file_alpha)
-    out = [core.u_alpha_oracle(spec, alpha, n) for n in range(args.n + 1)]
+    out = core.u_alpha_terms(spec, alpha, args.n)
     json.dump(out, sys.stdout)
     sys.stdout.write("\n")
     return EXIT_OK

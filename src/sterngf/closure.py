@@ -195,7 +195,7 @@ def guess_gf(spec: ProductSpec, alpha, n_terms: int,
              max_den_deg: int | None = None, guard: int = 3) -> gfs.RationalGF | None:
     """Empirical route: brute-force u_alpha(0..n_terms) and fit.  None means
     no admissible fit (propagated from fit_recurrence)."""
-    terms = [core.u_alpha_oracle(spec, alpha, n) for n in range(n_terms + 1)]
+    terms = core.u_alpha_terms(spec, alpha, n_terms)
     if max_den_deg is None:
         max_den_deg = max(0, (len(terms) - 1 - guard) // 2)
     return gfs.fit_recurrence(terms, max_den_deg=max_den_deg, guard=guard)

@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
+from math import factorial, prod
+from operator import sub
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .cfinite import CFiniteSeq, PosExpr, SeqMemo, certify_eventually_positive, 
 
 DEFAULT_MAX_COEFFS = 1 << 28
 _INT64_GUARD = 1 << 62
+_CHUNK = 1 << 16  # elements per int64 temporary of the numpy correlation sum
 SPEC_MEMO_LIMIT = 16  # per-spec memos kept at once, least recently used dropped
 DEAD_MEMO_LIMIT = 1 << 15  # deadness verdicts kept per spec, oldest dropped
 
@@ -141,11 +144,9 @@ class State:
 def canonicalize(raw: list[tuple[int, tuple[int, ...]]]) -> State:
     """Shift all beta vectors by their componentwise minimum (a shift of the
     summation variable k) and sort the factors."""
-    L = len(raw[0][1])
-    mins = [min(beta[j] for _, beta in raw) for j in range(L)]
-    shifted = [(d, tuple(b - m for b, m in zip(beta, mins))) for d, beta in raw]
-    shifted.sort(key=lambda f: (f[1], f[0]))
-    return State(tuple(shifted))
+    mins = list(map(min, zip(*[beta for _, beta in raw])))
+    shifted = sorted([(tuple(map(sub, beta, mins)), d) for d, beta in raw])
+    return State(tuple([(d, beta) for beta, d in shifted]))
 
 
 def root_state(alpha, L: int) -> State:
@@ -321,21 +322,32 @@ def evolve(spec: ProductSpec, state: State,
 
     Every beta is first rewritten one level down, then the product of factor
     terms is expanded: each factor independently picks a term (c_j, e_j),
-    contributing e_j to its beta and c_j to the coefficient.  The resulting
-    raw states are canonicalized, merged, and pruned of dead targets, which
-    are added to `dead` when it is given.  The row is returned sorted, so
-    system construction is deterministic.
+    contributing e_j to its beta and c_j to the coefficient.  The raw state
+    of a pick is a multiset, so m equal factors that pick terms j with
+    multiplicities k_j give the same raw state in every order: the
+    m! / prod k_j! ordered picks of that multiset, each with coefficient
+    prod c_j^k_j.  So equal factors are grouped, each group enumerates the
+    multisets of its picks once with that multinomial weight, and the product
+    runs over the groups: one canonicalization per multiset pick, and rows
+    equal to the sums over all ordered picks.  The resulting states are
+    merged and pruned of dead targets, which are added to `dead` when it is
+    given.  The row is returned sorted, so system construction is
+    deterministic.
     """
     seq = spec.seq
-    shifted = [(d, shift_level(seq, beta)) for d, beta in state.factors]
+    groups = []
+    for (d, beta), m in Counter(state.factors).items():
+        beta = shift_level(seq, beta)
+        moved = [(c, (d, tuple(b + x for b, x in zip(beta, e)))) for c, e in spec.terms]
+        picks = []
+        for pick in itertools.combinations_with_replacement(moved, m):
+            weight = factorial(m) // prod(factorial(k) for k in Counter(pick).values())
+            picks.append((weight * prod(c for c, _ in pick), [f for _, f in pick]))
+        groups.append(picks)
     acc: dict[State, int] = {}
-    choices = [[(c, e) for c, e in spec.terms]] * len(shifted)
-    for pick in itertools.product(*choices):
-        coeff = prod(c for c, _ in pick)
-        raw = [(d, tuple(b + x for b, x in zip(beta, e)))
-               for (d, beta), (_, e) in zip(shifted, pick)]
-        st = canonicalize(raw)
-        acc[st] = acc.get(st, 0) + coeff
+    for combo in itertools.product(*groups):
+        st = canonicalize([f for _, raw in combo for f in raw])
+        acc[st] = acc.get(st, 0) + prod(c for c, _ in combo)
     row = []
     for st, c in acc.items():
         if c == 0:
@@ -368,19 +380,39 @@ def initial_value(spec: ProductSpec, state: State) -> int:
 
 def expand_Fn(spec: ProductSpec, n: int, *, force_python: bool = False,
               max_coeffs: int = DEFAULT_MAX_COEFFS):
-    """Exact coefficients of F_n(x), index k -> a(n,k).
+    """Exact coefficients of F_n(x), index k -> a(n,k): the last level of
+    expand_levels, with its up-front size check."""
+    if n < 0:
+        raise ValueError(f"level {n} is negative")
+    for coeffs in expand_levels(spec, n, force_python=force_python,
+                                max_coeffs=max_coeffs):
+        pass
+    return coeffs
+
+
+def expand_levels(spec: ProductSpec, n: int, *, force_python: bool = False,
+                  max_coeffs: int = DEFAULT_MAX_COEFFS):
+    """Iterator over the exact coefficients of F_0, ..., F_n in one
+    incremental pass, each level built from the one before.
 
     Degrees grow like the dominant indicial root to the n-th power, so this
-    is only for moderate n; the bound is checked up front and exceeding it
-    raises ResourceLimitError.  Dense integer arithmetic runs on int64 numpy
-    arrays while a per-level bound proves no overflow is possible, and falls
-    back to Python integers beyond that.  Returns a numpy array or a list.
+    is only for moderate n.  The level sizes are known from the degree
+    bound, so they are checked before anything is expanded: the first level
+    over max_coeffs raises ResourceLimitError at once.  Dense integer
+    arithmetic runs on int64 numpy arrays while a per-level bound proves no
+    overflow is possible, and falls back to Python integers beyond that.
+    Each level is a numpy array or a list, and is never written to after it
+    is yielded.
     """
     cache = _cache(spec)
-    size = cache.degree_bound(n) + 1
-    if size > max_coeffs:
+    if n >= 0 and cache.degree_bound(n) + 1 > max_coeffs:
+        m = next(m for m in range(n + 1) if cache.degree_bound(m) + 1 > max_coeffs)
         raise ResourceLimitError(
-            f"F_{n} needs {size} coefficients (limit {max_coeffs})")
+            f"F_{m} needs {cache.degree_bound(m) + 1} coefficients (limit {max_coeffs})")
+    return _levels(spec, cache, n, force_python)
+
+
+def _levels(spec: ProductSpec, cache: _SpecCache, n: int, force_python: bool):
     coeff_sum = sum(abs(c) for c, _ in spec.terms)
     arr = None
     if not force_python and max(abs(c) for c in spec.P) * coeff_sum < _INT64_GUARD:
@@ -388,32 +420,33 @@ def expand_Fn(spec: ProductSpec, n: int, *, force_python: bool = False,
         arr[:] = spec.P
     else:
         lst = list(spec.P)
-    for m in range(n):
-        exps = [(c, _form_at(cache.memo, e, m)) for c, e in spec.terms]
-        width = max(e for _, e in exps)
-        if arr is not None:
-            mx = int(np.abs(arr).max())
-            if mx * coeff_sum >= _INT64_GUARD:
-                lst = arr.tolist()
-                arr = None
-        if arr is not None:
-            new = np.zeros(len(arr) + width, dtype=np.int64)
-            for c, e in exps:
-                if c == 1:
-                    new[e:e + len(arr)] += arr
-                elif c == -1:
-                    new[e:e + len(arr)] -= arr
-                else:
-                    new[e:e + len(arr)] += c * arr
-            arr = new
-        else:
-            new = [0] * (len(lst) + width)
-            for c, e in exps:
-                for k, v in enumerate(lst):
-                    if v:
-                        new[e + k] += c * v
-            lst = new
-    return arr if arr is not None else lst
+    for m in range(n + 1):
+        if m:
+            exps = [(c, _form_at(cache.memo, e, m - 1)) for c, e in spec.terms]
+            width = max(e for _, e in exps)
+            if arr is not None:
+                mx = _max_abs(arr)
+                if mx * coeff_sum >= _INT64_GUARD:
+                    lst = arr.tolist()
+                    arr = None
+            if arr is not None:
+                new = np.zeros(len(arr) + width, dtype=np.int64)
+                for c, e in exps:
+                    if c == 1:
+                        new[e:e + len(arr)] += arr
+                    elif c == -1:
+                        new[e:e + len(arr)] -= arr
+                    else:
+                        new[e:e + len(arr)] += c * arr
+                arr = new
+            else:
+                new = [0] * (len(lst) + width)
+                for c, e in exps:
+                    for k, v in enumerate(lst):
+                        if v:
+                            new[e + k] += c * v
+                lst = new
+        yield arr if arr is not None else lst
 
 
 def state_oracle(spec: ProductSpec, state: State, n: int, *, coeffs=None) -> int:
@@ -461,10 +494,23 @@ def u_alpha_oracle(spec: ProductSpec, alpha, n: int, *, coeffs=None) -> int:
     return total
 
 
+def u_alpha_terms(spec: ProductSpec, alpha, n: int) -> list[int]:
+    """u_alpha(0..n) from one incremental expansion of F_0..F_n; a level
+    over the coefficient limit is reported before anything is expanded."""
+    validate_alpha(alpha)
+    return [u_alpha_oracle(spec, alpha, m, coeffs=coeffs)
+            for m, coeffs in enumerate(expand_levels(spec, n))]
+
+
+def _max_abs(arr: np.ndarray) -> int:
+    """max |a_k| without an array-sized temporary."""
+    return max(int(arr.max()), -int(arr.min()))
+
+
 def _u_alpha_numpy(arr: np.ndarray, alpha: tuple[int, ...]) -> int | None:
     """Vectorized correlation sum with an exactness guard: per-term products
     are bounded and accumulation is chunked so int64 can never overflow."""
-    mx = int(np.abs(arr).max()) or 1
+    mx = _max_abs(arr) or 1
     bound = 1
     for e in alpha:
         bound *= mx ** e
@@ -474,13 +520,13 @@ def _u_alpha_numpy(arr: np.ndarray, alpha: tuple[int, ...]) -> int | None:
     n_terms = len(arr) - span
     if n_terms <= 0:
         return None
-    chunk = max(1, _INT64_GUARD // bound)
+    chunk = max(1, min(_INT64_GUARD // bound, _CHUNK))
     total = 0
     for lo in range(0, n_terms, chunk):
         hi = min(lo + chunk, n_terms)
         seg = np.ones(hi - lo, dtype=np.int64)
         for i, e in enumerate(alpha):
             for _ in range(e):
-                seg = seg * arr[lo + i:hi + i]
+                seg *= arr[lo + i:hi + i]
         total += int(seg.sum())
     return total

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sterngf import cli
+from sterngf import cli, core
 
 COOKBOOK = pathlib.Path(cli.__file__).parent / "cookbook"
 
@@ -97,6 +97,19 @@ def test_oracle_base(capsys):
 def test_oracle_n_zero(capsys):
     code, out, _ = run(capsys, "oracle", cookbook("base_stern.json"), "-n", "0")
     assert json.loads(out) == [1]
+
+
+@pytest.mark.parametrize("cmd", ["oracle", "guess"])
+def test_resource_limit_reported_before_any_expansion(capsys, monkeypatch, cmd):
+    # F_30 of tribonacci is the first level over the default limit; the
+    # limit is known from the degree bound, so no level is expanded
+    calls = []
+    monkeypatch.setattr(core, "u_alpha_oracle", lambda *a, **k: calls.append(a))
+    code, out, err = run(capsys, cmd, cookbook("tribonacci.json"),
+                         "--alpha", "1", "-n", "40")
+    assert (code, out, calls) == (1, "", [])
+    assert err == ("resource limit: F_30 needs 280947695 coefficients "
+                   "(limit 268435456)\n")
 
 
 def test_guess_u10(capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sterngf import polys
 from sterngf import (
     CFiniteSeq,
     ProductSpec,
@@ -13,11 +14,14 @@ from sterngf import (
     canonicalize,
     evolve,
     expand_Fn,
+    expand_levels,
     initial_value,
     is_dead,
     root_state,
     state_oracle,
+    term,
     u_alpha_oracle,
+    u_alpha_terms,
     validate_alpha,
 )
 
@@ -248,6 +252,30 @@ def test_expand_python_and_numpy_agree():
 def test_expand_resource_bound():
     with pytest.raises(ResourceLimitError):
         expand_Fn(BASE, 40)
+    with pytest.raises(ValueError):
+        expand_Fn(BASE, -1)
+
+
+def test_expand_levels_match_the_product_definition():
+    for spec in (BASE, FIB, CHALLENGE):
+        want = [list(spec.P)]
+        for i in range(7):
+            exps = [(c, sum(x * term(spec.seq, i + j) for j, x in enumerate(e)))
+                    for c, e in spec.terms]
+            factor = [0] * (1 + max(k for _, k in exps))
+            for c, k in exps:
+                factor[k] += c
+            want.append(polys.mul(want[-1], factor))
+        for force_python in (False, True):
+            levels = list(expand_levels(spec, 7, force_python=force_python))
+            assert [polys.normalize([int(x) for x in a]) for a in levels] == want
+
+
+def test_expand_levels_names_first_level_over_limit():
+    # deg F_n = 2^(n+1) - 2 for base Stern: F_7 is the first over 200
+    msg = r"^F_7 needs 255 coefficients \(limit 200\)$"
+    with pytest.raises(ResourceLimitError, match=msg):
+        expand_levels(BASE, 12, max_coeffs=200)
 
 
 def test_state_oracle_worked_values():
@@ -287,3 +315,17 @@ def test_u_alpha_challenge_prefix():
 def test_u_alpha_fib_prefix():
     got = [u_alpha_oracle(FIB, [2], n) for n in range(10)]
     assert got == ORACLE["fib_u2"][:10]
+
+
+def test_u_alpha_terms_match_per_level_oracle():
+    for spec, alpha, n in ((BASE, [2], 8), (FIB, [1, 1], 10), (CHALLENGE, [2], 14)):
+        assert u_alpha_terms(spec, alpha, n) == [
+            u_alpha_oracle(spec, alpha, m) for m in range(n + 1)]
+    assert u_alpha_terms(BASE, [2], -1) == []
+
+
+def test_u_alpha_terms_follow_the_u2_recurrence_across_chunks():
+    # F_17 has 2^18 - 1 coefficients: the numpy sum runs over several chunks
+    u = u_alpha_terms(BASE, [2], 17)
+    assert u[:2] == [1, 3]
+    assert all(u[n] == 5 * u[n - 1] - 2 * u[n - 2] for n in range(2, 18))

@@ -1,0 +1,90 @@
+"""Multiset evolution against the ordered-pick expansion it replaced.
+
+`ordered_evolve` below is the former `core.evolve`: one canonicalization per
+ordered pick of a term for every factor.  The multiset enumeration must give
+the same rows (coefficients, targets and order) and drop the same dead
+targets on every state of the closures listed here.
+"""
+
+import itertools
+import pathlib
+from collections import deque
+from math import comb, prod
+
+import pytest
+
+from sterngf import cli, core
+from sterngf.cfinite import shift_level
+
+COOKBOOK = pathlib.Path(cli.__file__).parent / "cookbook"
+
+
+def load(name: str) -> core.ProductSpec:
+    spec, _ = cli.load_spec_file(str(COOKBOOK / f"{name}.json"))
+    return spec
+
+
+def ordered_evolve(spec, state, dead=None):
+    shifted = [(d, shift_level(spec.seq, beta)) for d, beta in state.factors]
+    acc = {}
+    for pick in itertools.product(spec.terms, repeat=len(shifted)):
+        coeff = prod(c for c, _ in pick)
+        raw = [(d, tuple(b + x for b, x in zip(beta, e)))
+               for (d, beta), (_, e) in zip(shifted, pick)]
+        st = core.canonicalize(raw)
+        acc[st] = acc.get(st, 0) + coeff
+    row = []
+    for st, c in acc.items():
+        if c == 0:
+            continue
+        if not core.is_dead(spec, st):
+            row.append((c, st))
+        elif dead is not None:
+            dead.add(st)
+    row.sort(key=lambda t: t[1].sort_key())
+    return row
+
+
+# (spec, alpha, states compared: None for the whole closure)
+CASES = [
+    ("base_stern", (6,), None), ("base_stern", (2, 2), None),
+    ("base_stern", (2, 1, 2), None), ("fibonacci", (3,), None),
+    ("tribonacci", (2,), None), ("challenge", (2,), 200),
+]
+
+
+@pytest.mark.parametrize("name,alpha,cap", CASES,
+                         ids=[f"{n}{list(a)}" for n, a, _ in CASES])
+def test_evolve_matches_ordered_picks(name, alpha, cap):
+    spec = load(name)
+    root = core.root_state(alpha, spec.seq.order)
+    seen = {root}
+    queue = deque([root])
+    checked = 0
+    while queue and checked != cap:
+        st = queue.popleft()
+        dead, dead_ref = set(), set()
+        row = core.evolve(spec, st, dead)
+        assert row == ordered_evolve(spec, st, dead_ref), st
+        assert dead == dead_ref, st
+        checked += 1
+        for _, tgt in row:
+            if tgt not in seen:
+                seen.add(tgt)
+                queue.append(tgt)
+    assert checked == (cap or len(seen))
+
+
+def test_one_canonicalization_per_multiset_pick(monkeypatch):
+    # nine equal factors picking among three terms: C(3 + 9 - 1, 9) multisets
+    spec = load("base_stern")
+    calls = []
+    canonicalize = core.canonicalize
+
+    def counting(raw):
+        calls.append(raw)
+        return canonicalize(raw)
+
+    monkeypatch.setattr(core, "canonicalize", counting)
+    core.evolve(spec, core.root_state([9], 1))
+    assert len(calls) == comb(11, 2) == 55

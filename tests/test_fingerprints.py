@@ -6,8 +6,10 @@ tribonacci `[2]`, the heavy cases and the `--alpha 2` limit report before
 the integer interval kernel, the `pv` pins on constructed indicial
 polynomials before the integer polynomial kernel, and `gf` fibonacci `[4]`,
 tribonacci `[1,1]` and tribonacci `[2] --method eliminate` before the
-multi-modular fit; any change to what `matrix`, `gf` (its `num`,
-`den` and `dim`; `method` is left out) or `pv` print shows up here.  The
+multi-modular fit, and `matrix` base_stern `[4]`, `[7]`, `[9]`, `[2,2]`,
+`[2,1,2]` and `gf` base_stern `[6]`, `[2,1,2]` before multiset evolution;
+any change to what `matrix`, `gf` (its `num`, `den` and `dim`; `method` is
+left out) or `pv` print shows up here.  The
 challenge limit reports are produced in a fresh interpreter, where their
 counts do not depend on anything the test session ran before.
 """
@@ -37,6 +39,9 @@ CASES = [
     ("matrix", "pentanacci", "1"),
     ("matrix", "base_stern", "6"), ("matrix", "base_stern", "1,1,1,1"),
     ("matrix", "tribonacci", "2"),
+    ("matrix", "base_stern", "4"), ("matrix", "base_stern", "7"),
+    ("matrix", "base_stern", "9"), ("matrix", "base_stern", "2,2"),
+    ("matrix", "base_stern", "2,1,2"),
     ("gf", "base_stern", "1"), ("gf", "base_stern", "2"),
     ("gf", "base_stern", "3"), ("gf", "base_stern", "5"),
     ("gf", "base_stern", "1,1"), ("gf", "base_stern", "1,1,1"),
@@ -45,6 +50,7 @@ CASES = [
     ("gf", "tribonacci", "1"), ("gf", "quadonacci", "1"),
     ("gf", "pentanacci", "1"),
     ("gf", "fibonacci", "4"), ("gf", "tribonacci", "1,1"),
+    ("gf", "base_stern", "6"), ("gf", "base_stern", "2,1,2"),
     ("pv", "base_stern", None), ("pv", "fibonacci", None),
     ("pv", "tribonacci", None), ("pv", "quadonacci", None),
     ("pv", "pentanacci", None), ("pv", "challenge", None),
@@ -100,6 +106,16 @@ EXPECTED = {
         "f6004533d8f86739974a139373189f367e4054e8d471eef42280b2eba420a048",
     "matrix tribonacci [2]":
         "3844b1b5128f5ba05823a52955b69949a377e2ce7ac9d693fbe7dba196b88c30",
+    "matrix base_stern [4]":
+        "b0505e907bb4dfd0f030c6b3295857b4a1486f52eb365332eb0be1c444a99465",
+    "matrix base_stern [7]":
+        "97bcee48ca11410b2d0e2da53e126983bc7712e426e8bdb79b1f13b0edcde314",
+    "matrix base_stern [9]":
+        "f81352c1f98d124016370fd15dce3f22fc127bddefcd11dcdfffa4a126b84c9c",
+    "matrix base_stern [2,2]":
+        "6ae93a30c153a34a8915cdc3d8396e15b33fd38856910aeaeba798e8e149586d",
+    "matrix base_stern [2,1,2]":
+        "eba197e95218745210de415d3bb2fd764c2baa53fff0b3b5aff6c385ede16130",
     "matrix quadonacci [2]":
         "514274496cea2f25c7788ff6ac457ef85604f953733edce0536aa4593190c31c",
     "matrix fibonacci [4]":
@@ -136,6 +152,10 @@ EXPECTED = {
         "8659ccef0fbd786e97ccc2e1225978ff540cb0d9a133f677ff16dd5f28218f5c",
     "gf tribonacci [2] --method eliminate":
         "d13a32c967e196c17357752c0beca67e74fabc5522127f5eed83fc2d1ed615d4",
+    "gf base_stern [6]":
+        "11ed8c9fb3dbc671427b02ea1cbb962ad48741e51b70f5a9518e24a86ce01cbd",
+    "gf base_stern [2,1,2]":
+        "5e79558a517e3da083c1907b16bfbcf9c20d8c39d1f50449e443d35d1749b180",
     "pv base_stern":
         "ef019b2fd8247159a0ff7fa6596e9f77d509081e1d6bd88a88072cc8b190afee",
     "pv fibonacci":
