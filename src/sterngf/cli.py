@@ -135,7 +135,10 @@ def spec_to_json(spec: ProductSpec, alpha) -> dict:
 
 def _resolve_alpha(args, file_alpha):
     if getattr(args, "alpha", None):
-        return tuple(int(x) for x in args.alpha.split(","))
+        try:
+            return core.validate_alpha(args.alpha.split(","))
+        except (ValueError, SpecValidationError) as exc:
+            raise SpecFileError(f"--alpha {args.alpha}: {exc}") from exc
     if file_alpha is not None:
         return file_alpha
     raise SpecFileError("no alpha: give it in the spec file or with --alpha")
@@ -273,7 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the matrix JSON to this file")
     p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("terms", help="stream exact sequence terms from the matrix")
+    p = sub.add_parser(
+        "terms", help="stream exact sequence terms from the matrix",
+        description="Exact terms u(0..n) at the root state.  Fewer than "
+                    "twice the 2*dim+10 terms of the gf fit are streamed as "
+                    "M^n v; longer runs extend the fitted gf, proven by its "
+                    "degree bound, through den * U = num, with no division "
+                    "since den(0) = 1 for an integer series (Fatou).")
     add_common(p)
     p.add_argument("-n", type=int, required=True, help="last index to produce")
     p.add_argument("--digits-only", action="store_true",

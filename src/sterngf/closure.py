@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import mul
 
 from . import core, gfs, linalg, polys
 from .core import ProductSpec, State
@@ -107,13 +108,42 @@ def build_system(spec: ProductSpec, alpha, limit: int = 5000) -> StateSystem:
 
 
 def stream_terms(sys: StateSystem, n: int) -> list[int]:
-    """u(0..n) at the root state, by iterated sparse matrix-vector products."""
+    """u(0..n) at the root state.
+
+    Short streams iterate the sparse product vec <- M vec.  A stream of at
+    least twice the 2*dim + 10 terms the fit needs costs more than the fit,
+    so it takes the proven generating function num/den of `solve_gf` instead
+    and extends u through den * U = num, one order-deg(den) step per term
+    instead of one product of nnz(M) terms.  That is exact: the fit is the
+    root series itself by its degree argument, and by Fatou's lemma the
+    reduced GF of an integer series has den(0) = 1, so no step divides.
+    """
+    if n + 1 >= 2 * _fit_length(sys):
+        gf = solve_gf(sys)
+        den = gf.den
+        if den[0] != 1:
+            raise AssertionError(f"fitted denominator has den(0) = {den[0]}, not 1")
+        d = len(den) - 1
+        tail = [-c for c in den[:0:-1]]  # -den[d], ..., -den[1]
+        num = gf.num + (0,) * (n + 1 - len(gf.num))
+        u = [0] * d  # d leading zeros: u(m - d..m - 1) is always u[m:m + d]
+        for m in range(n + 1):
+            u.append(num[m] + sum(map(mul, tail, u[m:m + d])))
+        return u[d:]
+    rows = [([col for col, _ in row], [c for _, c in row]) for row in sys.rows]
     vec = list(sys.v)
     out = [vec[sys.root]]
     for _ in range(n):
-        vec = [sum(c * vec[col] for col, c in row) for row in sys.rows]
+        vec = [sum(map(mul, coeffs, map(vec.__getitem__, cols)))
+               for cols, coeffs in rows]
         out.append(vec[sys.root])
     return out
+
+
+def _fit_length(sys: StateSystem) -> int:
+    """Terms the fit streams: enough to certify a guarded fit of denominator
+    degree up to dim."""
+    return 2 * sys.dim + 10
 
 
 def solve_gf(sys: StateSystem, method: str = "auto") -> gfs.RationalGF:
@@ -128,8 +158,7 @@ def solve_gf(sys: StateSystem, method: str = "auto") -> gfs.RationalGF:
     if method == "eliminate":
         return _solve_eliminate(sys)
     if method in ("auto", "fit"):
-        n_terms = 2 * sys.dim + 10
-        terms = stream_terms(sys, n_terms - 1)
+        terms = stream_terms(sys, _fit_length(sys) - 1)
         gf = gfs.fit_recurrence(terms, max_den_deg=sys.dim, guard=3)
         if gf is None:
             raise AssertionError("fit failed below its proven degree bound")

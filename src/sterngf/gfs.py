@@ -236,11 +236,10 @@ def _reproduces(gf: RationalGF, terms: list) -> bool:
     """den * terms == num as power series through len(terms) coefficients
     (equivalent to series(gf) == terms, but divisionless)."""
     den, num = gf.den, gf.num
+    rev = terms[::-1]  # rev[top - n:] starts terms[n], terms[n - 1], ...
+    top = len(terms) - 1
     for n in range(len(terms)):
-        acc = 0
-        for i in range(min(n, len(den) - 1) + 1):
-            acc += den[i] * terms[n - i]
         want = num[n] if n < len(num) else 0
-        if acc != want:
+        if sum(map(mul, den, rev[top - n:top - n + len(den)])) != want:
             return False
     return True

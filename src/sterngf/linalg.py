@@ -24,11 +24,14 @@ def bareiss_solve_last(M: list[list[int]]) -> tuple[int, int]:
         if piv != k:
             A[k], A[piv] = A[piv], A[k]
             sign = -sign
-        for r in range(k + 1, n):
-            for c in range(k + 1, n + 1):
-                A[r][c] = (A[r][c] * A[k][k] - A[r][k] * A[k][c]) // prev
-            A[r][k] = 0
-        prev = A[k][k]
+        pivot = A[k][k]
+        tail = A[k][k + 1:]
+        for row in A[k + 1:]:
+            ark = row[k]
+            row[k + 1:] = [(x * pivot - ark * y) // prev
+                           for x, y in zip(row[k + 1:], tail)]
+            row[k] = 0
+        prev = pivot
     return sign * A[n - 1][n - 1], sign * A[n - 1][n]
 
 

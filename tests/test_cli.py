@@ -164,6 +164,16 @@ def test_invalid_spec_exit_4(capsys, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("alpha", ["0,1", "1,0", "-1", "x"])
+@pytest.mark.parametrize("cmd", ["gf", "terms", "oracle", "guess"])
+def test_invalid_alpha_option_exit_4(capsys, cmd, alpha):
+    extra = [] if cmd == "gf" else ["-n", "3"]
+    code, out, err = run(capsys, cmd, cookbook("base_stern.json"),
+                         f"--alpha={alpha}", *extra)
+    assert (code, out) == (4, "")
+    assert err.startswith(f"invalid spec: --alpha {alpha}: ")
+
+
 def test_missing_alpha_is_invalid(capsys, tmp_path):
     doc = {"P": [1], "seq": {"init": [1], "rec": [2]},
            "factor": [{"c": 1, "e": [0]}, {"c": 1, "e": [1]}, {"c": 1, "e": [2]}]}

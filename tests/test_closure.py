@@ -15,8 +15,9 @@ from sterngf import (
     stream_terms,
     u_alpha_oracle,
 )
-from sterngf import polys
+from sterngf import cli, closure, polys
 
+COOKBOOK = pathlib.Path(cli.__file__).parent / "cookbook"
 ORACLE = json.load(open(pathlib.Path(__file__).parent / "_oracle_data.json"))
 
 BASE = ProductSpec(P=(1,), seq=CFiniteSeq((1,), (2,)),
@@ -66,6 +67,54 @@ def test_stream_terms_match_series():
     s = build_system(BASE, [2])
     assert stream_terms(s, 4) == [1, 3, 13, 59, 269]
     assert [int(x) for x in series(U2_GF, 9)] == stream_terms(s, 8)
+
+
+def power_terms(sys_, n):
+    """u(0..n) from plain products M v, independent of stream_terms."""
+    vec = list(sys_.v)
+    out = [vec[sys_.root]]
+    for _ in range(n):
+        vec = [sum(c * vec[col] for col, c in row) for row in sys_.rows]
+        out.append(vec[sys_.root])
+    return out
+
+
+# deg num >= deg den for base_stern [3], [5] and fibonacci [2], so the
+# numerator enters the recurrence past deg den too
+@pytest.mark.parametrize("name, alpha", [
+    ("base_stern", [3]), ("base_stern", [5]), ("fibonacci", [2]),
+    ("base_stern", [1, 0, 1]), ("tribonacci", [2])])
+def test_stream_terms_on_both_sides_of_the_switch(name, alpha):
+    spec, _ = cli.load_spec_file(str(COOKBOOK / f"{name}.json"))
+    s = build_system(spec, alpha)
+    n_fit = 2 * s.dim + 10  # the terms solve_gf streams
+    want = power_terms(s, 5 * n_fit)
+    for n in (2 * n_fit - 2, 2 * n_fit - 1, 2 * n_fit, 2 * n_fit + 1, 5 * n_fit):
+        assert stream_terms(s, n) == want[:n + 1], n
+
+
+def test_stream_terms_fits_only_past_the_switch(monkeypatch):
+    s = build_system(BASE, [5])
+    n_fit = 2 * s.dim + 10
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_gf(*args)
+
+    monkeypatch.setattr(closure, "solve_gf", counted)
+    for n in (0, 1, n_fit - 1, 2 * n_fit - 2):
+        stream_terms(s, n)
+    assert calls == []
+    stream_terms(s, 2 * n_fit - 1)
+    assert calls == [(s,)]
+
+
+def test_stream_terms_refuses_a_dividing_recurrence(monkeypatch):
+    s = build_system(BASE, [2])
+    monkeypatch.setattr(closure, "solve_gf", lambda sys_: make_gf([1], [2, -1]))
+    with pytest.raises(AssertionError):
+        stream_terms(s, 1000)
 
 
 def test_matrix_powers_give_every_state_value():

@@ -7,7 +7,8 @@ the integer interval kernel, the `pv` pins on constructed indicial
 polynomials before the integer polynomial kernel, and `gf` fibonacci `[4]`,
 tribonacci `[1,1]` and tribonacci `[2] --method eliminate` before the
 multi-modular fit, and `matrix` base_stern `[4]`, `[7]`, `[9]`, `[2,2]`,
-`[2,1,2]` and `gf` base_stern `[6]`, `[2,1,2]` before multiset evolution;
+`[2,1,2]` and `gf` base_stern `[6]`, `[2,1,2]` before multiset evolution,
+and the long `terms` runs before they were taken from the fitted recurrence;
 any change to what `matrix`, `gf` (its `num`, `den` and `dim`; `method` is
 left out) or `pv` print shows up here.  The
 challenge limit reports are produced in a fresh interpreter, where their
@@ -57,6 +58,9 @@ CASES = [
     ("terms", "base_stern", "2", "-n", "300"),
     ("terms", "fibonacci", "2", "-n", "200"),
     ("terms", "tribonacci", "1", "-n", "200", "--digits-only"),
+    ("terms", "tribonacci", "2", "-n", "1000"),
+    ("terms", "fibonacci", "3", "-n", "400", "--digits-only"),
+    ("terms", "base_stern", "5", "-n", "2000"),
     ("oracle", "fibonacci", "2", "-n", "15"),
     ("oracle", "challenge", "2", "-n", "10"),
     ("guess", "base_stern", "2", "-n", "12"),
@@ -67,6 +71,8 @@ CASES = [
 EXTENDED_CASES = [
     ("matrix", "quadonacci", "2"), ("matrix", "fibonacci", "4"),
     ("gf", "tribonacci", "2", "--method", "eliminate"),
+    ("terms", "tribonacci", "2", "-n", "3000"),
+    ("terms", "fibonacci", "4", "-n", "3000"),
 ]
 
 LIMIT_ARGV = ["gf", str(COOKBOOK / "challenge.json"), "--limit", "150"]
@@ -174,6 +180,16 @@ EXPECTED = {
         "b53f2fc0e5b193e0f14fcd560b6f41dd1eb7656d78c0c0a0751d9278edcd98b7",
     "terms tribonacci [1] -n 200 --digits-only":
         "b2fa1e1449610204cc6a6a71ae1f9a72fca5d01178dff562454a51c5237cd033",
+    "terms tribonacci [2] -n 1000":
+        "d355a4b63190c47e9ba0701961f20f465728a6679ffad056b2c1980fe3debe0c",
+    "terms fibonacci [3] -n 400 --digits-only":
+        "ae18f5c59aa1283b4d196db5c85242372a41208b3876fb673d7ddbc786be6e6f",
+    "terms base_stern [5] -n 2000":
+        "e06bfab9009fb9cdc95a69e169026546fa1e8097c64ef3060914d61cbebb3a6e",
+    "terms tribonacci [2] -n 3000":
+        "f59f9a8c9dad99aafad15129ec264ce69e6f8511266fb0ead3eea15dc6350038",
+    "terms fibonacci [4] -n 3000":
+        "368aa438b6aa20bc752410597cfd2bbe3abe869b6f2f9fd02d2e4366a63ce7e4",
     "oracle fibonacci [2] -n 15":
         "1ed36488bb69e1b57dd4864c44d3f64b3591ba09d1f23ffb200d1caf94b1fd2e",
     "oracle challenge [2] -n 10":

@@ -269,6 +269,21 @@ def test_fit_rejects_a_lift_every_prime_agrees_on():
         fit_recurrence(terms, max_den_deg=10)
 
 
+def test_reproduces_matches_series():
+    # the windowed check against its definition, series(gf) == terms, on
+    # integer and rational series, reproduced or with one term moved
+    rng = random.Random(21)
+    for _ in range(200):
+        den = [rng.randint(1, 3)] + [rng.randint(-5, 5) for _ in range(rng.randint(0, 4))]
+        num = [rng.randint(-5, 5) for _ in range(rng.randint(1, 7))]
+        gf = make_gf(num, den)
+        n = rng.randint(1, 16)
+        terms = series(gf, n)
+        if rng.random() < 0.5:
+            terms[rng.randrange(n)] += rng.choice((-1, 1))
+        assert gfs._reproduces(gf, terms) == (series(gf, n) == terms)
+
+
 def is_prime(n):
     """Deterministic Miller-Rabin: bases 2, 3, 5, 7 decide every n below
     3 215 031 751."""

@@ -33,6 +33,38 @@ def test_bareiss_matches_cramer():
             assert detB == leibniz_det(B)
 
 
+def bareiss_entrywise(M):
+    """The Bareiss loop written entry by entry, as a reference for the
+    row-at-a-time update."""
+    A = [list(row) for row in M]
+    n = len(A)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if A[r][k] != 0), None)
+        if piv is None:
+            return 0, 0
+        if piv != k:
+            A[k], A[piv] = A[piv], A[k]
+            sign = -sign
+        for r in range(k + 1, n):
+            for c in range(k + 1, n + 1):
+                A[r][c] = (A[r][c] * A[k][k] - A[r][k] * A[k][c]) // prev
+            A[r][k] = 0
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1], sign * A[n - 1][n]
+
+
+def test_bareiss_row_update_matches_entrywise_loop():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        M = [[rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-10 ** 30, 10 ** 30)))
+              for _ in range(n + 1)] for _ in range(n)]
+        before = [list(row) for row in M]
+        assert bareiss_solve_last(M) == bareiss_entrywise(M)
+        assert M == before
+
+
 def test_lagrange_interpolate():
     # p(x) = 2 - x + 3x^2 through 3 points
     pts = [0, 1, -1]
