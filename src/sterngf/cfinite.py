@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from . import gfs, polys, roots
+from . import polys, roots
 from .roots import GRID, GRID_BITS, Iv
 
 
@@ -100,12 +100,10 @@ def reduce_shift(seq: CFiniteSeq, J: int) -> tuple[int, ...]:
     L = seq.order
     if J < L:
         return tuple(1 if j == J else 0 for j in range(L))
-    a = list(reduce_shift(seq, L - 1))
-    c = seq.rec
+    a = reduce_shift(seq, L - 1)
     for _ in range(J - L + 1):
-        top = a[L - 1]
-        a = [top * c[L - 1]] + [a[j - 1] + top * c[L - 1 - j] for j in range(1, L)]
-    return tuple(a)
+        a = shift_level(seq, a)
+    return a
 
 
 def shift_level(seq: CFiniteSeq, beta: tuple[int, ...]) -> tuple[int, ...]:
@@ -284,30 +282,27 @@ def _annihilator(expr: PosExpr) -> list[int]:
 
 
 def _minimal_annihilator(vals: list[int], A: list[int], n0: int) -> list[int]:
-    """Shrink A to a smaller exact annihilator when the expression, given by
-    its values vals, actually satisfies one (e.g. a plain geometric inside a
-    higher-order closure).
+    """The least monic divisor of A that annihilates the expression from n0
+    on, given its values vals (e.g. a plain geometric inside a higher-order
+    closure).
 
-    A candidate m is guessed from a value window and accepted only on proof:
-    m must divide A, and w = m(E)expr must vanish on deg(A/m) consecutive
-    points, which forces w = 0 forever by the recurrence A/m satisfied by w.
+    With R = A reversed (R(0) = 1, as A(0) != 0), the tail u = vals[n0:] has
+    generating function N / R, N = R * u mod t^k.  Its minimal annihilator is
+    the reduced denominator R / gcd(N, R), normalised to constant term 1 and
+    reversed (Everest et al., Recurrence Sequences, 2003): deg N < deg R, so
+    no power of X joins it.  Exact, from k values.
     """
     k = polys.degree(A)
-    window = vals[n0:n0 + 3 * k + 8]
-    L, C = gfs.berlekamp_massey(window)
-    if L >= k or 2 * L + 2 > len(window):
+    R = A[::-1]
+    u = vals[n0:n0 + k]
+    N = [sum(R[i] * u[j - i] for i in range(j + 1)) for j in range(k)]
+    g = polys.poly_gcd(N, R)
+    if polys.degree(g) < 1:
         return A
-    cand = C[::-1]  # C[0] X^L + c_1 X^{L-1} + ...
-    # A is monic, so a candidate dividing it over Z is monic (C[0] = 1)
-    quot = polys.exact_quotient(A, cand)
-    if quot is None:
-        return A
-    d = len(cand) - 1
-    for s in range(len(quot)):
-        w = sum(cand[j] * vals[n0 + s + j] for j in range(d + 1))
-        if w != 0:
-            return A
-    return cand
+    q = polys.exact_quotient(R, g)
+    if q[0] < 0:
+        q = polys.neg(q)
+    return q[::-1]
 
 
 def certify_eventually_positive(expr: PosExpr, horizon: int = 64,
@@ -331,7 +326,7 @@ def certify_eventually_positive(expr: PosExpr, horizon: int = 64,
     max_off = max((off for _, off in expr.shifts), default=0)
     n0 = 2 * expr.seq.order + max_off + 2
     A = _annihilator(expr)
-    vals = expr_values(memo, expr, max(horizon, n0 + 3 * polys.degree(A) + 7))
+    vals = expr_values(memo, expr, max(horizon, n0 + 2 * polys.degree(A) + 2))
     head = _verdict(vals, 0, horizon)
     if not head.is_positive:
         return head

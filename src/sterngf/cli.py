@@ -11,7 +11,7 @@ Spec files are JSON:
 
 Results go to stdout as JSON (polynomials as ascending integer coefficient
 lists); diagnostics go to stderr.  Exit codes: 0 success, 2 state limit
-exceeded, 3 guess failed, 4 invalid spec file.
+exceeded, 3 guess failed, 4 invalid spec file or argument.
 """
 
 from __future__ import annotations
@@ -32,17 +32,12 @@ EXIT_INVALID_SPEC = 4
 _LOG10_2 = 0.30102999566398114
 
 
-def decimal_digits(n: int) -> int:
-    """Number of decimal digits of |n| without a string conversion (exact
-    sequence terms easily exceed the interpreter's int-to-str print guard)."""
-    return decimal_digit_counts([n])[0]
-
-
 def decimal_digit_counts(terms: list[int]) -> list[int]:
-    """decimal_digits of each term, walking one running power of ten from
-    term to term instead of raising 10 to each term's size afresh; a term
-    more than one digit away from its predecessor restarts the walk from
-    the bit-length estimate."""
+    """Number of decimal digits of each |term| without a string conversion
+    (exact sequence terms easily exceed the interpreter's int-to-str print
+    guard), walking one running power of ten from term to term instead of
+    raising 10 to each term's size afresh; a term more than one digit away
+    from its predecessor restarts the walk from the bit-length estimate."""
     out = []
     d, lower, upper = 1, 1, 10  # lower = 10**(d-1), upper = 10**d
     for t in terms:
@@ -122,17 +117,6 @@ def parse_spec(doc, where: str = "<spec>") -> tuple[ProductSpec, tuple[int, ...]
     return spec, alpha
 
 
-def spec_to_json(spec: ProductSpec, alpha) -> dict:
-    doc = {
-        "P": list(spec.P),
-        "seq": {"init": list(spec.seq.init), "rec": list(spec.seq.rec)},
-        "factor": [{"c": c, "e": list(e)} for c, e in spec.terms],
-    }
-    if alpha is not None:
-        doc["alpha"] = list(alpha)
-    return doc
-
-
 def _resolve_alpha(args, file_alpha):
     if getattr(args, "alpha", None):
         try:
@@ -142,6 +126,11 @@ def _resolve_alpha(args, file_alpha):
     if file_alpha is not None:
         return file_alpha
     raise SpecFileError("no alpha: give it in the spec file or with --alpha")
+
+
+def _nonnegative(flag: str, value: int | None) -> None:
+    if value is not None and value < 0:
+        raise SpecFileError(f"{flag} {value}: must be nonnegative")
 
 
 def _gf_json(gf: gfs.RationalGF) -> dict:
@@ -202,6 +191,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_terms(args) -> int:
+    _nonnegative("-n", args.n)
     sys_ = _closed_system(args)
     if sys_ is None:
         return EXIT_LIMIT
@@ -215,6 +205,7 @@ def cmd_terms(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _nonnegative("-n", args.n)
     spec, file_alpha = load_spec_file(args.spec)
     alpha = _resolve_alpha(args, file_alpha)
     out = core.u_alpha_terms(spec, alpha, args.n)
@@ -224,9 +215,15 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_guess(args) -> int:
+    _nonnegative("-n", args.n)
+    _nonnegative("--max-deg", args.max_deg)
     spec, file_alpha = load_spec_file(args.spec)
     alpha = _resolve_alpha(args, file_alpha)
-    gf = closure.guess_gf(spec, alpha, args.n, max_den_deg=args.max_deg)
+    try:
+        gf = closure.guess_gf(spec, alpha, args.n, max_den_deg=args.max_deg)
+    except gfs.InsufficientTermsError as exc:
+        sys.stderr.write(f"no admissible fit: {exc}\n")
+        return EXIT_GUESS_FAILED
     if gf is None:
         sys.stderr.write("no admissible fit\n")
         return EXIT_GUESS_FAILED

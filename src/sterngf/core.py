@@ -30,7 +30,6 @@ the system, never corrupt it.
 from __future__ import annotations
 
 import itertools
-import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,6 +46,7 @@ _INT64_GUARD = 1 << 62
 _CHUNK = 1 << 16  # elements per int64 temporary of the numpy correlation sum
 SPEC_MEMO_LIMIT = 16  # per-spec memos kept at once, least recently used dropped
 DEAD_MEMO_LIMIT = 1 << 15  # deadness verdicts kept per spec, oldest dropped
+DEADNESS_HORIZON = 64  # levels checked exactly before the dead-state certificate
 
 
 class SpecValidationError(ValueError):
@@ -55,11 +55,6 @@ class SpecValidationError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     pass
-
-
-def deadness_horizon() -> int:
-    """Exact-check horizon for the dead-state test (env-overridable)."""
-    return int(os.environ.get("STERNGF_DEADNESS_HORIZON", "64"))
 
 
 def validate_alpha(alpha) -> tuple[int, ...]:
@@ -102,23 +97,22 @@ class ProductSpec:
                 raise SpecValidationError(f"duplicate exponent vector {e}")
             seen.add(e)
         object.__setattr__(self, "terms", tt)
-        horizon = deadness_horizon()
         cache = _cache(self)  # reloading a validated spec skips the checks
-        if horizon in cache.validated:
+        if cache.validated:
             return
         memo = cache.memo
         for _, e in tt:
             if any(e):
-                for i in range(horizon + 1):
+                for i in range(DEADNESS_HORIZON + 1):
                     if _form_at(memo, e, i) < 0:
                         raise SpecValidationError(
                             f"exponent form {e} is negative at level {i}")
                 expr = PosExpr(self.seq, shifts=tuple(
                     (x, j) for j, x in enumerate(e) if x), const=1)
-                if not certify_eventually_positive(expr, horizon, memo=memo).is_positive:
+                if not certify_eventually_positive(expr, DEADNESS_HORIZON, memo=memo).is_positive:
                     raise SpecValidationError(
                         f"cannot certify exponent form {e} stays nonnegative")
-        cache.validated.add(horizon)
+        cache.validated = True
 
 
 def _form_at(memo: SeqMemo, form: tuple[int, ...], i: int) -> int:
@@ -164,7 +158,7 @@ def root_state(alpha, L: int) -> State:
 class _SpecCache:
     """Everything memoized for one spec: the sequence memo, level degree
     bounds, deadness verdicts (at most DEAD_MEMO_LIMIT), dominant-term
-    certificates, tail forms and the horizons the spec was validated at.
+    certificates, tail forms and whether the spec was validated.
     Each entry is a function of the spec alone."""
 
     def __init__(self, spec: ProductSpec):
@@ -175,7 +169,7 @@ class _SpecCache:
         self.dead: dict[State, bool] = {}
         self.dom_term: dict[int, int | None] = {}
         self.tail_forms: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.validated: set[int] = set()
+        self.validated = False
 
     def level_maxdeg(self, m: int) -> int:
         while len(self.maxdeg) <= m:
@@ -244,7 +238,7 @@ def is_dead(spec: ProductSpec, state: State) -> bool:
     At level n the factor supports are intervals of length U(n) starting at
     <beta_i, f(n..)> - d_i; the product can only be nonzero when they all
     intersect, so a support spread exceeding U(n) at every level kills the
-    state.  The spread is checked exactly up to deadness_horizon(); beyond, one
+    state.  The spread is checked exactly up to DEADNESS_HORIZON; beyond, one
     factor pair's gap must be certified positive forever.  Any inconclusive
     certificate returns False (alive), which is always safe.
     """
@@ -252,7 +246,7 @@ def is_dead(spec: ProductSpec, state: State) -> bool:
     dead = cache.dead
     if state in dead:
         return dead[state]
-    verdict = _deadness_verdict(spec, cache, state, deadness_horizon())
+    verdict = _deadness_verdict(spec, cache, state, DEADNESS_HORIZON)
     if len(dead) >= DEAD_MEMO_LIMIT:
         del dead[next(iter(dead))]
     dead[state] = verdict

@@ -37,16 +37,15 @@ def _integral(values: list) -> tuple[int, list[int]]:
 
 
 def make_gf(num: list, den: list) -> RationalGF:
-    """Canonical RationalGF from integer or rational coefficient lists."""
+    """Canonical RationalGF from integer coefficient lists."""
     num, den = polys.normalize(num), polys.normalize(den)
     if polys.is_zero(den):
         raise ZeroDivisionError("zero denominator")
     if polys.is_zero(num):
         return RationalGF((), (1,))
-    # one rational scale makes both integer with coprime joint content
-    _, ints = _integral(num + den)
-    c = polys.content(ints)
-    num, den = [x // c for x in ints[:len(num)]], [x // c for x in ints[len(num):]]
+    # dividing out the joint content makes it 1
+    c = polys.content(num + den)
+    num, den = [x // c for x in num], [x // c for x in den]
     # one prime not dividing lc(den) at which the images are coprime proves
     # num and den coprime over Z; only then is the PRS gcd skipped
     p = next((q for q in modular.PRIMES if den[-1] % q), None)
@@ -80,7 +79,10 @@ def series(gf: RationalGF, n_terms: int) -> list[Fraction]:
 
 
 def berlekamp_massey(terms: list) -> tuple[int, list[int]]:
-    """Minimal connection polynomial of a finite sequence over Q.
+    """Minimal connection polynomial of a finite sequence over Q: the
+    reference fit of the tests.  No engine path calls it; the fit runs
+    modulo primes (`fit_recurrence`) and certificates compute their minimal
+    annihilator from a gcd (`cfinite._minimal_annihilator`).
 
     Returns (L, C), C a primitive integer list with C[0] > 0 and
     len(C) - 1 <= L, such that sum(C[i] * terms[n-i] for i = 0..) = 0 holds

@@ -207,8 +207,7 @@ class DominantRootCert:
     """Certificate that a monic integer polynomial has a unique, simple,
     real dominant root, with rational bounds on it."""
 
-    rho: Iv                      # encloses the dominant root, rounded outward
-    others_mod_hi: Fraction      # upper bound on |z| for every other root
+    rho: Iv  # encloses the dominant root, rounded outward
 
 
 def dominant_root_certificate(monic_coeffs: list[int]) -> DominantRootCert | None:
@@ -227,7 +226,7 @@ def dominant_root_certificate(monic_coeffs: list[int]) -> DominantRootCert | Non
     if n == 0:
         return None
     if n == 1:
-        return DominantRootCert(Iv.point(-p[0]), Fraction(0))
+        return DominantRootCert(Iv.point(-p[0]))
     disks = certified_disks(p)
     if disks is None:
         return None
@@ -249,4 +248,4 @@ def dominant_root_certificate(monic_coeffs: list[int]) -> DominantRootCert | Non
     # real part lies in [re - radius, re + radius].
     if not d.re - d.radius > 0:
         return None
-    return DominantRootCert(Iv.enclose(d.re - d.radius, d.re + d.radius), sigma)
+    return DominantRootCert(Iv.enclose(d.re - d.radius, d.re + d.radius))

@@ -36,7 +36,7 @@ from sterngf import (
     u_alpha_oracle,
 )
 from sterngf import cli, polys
-from sterngf.cli import decimal_digits
+from sterngf.cli import decimal_digit_counts
 from sterngf.gfs import fit_recurrence
 
 HERE = pathlib.Path(__file__).parent
@@ -138,7 +138,7 @@ def test_a05_v10000_digit_count():
     t0 = time.time()
     terms = stream_terms(s, 10000)
     el = time.time() - t0
-    assert decimal_digits(terms[10000]) == 6591
+    assert decimal_digit_counts([terms[10000]]) == [6591]
     report(5, "v(10000) has 6591 decimal digits", el, 5.0)
 
 

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sterngf import cli, polys
+from sterngf import cfinite, cli, closure, core, gfs, polys
 from sterngf.cfinite import (
     CFiniteSeq,
     PosExpr,
     _cyclotomic_factor,
+    _minimal_annihilator,
     certify_eventually_positive,
     indicial_poly,
     pv_classify,
@@ -260,10 +261,10 @@ def test_positivity_alternating_unknown_or_witness():
     assert certify_eventually_positive(expr).kind != "positive_for_all"
 
 
+COOKBOOK = pathlib.Path(cli.__file__).parent / "cookbook"
 COOKBOOK_SEQS = sorted({
     CFiniteSeq(tuple(d["seq"]["init"]), tuple(d["seq"]["rec"]))
-    for d in (json.loads(p.read_text())
-              for p in (pathlib.Path(cli.__file__).parent / "cookbook").glob("*.json"))
+    for d in (json.loads(p.read_text()) for p in COOKBOOK.glob("*.json"))
 }, key=lambda seq: (seq.order, seq.init, seq.rec))
 CHECK_UPTO = 300
 
@@ -322,3 +323,112 @@ def test_certificate_sound_on_cookbook_sequences(case):
         assert res.kind == "not_always_positive"
         assert vals[res.witness] <= 0
         assert all(v > 0 for v in vals[:res.witness])
+
+
+# ---------------------------------------------------------------------------
+# minimal annihilators
+
+
+def reference_minimal_annihilator(vals, A, n0):
+    """The minimal annihilator as it was guessed and proved: Berlekamp-Massey
+    over Q on a window of 3k + 8 values proposes m, which is accepted only if
+    it divides A and m(E)expr vanishes on deg(A/m) consecutive points."""
+    k = polys.degree(A)
+    window = vals[n0:n0 + 3 * k + 8]
+    L, C = gfs.berlekamp_massey(window)
+    if L >= k or 2 * L + 2 > len(window):
+        return A
+    cand = C[::-1]
+    quot = polys.exact_quotient(A, cand)
+    if quot is None:
+        return A
+    d = len(cand) - 1
+    for s in range(len(quot)):
+        if sum(cand[j] * vals[n0 + s + j] for j in range(d + 1)):
+            return A
+    return cand
+
+
+def extend_by(A, vals, upto):
+    """vals continued through index upto by the monic recurrence A(E) = 0."""
+    k = polys.degree(A)
+    out = list(vals)
+    while len(out) <= upto:
+        out.append(-sum(A[j] * out[len(out) - k + j] for j in range(k)))
+    return out
+
+
+CLOSURE_COLD = [("base_stern", [6], 5000), ("base_stern", [1, 1, 1, 1], 5000),
+                ("fibonacci", [3], 5000), ("tribonacci", [2], 5000),
+                ("challenge", [2], 500)]
+
+
+def test_minimal_annihilator_matches_reference_on_closures(monkeypatch):
+    """Every certificate of five cold closures gets the annihilator that the
+    Berlekamp-Massey guess, given its full window, proves."""
+    calls = []
+
+    def checked(vals, A, n0):
+        got = _minimal_annihilator(vals, A, n0)
+        window = extend_by(A, vals, n0 + 3 * polys.degree(A) + 8)
+        assert got == reference_minimal_annihilator(window, A, n0), (A, n0)
+        calls.append(len(got) < len(A))
+        return got
+
+    monkeypatch.setattr(cfinite, "_minimal_annihilator", checked)
+    core._cache.cache_clear()
+    try:
+        for name, alpha, limit in CLOSURE_COLD:
+            spec, _ = cli.load_spec_file(str(COOKBOOK / f"{name}.json"))
+            try:
+                closure.build_system(spec, alpha, limit=limit)
+            except closure.LimitExceeded:
+                assert name == "challenge"
+    finally:
+        core._cache.cache_clear()
+    assert len(calls) > 1000 and any(calls)
+
+
+def test_minimal_annihilator_matches_reference_on_random_sequences():
+    """Sequences annihilated by products of cyclotomics, X - 1 and random
+    integer quadratics, often lying in a proper factor's solution space.
+    The gcd reads vals[n0:n0 + k] only: the values before n0 are junk and
+    none follow."""
+    rng = random.Random(10)
+    shrunk = 0
+    for _ in range(200):
+        factors = [polys.cyclotomic(rng.randint(1, 12)) for _ in range(rng.randint(0, 2))]
+        factors += [[-1, 1]] * rng.randint(0, 2)
+        for _ in range(rng.randint(0, 2)):
+            factors.append([rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(-4, 4), 1])
+        if not factors:
+            factors = [[-2, 1]]
+        A = [1]
+        for f in factors:
+            A = polys.mul(A, f)
+        sub = [f for f in factors if rng.random() < 0.6] or [[1]]
+        B = [1]
+        for f in sub:
+            B = polys.mul(B, f)
+        k = polys.degree(A)
+        n0 = rng.randint(0, 6)
+        seed = [rng.randint(-9, 9) for _ in range(polys.degree(B))]
+        vals = [rng.randint(-99, 99) for _ in range(n0)] + extend_by(B, seed, 3 * k + 8)
+        got = _minimal_annihilator(vals[:n0 + k], A, n0)
+        assert got == reference_minimal_annihilator(vals, A, n0), (A, B, seed, n0)
+        assert got[-1] == 1 and polys.exact_quotient(A, got) is not None
+        shrunk += len(got) < len(A)
+    assert shrunk > 50
+
+
+def test_closure_never_calls_berlekamp_massey(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("berlekamp_massey called")
+
+    monkeypatch.setattr(gfs, "berlekamp_massey", refuse)
+    core._cache.cache_clear()
+    try:
+        spec, _ = cli.load_spec_file(str(COOKBOOK / "base_stern.json"))
+        assert closure.build_system(spec, [6]).dim > 0
+    finally:
+        core._cache.cache_clear()

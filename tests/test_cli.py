@@ -22,9 +22,14 @@ def run(capsys, *argv):
 def test_cookbook_specs_parse_and_round_trip():
     for path in sorted(COOKBOOK.glob("*.json")):
         spec, alpha = cli.load_spec_file(str(path))
-        doc = cli.spec_to_json(spec, alpha)
+        doc = json.loads(path.read_text())
         spec2, alpha2 = cli.parse_spec(doc)
         assert spec2 == spec and alpha2 == alpha, path.name
+        assert list(spec.P) == doc.get("P", [1]), path.name
+        assert spec.seq.init == tuple(doc["seq"]["init"]), path.name
+        assert spec.seq.rec == tuple(doc["seq"]["rec"]), path.name
+        assert [{"c": c, "e": list(e)} for c, e in spec.terms] == doc["factor"], path.name
+        assert alpha == (None if "alpha" not in doc else tuple(doc["alpha"])), path.name
 
 
 def test_gf_base_stern(capsys):
@@ -174,6 +179,26 @@ def test_invalid_alpha_option_exit_4(capsys, cmd, alpha):
     assert err.startswith(f"invalid spec: --alpha {alpha}: ")
 
 
+@pytest.mark.parametrize("args", [
+    ["terms", "--alpha", "2", "-n", "-1"],
+    ["oracle", "-n", "-1"],
+    ["guess", "-n", "-1"],
+    ["guess", "-n", "20", "--max-deg", "-1"],
+])
+def test_negative_count_exit_4(capsys, args):
+    code, out, err = run(capsys, args[0], cookbook("base_stern.json"), *args[1:])
+    assert (code, out) == (4, "")
+    flag, value = args[-2:]
+    assert err == f"invalid spec: {flag} {value}: must be nonnegative\n"
+
+
+@pytest.mark.parametrize("args", [["-n", "2"], ["-n", "20", "--max-deg", "50"]])
+def test_guess_window_too_short_exit_3(capsys, args):
+    code, out, err = run(capsys, "guess", cookbook("base_stern.json"), *args)
+    assert (code, out) == (3, "")
+    assert err.startswith("no admissible fit: ") and "cannot certify" in err
+
+
 def test_missing_alpha_is_invalid(capsys, tmp_path):
     doc = {"P": [1], "seq": {"init": [1], "rec": [2]},
            "factor": [{"c": 1, "e": [0]}, {"c": 1, "e": [1]}, {"c": 1, "e": [2]}]}
@@ -193,4 +218,4 @@ def test_decimal_digit_counts_match_string_lengths():
     for seq in (terms, growing):
         want = [len(str(abs(t))) for t in seq]
         assert cli.decimal_digit_counts(seq) == want
-        assert [cli.decimal_digits(t) for t in seq] == want
+        assert [cli.decimal_digit_counts([t])[0] for t in seq] == want

@@ -145,11 +145,14 @@ def test_fit_round_trip_random_small():
 
 def reference_fit(terms, max_den_deg, guard=3):
     """fit_recurrence as it ran on Berlekamp-Massey over Q: the reference the
-    multi-modular fit is held to."""
+    multi-modular fit is held to.  Rational terms are scaled to integers
+    for the numerator, as make_gf takes integer lists."""
     L, C = berlekamp_massey(terms)
-    num = [sum(C[i] * terms[j - i] for i in range(min(j, len(C) - 1) + 1))
+    scale = lcm(*(Fraction(t).denominator for t in terms))
+    ints = [int(t * scale) for t in terms]
+    num = [sum(C[i] * ints[j - i] for i in range(min(j, len(C) - 1) + 1))
            for j in range(L)] or [0]
-    gf = make_gf(num, C)
+    gf = make_gf(num, [scale * c for c in C])
     den_deg = polys.degree(list(gf.den))
     if den_deg > max_den_deg or len(terms) < L + den_deg + guard:
         return None

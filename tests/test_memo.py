@@ -66,24 +66,36 @@ def test_no_module_level_containers():
     assert found == []
 
 
+def imported_modules(name: str) -> set[str]:
+    """Top-level names of the modules that sterngf.<name> imports, with
+    `from . import x` counted as x."""
+    tree = ast.parse((pathlib.Path(sterngf.__file__).parent / f"{name}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level and not node.module:
+                out.update(a.name for a in node.names)
+            else:
+                out.add((node.module or "").split(".")[0])
+    return out
+
+
 def test_integer_kernel_modules_do_not_import_fractions():
     """Polynomials, certificates, states, closure, interpolation, the
     modular kernel and the CLI compute over Z; Fraction belongs to the
     rational edges (gfs, roots)."""
-    pkg = pathlib.Path(sterngf.__file__).parent
-    found = []
-    for name in ("polys", "cfinite", "core", "closure", "cli", "linalg", "modular"):
-        tree = ast.parse((pkg / f"{name}.py").read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                mods = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                mods = [node.module or ""]
-            else:
-                continue
-            if any(m.split(".")[0] == "fractions" for m in mods):
-                found.append(name)
+    found = [name for name in ("polys", "cfinite", "core", "closure", "cli", "linalg", "modular")
+             if "fractions" in imported_modules(name)]
     assert found == []
+
+
+def test_certificates_do_not_import_gfs():
+    """The certificates compute their minimal annihilator from a gcd, so
+    cfinite needs neither the rational generating functions nor their
+    Berlekamp-Massey."""
+    assert {"gfs", "fractions"}.isdisjoint(imported_modules("cfinite"))
 
 
 def write_spec(path, P, init, rec, exps):

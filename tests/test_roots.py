@@ -1,4 +1,3 @@
-import os
 import random
 
 from fractions import Fraction
@@ -79,7 +78,6 @@ def test_dominant_certificate_golden_ratio():
     assert cert is not None
     lo, hi = bounds(cert.rho)
     assert Fraction(1618, 1000) < lo <= hi < Fraction(1619, 1000)
-    assert cert.others_mod_hi < 1
 
 
 def test_dominant_certificate_rejects_tied_moduli():
@@ -91,17 +89,3 @@ def test_dominant_certificate_degree_one():
     cert = dominant_root_certificate([-3, 1])
     assert cert.rho == Iv.point(3)
     assert bounds(cert.rho) == (3, 3)
-
-
-def test_deadness_horizon_env_override():
-    from sterngf.core import deadness_horizon
-    old = os.environ.pop("STERNGF_DEADNESS_HORIZON", None)
-    try:
-        assert deadness_horizon() == 64
-        os.environ["STERNGF_DEADNESS_HORIZON"] = "7"
-        assert deadness_horizon() == 7
-    finally:
-        if old is None:
-            os.environ.pop("STERNGF_DEADNESS_HORIZON", None)
-        else:
-            os.environ["STERNGF_DEADNESS_HORIZON"] = old
