@@ -10,8 +10,8 @@ Spec files are JSON:
     }
 
 Results go to stdout as JSON (polynomials as ascending integer coefficient
-lists); diagnostics go to stderr.  Exit codes: 0 success, 2 state limit
-exceeded, 3 guess failed, 4 invalid spec file or argument.
+lists); diagnostics go to stderr.  Exit codes: 0 success, 1 coefficient
+limit, 2 state limit, 3 guess failed, 4 invalid spec file or argument.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .cfinite import CFiniteSeq, indicial_poly, pv_classify
 from .core import ProductSpec, SpecValidationError
 
 EXIT_OK = 0
+EXIT_COEFF_LIMIT = 1
 EXIT_LIMIT = 2
 EXIT_GUESS_FAILED = 3
 EXIT_INVALID_SPEC = 4
@@ -317,7 +318,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID_SPEC
     except core.ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
-        return 1
+        return EXIT_COEFF_LIMIT
 
 
 if __name__ == "__main__":

@@ -30,13 +30,12 @@ the system, never corrupt it.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
 from operator import sub
-
-import numpy as np
 
 from . import polys
 from .cfinite import CFiniteSeq, PosExpr, SeqMemo, certify_eventually_positive, reduce_shift, shift_level
@@ -394,9 +393,9 @@ def expand_levels(spec: ProductSpec, n: int, *, force_python: bool = False,
     bound, so they are checked before anything is expanded: the first level
     over max_coeffs raises ResourceLimitError at once.  Dense integer
     arithmetic runs on int64 numpy arrays while a per-level bound proves no
-    overflow is possible, and falls back to Python integers beyond that.
-    Each level is a numpy array or a list, and is never written to after it
-    is yielded.
+    overflow is possible, and falls back to Python integers beyond that;
+    numpy is imported only when the int64 kernel runs.  Each level is a
+    numpy array or a list, and is never written to after it is yielded.
     """
     cache = _cache(spec)
     if n >= 0 and cache.degree_bound(n) + 1 > max_coeffs:
@@ -410,6 +409,7 @@ def _levels(spec: ProductSpec, cache: _SpecCache, n: int, force_python: bool):
     coeff_sum = sum(abs(c) for c, _ in spec.terms)
     arr = None
     if not force_python and max(abs(c) for c in spec.P) * coeff_sum < _INT64_GUARD:
+        import numpy as np
         arr = np.zeros(len(spec.P), dtype=np.int64)
         arr[:] = spec.P
     else:
@@ -467,7 +467,8 @@ def u_alpha_oracle(spec: ProductSpec, alpha, n: int, *, coeffs=None) -> int:
     """Exact u_alpha(n) = sum_{k>=0} prod_i a(n, k+i)^alpha_i by expansion."""
     a = validate_alpha(alpha)
     arr = expand_Fn(spec, n) if coeffs is None else coeffs
-    if isinstance(arr, np.ndarray):
+    np = sys.modules.get("numpy")  # an ndarray exists only once numpy is loaded
+    if np is not None and isinstance(arr, np.ndarray):
         got = _u_alpha_numpy(arr, a)
         if got is not None:
             return got
@@ -496,14 +497,15 @@ def u_alpha_terms(spec: ProductSpec, alpha, n: int) -> list[int]:
             for m, coeffs in enumerate(expand_levels(spec, n))]
 
 
-def _max_abs(arr: np.ndarray) -> int:
+def _max_abs(arr) -> int:
     """max |a_k| without an array-sized temporary."""
     return max(int(arr.max()), -int(arr.min()))
 
 
-def _u_alpha_numpy(arr: np.ndarray, alpha: tuple[int, ...]) -> int | None:
+def _u_alpha_numpy(arr, alpha: tuple[int, ...]) -> int | None:
     """Vectorized correlation sum with an exactness guard: per-term products
     are bounded and accumulation is chunked so int64 can never overflow."""
+    import numpy as np
     mx = _max_abs(arr) or 1
     bound = 1
     for e in alpha:

@@ -117,6 +117,14 @@ def test_resource_limit_reported_before_any_expansion(capsys, monkeypatch, cmd):
                    "(limit 268435456)\n")
 
 
+def test_oracle_over_coefficient_limit_exit_1(capsys):
+    code, out, err = run(capsys, "oracle", cookbook("challenge.json"),
+                         "--alpha", "2", "-n", "40")
+    assert (code, out) == (1, "")
+    assert err == ("resource limit: F_27 needs 268435482 coefficients "
+                   "(limit 268435456)\n")
+
+
 def test_guess_u10(capsys):
     code, out, _ = run(capsys, "guess", cookbook("base_stern.json"),
                        "--alpha", "10", "-n", "15")

@@ -2,9 +2,10 @@ import json
 import pathlib
 import random
 
+import numpy as np
 import pytest
 
-from sterngf import polys
+from sterngf import cli, core, polys
 from sterngf import (
     CFiniteSeq,
     ProductSpec,
@@ -329,3 +330,34 @@ def test_u_alpha_terms_follow_the_u2_recurrence_across_chunks():
     u = u_alpha_terms(BASE, [2], 17)
     assert u[:2] == [1, 3]
     assert all(u[n] == 5 * u[n - 1] - 2 * u[n - 2] for n in range(2, 18))
+
+
+COOKBOOK_SPECS = [cli.load_spec_file(str(path))[0] for path in
+                  sorted((pathlib.Path(cli.__file__).parent / "cookbook").glob("*.json"))]
+DEGREE_TWO = ([1], [2], [1, 1], [1, 0, 1])  # the patterns of total degree <= 2
+
+
+def oracle_values(spec, alpha, n):
+    """The set of (u_alpha(n), root state's value) pairs from the int64
+    array, the Python-integer list and a tuple of F_n's coefficients; the
+    array's numpy sum must run, so the dispatch is what is compared."""
+    arr = expand_Fn(spec, n)
+    lst = expand_Fn(spec, n, force_python=True)
+    assert isinstance(arr, np.ndarray) and isinstance(lst, list)
+    assert core._u_alpha_numpy(arr, tuple(alpha)) is not None
+    st = root_state(alpha, spec.seq.order)
+    return {(u_alpha_oracle(spec, alpha, n, coeffs=c), state_oracle(spec, st, n, coeffs=c))
+            for c in (arr, lst, tuple(lst))}
+
+
+@pytest.mark.parametrize("alpha", DEGREE_TWO, ids=str)
+def test_oracle_paths_agree_on_cookbook_specs(alpha):
+    for spec in COOKBOOK_SPECS:
+        for n in (3, 8):
+            want = {(u_alpha_oracle(spec, alpha, n),) * 2}
+            assert oracle_values(spec, alpha, n) == want, (spec, n)
+
+
+def test_oracle_paths_agree_across_numpy_chunks():
+    # F_17 has 2^18 - 1 coefficients, four chunks of the numpy sum
+    assert oracle_values(BASE, [2], 17) == {(u_alpha_terms(BASE, [2], 17)[17],) * 2}

@@ -1,7 +1,8 @@
 """Memo ownership: results and reports depend on their inputs only, the
 per-spec memos and their deadness tables stay within their bounds, a
 validated spec is not re-validated on reload, no module keeps a hidden
-process-global container, and the integer kernel modules use no Fraction."""
+process-global container, the integer kernel modules use no Fraction, and no
+module loads numpy when it is imported."""
 
 import ast
 import importlib
@@ -66,12 +67,18 @@ def test_no_module_level_containers():
     assert found == []
 
 
-def imported_modules(name: str) -> set[str]:
+def imported_modules(name: str, *, at_import: bool = False) -> set[str]:
     """Top-level names of the modules that sterngf.<name> imports, with
-    `from . import x` counted as x."""
+    `from . import x` counted as x; with at_import, only the imports that run
+    when the module is loaded, none inside a function body."""
     tree = ast.parse((pathlib.Path(sterngf.__file__).parent / f"{name}.py").read_text())
     out = set()
-    for node in ast.walk(tree):
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if at_import and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        todo.extend(ast.iter_child_nodes(node))
         if isinstance(node, ast.Import):
             out.update(a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -89,6 +96,14 @@ def test_integer_kernel_modules_do_not_import_fractions():
     found = [name for name in ("polys", "cfinite", "core", "closure", "cli", "linalg", "modular")
              if "fractions" in imported_modules(name)]
     assert found == []
+
+
+def test_no_module_imports_numpy_when_loaded():
+    """numpy serves the brute-force oracle only, so core imports it inside
+    the int64 kernel and no module pays for it at start-up."""
+    names = ["__init__"] + [info.name for info in pkgutil.iter_modules(sterngf.__path__)]
+    assert "numpy" in imported_modules("core")
+    assert [name for name in names if "numpy" in imported_modules(name, at_import=True)] == []
 
 
 def test_certificates_do_not_import_gfs():
