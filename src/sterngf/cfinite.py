@@ -186,27 +186,27 @@ def pv_classify(seq: CFiniteSeq) -> PVResult:
         if rep_disks is None:
             return PVResult("undecided", "root approximations degenerate")
 
-    info = tuple((float(d.re), float(d.im), float(d.radius)) for d in disks)
+    info = tuple((d.re, d.im, d.radius / GRID) for d in disks)
     dom = max(disks, key=lambda d: d.mod_hi)
     rest = [d for d in disks if d is not dom]
 
-    if dom.mod_hi <= 1:
+    if dom.mod_hi <= GRID:
         # every root certified inside or on the unit circle, and roots of
         # unity were already excluded: the largest root cannot exceed 1
         return PVResult("not_pv", "no root exceeding 1", roots=info)
 
     # everything except the dominant root must sit strictly inside the circle
     for d in rest:
-        if d.mod_hi < 1:
+        if d.mod_hi < GRID:
             continue
-        if d.mod_lo > 1:
+        if d.mod_lo > GRID:
             return PVResult("not_pv", "a conjugate lies outside the unit circle", roots=info)
         return PVResult("undecided", "a conjugate is numerically on the unit circle", info)
 
     # a repeated root acts as its own conjugate: it must be inside the circle
     for d in rep_disks:
-        if not d.mod_hi < 1:
-            if d.mod_lo > 1:
+        if not d.mod_hi < GRID:
+            if d.mod_lo > GRID:
                 return PVResult("not_pv", "a repeated root of modulus greater than 1", roots=info)
             return PVResult("undecided", "a repeated root is numerically on the unit circle", info)
 
@@ -214,13 +214,12 @@ def pv_classify(seq: CFiniteSeq) -> PVResult:
     # certified modulus above 1; every other root being inside the circle
     # forces that root to be real (a non-real root would need an
     # equal-modulus conjugate among the others)
-    if not dom.mod_lo > 1:
+    if not dom.mod_lo > GRID:
         return PVResult("undecided", "dominant root numerically on the unit circle", info)
     for o in rest:
-        gap = roots.sqrt_bounds((dom.re - o.re) ** 2 + (dom.im - o.im) ** 2)[0]
-        if not gap > dom.radius + o.radius:
+        if not roots.centre_gap(dom, o) > dom.radius + o.radius:
             return PVResult("undecided", "dominant root not isolated numerically", info)
-    if not dom.re - dom.radius > 1:
+    if not dom.re_grid()[1] - dom.radius > GRID:  # re - radius > 1
         return PVResult("undecided", "dominant root numerically at 1", info)
     return PVResult("pv", roots=info)
 

@@ -149,6 +149,7 @@ def _emit(doc: dict, pretty_gf: gfs.RationalGF | None, args) -> None:
 def _closed_system(args) -> closure.StateSystem | None:
     """Close the state space of the spec file at the requested alpha; on a
     state limit print the closure report to stderr and return None."""
+    _nonnegative("--limit", args.limit)
     spec, file_alpha = load_spec_file(args.spec)
     alpha = _resolve_alpha(args, file_alpha)
     try:

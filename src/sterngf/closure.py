@@ -120,16 +120,9 @@ def stream_terms(sys: StateSystem, n: int) -> list[int]:
     """
     if n + 1 >= 2 * _fit_length(sys):
         gf = solve_gf(sys)
-        den = gf.den
-        if den[0] != 1:
-            raise AssertionError(f"fitted denominator has den(0) = {den[0]}, not 1")
-        d = len(den) - 1
-        tail = [-c for c in den[:0:-1]]  # -den[d], ..., -den[1]
-        num = gf.num + (0,) * (n + 1 - len(gf.num))
-        u = [0] * d  # d leading zeros: u(m - d..m - 1) is always u[m:m + d]
-        for m in range(n + 1):
-            u.append(num[m] + sum(map(mul, tail, u[m:m + d])))
-        return u[d:]
+        if gf.den[0] != 1:
+            raise AssertionError(f"fitted denominator has den(0) = {gf.den[0]}, not 1")
+        return gfs.series(gf, n + 1)
     rows = [([col for col, _ in row], [c for _, c in row]) for row in sys.rows]
     vec = list(sys.v)
     out = [vec[sys.root]]
@@ -174,7 +167,9 @@ def _solve_eliminate(sys: StateSystem) -> gfs.RationalGF:
     polynomials in t of degree <= dim, so evaluating them exactly at dim + 1
     integers (skipping the finitely many points where A_t is singular) and
     interpolating is exact.  Columns are permuted to put the root last, which
-    lets one Bareiss pass per point deliver both determinants.
+    lets one Bareiss pass per point deliver both determinants.  The fixed
+    permutation gives both the same sign, which make_gf's den(0) > 0
+    normalisation removes.
     """
     n = sys.dim
     dense = [[0] * n for _ in range(n)]
@@ -194,30 +189,13 @@ def _solve_eliminate(sys: StateSystem) -> gfs.RationalGF:
             aug.append(row)
         dA, dB = linalg.bareiss_solve_last(aug)
         if dA != 0:
-            sign = _perm_sign(perm)
             points.append(t0)
-            detA_vals.append(sign * dA)
-            detB_vals.append(sign * dB)
+            detA_vals.append(dA)
+            detB_vals.append(dB)
         t0 = -t0 + (1 if t0 <= 0 else 0)  # 0, 1, -1, 2, -2, ...
     den = linalg.lagrange_interpolate(points, detA_vals)
     num = linalg.lagrange_interpolate(points, detB_vals)
     return gfs.make_gf(num, den)
-
-
-def _perm_sign(perm: list[int]) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def guess_gf(spec: ProductSpec, alpha, n_terms: int,

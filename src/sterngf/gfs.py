@@ -1,16 +1,17 @@
-"""Rational generating functions in one variable t, exactly.
+"""Rational generating functions of integer sequences in one variable t.
 
 A RationalGF is a pair of integer-coefficient polynomials in canonical form:
 no common polynomial factor, no common integer content across the two
 coefficient lists taken together, and a positive constant term in the
 denominator.  Construction normalizes, so equality is plain field equality.
+The series, the fit and its reference Berlekamp-Massey all run over Z: by
+Fatou's lemma the reduced GF of an integer series has den(0) = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from . import modular, polys
@@ -27,13 +28,6 @@ class RationalGF:
 
     def __str__(self) -> str:
         return f"({polys.pretty(list(self.num))}) / ({polys.pretty(list(self.den))})"
-
-
-def _integral(values: list) -> tuple[int, list[int]]:
-    """(scale, values times scale) for ints or Fractions, with scale the lcm
-    of their denominators."""
-    scale = lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def make_gf(num: list, den: list) -> RationalGF:
@@ -63,23 +57,25 @@ def make_gf(num: list, den: list) -> RationalGF:
     return RationalGF(tuple(num), tuple(den))
 
 
-def series(gf: RationalGF, n_terms: int) -> list[Fraction]:
-    """First n_terms Taylor coefficients of gf at t = 0, exact."""
-    num, den = gf.num, gf.den
-    if not den or den[0] == 0:
-        raise ZeroDivisionError("denominator vanishes at t = 0")
-    out: list[Fraction] = []
-    d0 = den[0]
-    for n in range(n_terms):
-        s = Fraction(num[n] if n < len(num) else 0)
-        for i in range(1, min(n, len(den) - 1) + 1):
-            s -= den[i] * out[n - i]
-        out.append(s / d0)
-    return out
+def series(gf: RationalGF, n_terms: int) -> list[int]:
+    """First n_terms Taylor coefficients of gf at t = 0, from den * U = num:
+    u(m) = num[m] - sum den[k] u(m - k), one order-deg(den) step per term
+    and no division.  ValueError when den(0) != 1: a reduced GF whose
+    constant term is not 1 has no integer series."""
+    den = gf.den
+    if den[0] != 1:
+        raise ValueError(f"den(0) = {den[0]}: not the GF of an integer series")
+    d = len(den) - 1
+    tail = [-c for c in den[:0:-1]]  # -den[d], ..., -den[1]
+    num = gf.num + (0,) * (n_terms - len(gf.num))
+    u = [0] * d  # d leading zeros: u(m - d..m - 1) is always u[m:m + d]
+    for m in range(n_terms):
+        u.append(num[m] + sum(map(mul, tail, u[m:m + d])))
+    return u[d:]
 
 
 def berlekamp_massey(terms: list) -> tuple[int, list[int]]:
-    """Minimal connection polynomial of a finite sequence over Q: the
+    """Minimal connection polynomial of a finite integer sequence over Q: the
     reference fit of the tests.  No engine path calls it; the fit runs
     modulo primes (`fit_recurrence`) and certificates compute their minimal
     annihilator from a gcd (`cfinite._minimal_annihilator`).
@@ -90,10 +86,8 @@ def berlekamp_massey(terms: list) -> tuple[int, list[int]]:
     whole sequence from its seed.  Massey's iteration runs fraction-free:
     any scalar multiple of a connection vector is one, so the update
     C' = b*C - d*x^m*B needs no division, and stripping the content of C'
-    keeps it primitive.  Rational terms are first scaled to integers, which
-    changes no linear recurrence.
+    keeps it primitive.
     """
-    _, terms = _integral(terms)
     C = [1]
     B = [1]
     L, m, b = 0, 1, 1
@@ -153,7 +147,7 @@ def _massey_mod(s: list[int], p: int) -> tuple[int, list[int]]:
 
 
 def fit_recurrence(terms: list, max_den_deg: int, guard: int = 3) -> RationalGF | None:
-    """Reconstruct the rational generating function behind exact sequence terms.
+    """Reconstruct the rational generating function behind exact integer terms.
 
     The answer is that of Berlekamp-Massey over Q: the minimal linear
     recurrence of the terms (length L, connection polynomial C) and the
@@ -162,15 +156,14 @@ def fit_recurrence(terms: list, max_den_deg: int, guard: int = 3) -> RationalGF 
     overdetermined by `guard` terms.  InsufficientTermsError means the window
     could not have certified a degree-max_den_deg fit at all.
 
-    Massey runs only over the 31-bit primes of `modular.PRIMES`, on the terms
-    scaled to integers, with C normalised to C[0] = 1.  For all but finitely
-    many primes the run mod p is the image of the run over Q: same L, same
-    deg C, C mod p.  Primes are grouped by (L, deg C); one outside the
-    largest group is unlucky and is set aside.  After each prime the group's
-    C is combined by CRT and lifted: symmetric residues are exact once the
-    modulus passes 2 max |C[i]|, which covers every integer sequence (by
-    Fatou its reduced denominator has den[0] = 1); rational reconstruction
-    covers rational ones.
+    Massey runs only over the 31-bit primes of `modular.PRIMES`, with C
+    normalised to C[0] = 1.  For all but finitely many primes the run mod p is
+    the image of the run over Q: same L, same deg C, C mod p.  Primes are
+    grouped by (L, deg C); one outside the largest group is unlucky and is set
+    aside.  After each prime the group's C is combined by CRT and lifted: by
+    Fatou the reduced denominator of an integer sequence has den[0] = 1, so C
+    over Q is integral and its symmetric residues are exact once the modulus
+    passes 2 max |C[i]|.
 
     Acceptance is exact.  A lift that annihilates the last term is made a
     candidate GF, and is returned only if `_reproduces` holds on every term
@@ -185,13 +178,12 @@ def fit_recurrence(terms: list, max_den_deg: int, guard: int = 3) -> RationalGF 
 
     The loop ends: the lift from such primes is C itself once the modulus
     passes the Hadamard bound of the window's Hankel minors (which bound the
-    numerators and denominators of C), and C always reproduces its window.
-    When the group's modular L and deg C already fail a degree check, two
-    agreeing primes settle None without a lift: the C over Q of a saturated
-    window has coefficients of that Hadamard size, beyond any prime table.
-    None is the conservative answer, and no GF is returned without the exact
-    check.  A fit whose coefficients outgrow the whole table raises
-    ArithmeticError.
+    coefficients of C), and C always reproduces its window.  When the group's
+    modular L and deg C already fail a degree check, two agreeing primes
+    settle None without a lift: the C over Q of a saturated window has
+    coefficients of that Hadamard size, beyond any prime table.  None is the
+    conservative answer, and no GF is returned without the exact check.  A fit
+    whose coefficients outgrow the whole table raises ArithmeticError.
     """
     n_terms = len(terms)
     if max_den_deg < 0:
@@ -205,11 +197,10 @@ def fit_recurrence(terms: list, max_den_deg: int, guard: int = 3) -> RationalGF 
     def rejected(L: int, den_deg: int) -> bool:
         return den_deg > max_den_deg or n_terms < L + den_deg + guard
 
-    scale, s = _integral(terms)
-    rev = s[::-1]
+    rev = terms[::-1]
     groups: dict[tuple[int, int], list] = {}  # (L, deg C) -> [primes, modulus, C mod modulus]
     for p in modular.PRIMES:
-        L, C = _massey_mod([x % p for x in s], p)
+        L, C = _massey_mod([x % p for x in terms], p)
         group = groups.get((L, len(C) - 1))
         if group is None:
             group = groups[L, len(C) - 1] = [1, p, C]
@@ -222,21 +213,20 @@ def fit_recurrence(terms: list, max_den_deg: int, guard: int = 3) -> RationalGF 
             if count >= 2:
                 return None
             continue
-        for lift in (modular.symmetric_lift, modular.rational_lift):
-            den = lift(res, modulus)
-            if den is None or (L < n_terms and sum(map(mul, den, rev))):
-                continue  # does not even annihilate the last term
-            num = [sum(map(mul, den[:j + 1], s[j::-1])) for j in range(max(L, 1))]
-            gf = make_gf(num, [scale * c for c in den])
-            if _reproduces(gf, terms):
-                den_deg = len(gf.den) - 1
-                return None if rejected(max(den_deg, len(gf.num)), den_deg) else gf
+        den = modular.symmetric_lift(res, modulus)
+        if L < n_terms and sum(map(mul, den, rev)):
+            continue  # does not even annihilate the last term
+        num = [sum(map(mul, den[:j + 1], terms[j::-1])) for j in range(max(L, 1))]
+        gf = make_gf(num, den)
+        if _reproduces(gf, terms):
+            den_deg = len(gf.den) - 1
+            return None if rejected(max(den_deg, len(gf.num)), den_deg) else gf
     raise ArithmeticError(f"fit needs more than {len(modular.PRIMES)} primes")
 
 
 def _reproduces(gf: RationalGF, terms: list) -> bool:
     """den * terms == num as power series through len(terms) coefficients
-    (equivalent to series(gf) == terms, but divisionless)."""
+    (equivalent to series(gf) == terms, and defined for any den(0))."""
     den, num = gf.den, gf.num
     rev = terms[::-1]  # rev[top - n:] starts terms[n], terms[n - 1], ...
     top = len(terms) - 1

@@ -1,13 +1,11 @@
 """Word-size modular arithmetic: a fixed table of 31-bit primes, Chinese
-remaindering with its symmetric and rational lifts back to Z or Q, and the
-gcd of integer polynomials mod p.
+remaindering with its symmetric lift back to Z, and the gcd of integer
+polynomials mod p.
 
 Residues are plain ints in [0, p); a product of two fits in 62 bits.
 """
 
 from __future__ import annotations
-
-from math import gcd, isqrt, lcm
 
 # the 64 largest primes below 2**31, in descending order; a literal, so that
 # neither a call nor the import pays for a prime search
@@ -38,28 +36,6 @@ def symmetric_lift(residues: list[int], modulus: int) -> list[int]:
     for integers of absolute value below modulus / 2."""
     half = modulus >> 1
     return [x - modulus if x > half else x for x in residues]
-
-
-def rational_lift(residues: list[int], modulus: int) -> list[int] | None:
-    """An integer list proportional to fractions a_i / b_i with
-    a_i == b_i * residues[i] (mod modulus) and |a_i|, b_i <= sqrt(modulus/2),
-    or None when some residue has no such fraction.  Such a fraction is
-    unique, so this is exact for fractions whose numerators and denominators
-    lie within that bound (Wang's rational reconstruction)."""
-    bound = isqrt(modulus >> 1)
-    fracs = []
-    for x in residues:
-        r0, r1, t0, t1 = modulus, x, 0, 1
-        while r1 > bound:
-            q = r0 // r1
-            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-        if t1 < 0:
-            r1, t1 = -r1, -t1
-        if t1 == 0 or t1 > bound or gcd(r1, t1) != 1:
-            return None
-        fracs.append((r1, t1))
-    scale = lcm(*(b for _, b in fracs))
-    return [a * (scale // b) for a, b in fracs]
 
 
 def _reduced(a: list[int], p: int) -> list[int]:

@@ -1,11 +1,14 @@
 """Certified root enclosures for integer polynomials.
 
 Roots are first approximated by Durand-Kerner iteration in ordinary complex
-floats, then certified with exact rational arithmetic: for a monic degree-n
+floats, then certified in exact integer arithmetic: for a monic degree-n
 polynomial p and pairwise distinct approximations z_i, every root of p lies
 in the union of the disks D(z_i, n*|W_i|) with W_i = p(z_i)/prod(z_i - z_j),
 and a connected component made of m disks contains exactly m roots (Smith's
-disk theorem).  All radii and modulus bounds below are exact rationals, so a
+disk theorem).  The centres are the float approximations themselves, which
+are dyadic rationals: over one common power of two they are Gaussian
+integers, so p(z_i) and every centre difference are exact.  Radii and
+modulus bounds are rounded outward onto the integer grid of `Iv`, so a
 certificate either holds or the answer degrades to "unknown" -- it is never
 silently wrong because of rounding.
 """
@@ -14,12 +17,9 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from . import polys
-
-_SQRT_SCALE = 1 << 64
 
 # Disk bounds and interval endpoints are rounded outward onto this dyadic grid;
 # intervals (`Iv`) hold the integer numerators, so interval arithmetic is
@@ -29,29 +29,20 @@ GRID_BITS = 96
 GRID = 1 << GRID_BITS
 
 
-def _grid_floor(x: Fraction) -> int:
-    scaled = x * GRID
-    return scaled.numerator // scaled.denominator
+def grid_sqrt(n: int, d: int = 1) -> tuple[int, int]:
+    """Floor and ceiling of GRID * sqrt(n) / d, for integers n >= 0 and
+    d >= 1: the tightest grid bounds on sqrt(n) / d."""
+    m = n << 2 * GRID_BITS
+    s = isqrt(m)
+    return s // d, -(-(s + (s * s != m)) // d)
 
 
-def round_down(x: Fraction) -> Fraction:
-    return Fraction(_grid_floor(x), GRID)
-
-
-def round_up(x: Fraction) -> Fraction:
-    return Fraction(-_grid_floor(-x), GRID)
-
-
-def sqrt_bounds(q: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds for sqrt(q), q >= 0."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    if q == 0:
-        return Fraction(0), Fraction(0)
-    # sqrt(a/b) = sqrt(a*b)/b; bracket sqrt(a*b) with scaled isqrt
-    a, b = q.numerator, q.denominator
-    s = isqrt(a * b * _SQRT_SCALE * _SQRT_SCALE)
-    return round_down(Fraction(s, _SQRT_SCALE * b)), round_up(Fraction(s + 1, _SQRT_SCALE * b))
+def _over_common_power_of_two(xs: list[float]) -> tuple[list[int], int]:
+    """Integer numerators of the floats xs over their least common
+    denominator, a power of two, and that denominator."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    D = max(d for _, d in ratios)
+    return [a * (D // d) for a, d in ratios], D
 
 
 @dataclass(frozen=True)
@@ -99,11 +90,6 @@ class Iv:
     def point(n: int) -> "Iv":
         return Iv(n << GRID_BITS, n << GRID_BITS)
 
-    @staticmethod
-    def enclose(lo: Fraction, hi: Fraction) -> "Iv":
-        """The grid interval enclosing [lo, hi], rounded outward."""
-        return Iv(_grid_floor(lo), -_grid_floor(-hi))
-
 
 def iv_poly_eval(coeffs: list[int], x: Iv) -> Iv:
     """Interval Horner evaluation of an integer polynomial."""
@@ -145,14 +131,27 @@ def durand_kerner(coeffs: list[float], max_iter: int = 400) -> list[complex]:
 
 @dataclass(frozen=True)
 class RootDisk:
-    """Certified inclusion disk: rational center, rational radius bound, and
-    exact bounds on the modulus of anything inside it."""
+    """Certified inclusion disk: its centre is the (dyadic, so exact) float
+    approximation; radius and modulus bounds are grid numerators."""
 
-    re: Fraction
-    im: Fraction
-    radius: Fraction
-    mod_lo: Fraction  # lower bound for |z| over the disk (clamped at 0)
-    mod_hi: Fraction  # upper bound for |z| over the disk
+    re: float
+    im: float
+    radius: int
+    mod_lo: int  # lower bound for GRID * |z| over the disk (clamped at 0)
+    mod_hi: int  # upper bound for GRID * |z| over the disk
+
+    def re_grid(self) -> tuple[int, int]:
+        """Floor and ceiling of GRID * re.  For an integer k, re > k / GRID
+        exactly when the ceiling exceeds k."""
+        x, d = self.re.as_integer_ratio()
+        x <<= GRID_BITS
+        return x // d, -(-x // d)
+
+
+def centre_gap(a: RootDisk, b: RootDisk) -> int:
+    """Grid floor of the distance between two disk centres."""
+    (ar, br, ai, bi), D = _over_common_power_of_two([a.re, b.re, a.im, b.im])
+    return grid_sqrt((ar - br) ** 2 + (ai - bi) ** 2, D)[0]
 
 
 def certified_disks(int_coeffs: list[int]) -> list[RootDisk] | None:
@@ -162,42 +161,46 @@ def certified_disks(int_coeffs: list[int]) -> list[RootDisk] | None:
     coefficient conceptually (roots unchanged).  Returns None when the float
     approximations are degenerate (coincident points), which callers treat as
     an inconclusive certificate.
+
+    With the centres z = (X + iY) / D over one power of two D, D^n p(z) is
+    the Gaussian integer sum p_k (X + iY)^k D^(n-k), so |W_i| = n |p(z_i)| /
+    (|lead| prod |z_i - z_j|) takes one grid square root above and one below
+    per factor, and the radius is one ceiling division.
     """
     p = polys.normalize(int_coeffs)
     n = polys.degree(p)
     if n < 1:
         return []
     lead = p[-1]
-    monic = [Fraction(c, lead) for c in p]
     try:
-        floats = [float(c) for c in monic[:-1]]
+        floats = [c / lead for c in p[:-1]]
     except OverflowError:
         return None
-    approx = durand_kerner(floats)
-    centers = [(Fraction(z.real), Fraction(z.imag)) for z in approx]
-    # exact Weierstrass corrections on the rationalized centers
+    centres = durand_kerner(floats)
+    nums, D = _over_common_power_of_two([x for z in centres for x in (z.real, z.imag)])
+    points = list(zip(nums[::2], nums[1::2]))
+    scaled = [c * D ** k for k, c in enumerate(reversed(p))]  # p_n, p_(n-1) D, ...
+    norm = D ** n * abs(lead)  # |p(z) / lead| = |pr + i pi| / norm
     disks = []
-    for i, (xr, xi) in enumerate(centers):
-        # p(z_i) in exact Gaussian rationals
-        pr, pi = Fraction(0), Fraction(0)
-        for c in reversed(monic):
-            pr, pi = pr * xr - pi * xi + c, pr * xi + pi * xr
-        num_hi = sqrt_bounds(pr * pr + pi * pi)[1]
-        den_lo = Fraction(1)
-        for j, (yr, yi) in enumerate(centers):
+    for i, (X, Y) in enumerate(points):
+        pr = pi = 0
+        for c in scaled:
+            pr, pi = pr * X - pi * Y + c, pr * Y + pi * X
+        h = grid_sqrt(pr * pr + pi * pi, norm)[1]
+        den_lo = 1
+        for j, (U, V) in enumerate(points):
             if j == i:
                 continue
-            dr, di = xr - yr, xi - yi
-            lo = sqrt_bounds(dr * dr + di * di)[0]
+            lo = grid_sqrt((X - U) ** 2 + (Y - V) ** 2, D)[0]
             if lo <= 0:
                 return None
             den_lo *= lo
-        radius = round_up(Fraction(n) * num_hi / den_lo)
-        center_lo, center_hi = sqrt_bounds(xr * xr + xi * xi)
+        radius = -(-n * h * GRID ** (n - 1) // den_lo)
+        centre_lo, centre_hi = grid_sqrt(X * X + Y * Y, D)
         disks.append(RootDisk(
-            re=xr, im=xi, radius=radius,
-            mod_lo=max(Fraction(0), round_down(center_lo - radius)),
-            mod_hi=round_up(center_hi + radius),
+            re=centres[i].real, im=centres[i].imag, radius=radius,
+            mod_lo=max(0, centre_lo - radius),
+            mod_hi=centre_hi + radius,
         ))
     return disks
 
@@ -205,7 +208,7 @@ def certified_disks(int_coeffs: list[int]) -> list[RootDisk] | None:
 @dataclass(frozen=True)
 class DominantRootCert:
     """Certificate that a monic integer polynomial has a unique, simple,
-    real dominant root, with rational bounds on it."""
+    real dominant root, with grid bounds on it."""
 
     rho: Iv  # encloses the dominant root, rounded outward
 
@@ -239,13 +242,12 @@ def dominant_root_certificate(monic_coeffs: list[int]) -> DominantRootCert | Non
         return None
     # disjointness from every other disk (=> exactly one root in d)
     for o in others:
-        gap_sq = (d.re - o.re) ** 2 + (d.im - o.im) ** 2
-        dist_lo = sqrt_bounds(gap_sq)[0]
-        if not dist_lo > d.radius + o.radius:
+        if not centre_gap(d, o) > d.radius + o.radius:
             return None
     # the unique root in d has strictly maximal modulus; were it non-real its
     # conjugate would be another root of equal modulus -- impossible.  Its
     # real part lies in [re - radius, re + radius].
-    if not d.re - d.radius > 0:
+    re_lo, re_hi = d.re_grid()
+    if not re_hi - d.radius > 0:  # re - radius > 0
         return None
-    return DominantRootCert(Iv.enclose(d.re - d.radius, d.re + d.radius))
+    return DominantRootCert(Iv(re_lo - d.radius, re_hi + d.radius))

@@ -181,7 +181,7 @@ def test_a08_fibonacci_systems():
     s2 = build_system(FIB, [2])
     assert s2.report.outcome == "closed"
     gf2 = solve_gf(s2)
-    got = [int(x) for x in series(gf2, 13)]
+    got = series(gf2, 13)
     want = [u_alpha_oracle(FIB, [2], n) for n in range(13)]
     assert got == want
     s3 = build_system(FIB, [3], limit=20000)
@@ -257,11 +257,12 @@ def test_a10_property_suites():
         if s.dim <= 64:
             assert solve_gf(s, "eliminate") == solve_gf(s, "fit")
 
-    # fit round trip on random small rational generating functions
+    # fit round trip on random small generating functions of integer series:
+    # den(0) = +-1, the reduced form of every one (Fatou)
     done = 0
     while done < 15:
         num = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]
-        den = [rng.choice([1, -1, 2])] + [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))]
+        den = [rng.choice([1, -1])] + [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))]
         if not polys.normalize(num) or polys.normalize(den)[-1] == 0:
             continue
         g = make_gf(num, den)

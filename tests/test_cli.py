@@ -192,6 +192,9 @@ def test_invalid_alpha_option_exit_4(capsys, cmd, alpha):
     ["oracle", "-n", "-1"],
     ["guess", "-n", "-1"],
     ["guess", "-n", "20", "--max-deg", "-1"],
+    ["gf", "--alpha", "2", "--limit", "-3"],
+    ["matrix", "--alpha", "2", "--limit", "-3"],
+    ["terms", "--alpha", "2", "-n", "5", "--limit", "-3"],
 ])
 def test_negative_count_exit_4(capsys, args):
     code, out, err = run(capsys, args[0], cookbook("base_stern.json"), *args[1:])

@@ -66,7 +66,7 @@ def test_limit_exceeded_is_reported_not_crashed():
 def test_stream_terms_match_series():
     s = build_system(BASE, [2])
     assert stream_terms(s, 4) == [1, 3, 13, 59, 269]
-    assert [int(x) for x in series(U2_GF, 9)] == stream_terms(s, 8)
+    assert series(U2_GF, 9) == stream_terms(s, 8)
 
 
 def power_terms(sys_, n):
@@ -165,7 +165,7 @@ def test_gf_series_equals_oracle():
     for spec, alpha in ((BASE, [2]), (BASE, [1, 1]), (FIB, [2]), (FIB, [1, 1])):
         s = build_system(spec, alpha)
         gf = solve_gf(s)
-        got = [int(x) for x in series(gf, 9)]
+        got = series(gf, 9)
         want = [u_alpha_oracle(spec, alpha, n) for n in range(9)]
         assert got == want == stream_terms(s, 8), (spec.seq, alpha)
 
@@ -173,7 +173,7 @@ def test_gf_series_equals_oracle():
 def test_fit_path_reproduces_guard_window():
     s = build_system(BASE, [5])
     gf = solve_gf(s, "fit")
-    assert [int(x) for x in series(gf, 2 * s.dim + 8)] == stream_terms(s, 2 * s.dim + 7)
+    assert series(gf, 2 * s.dim + 8) == stream_terms(s, 2 * s.dim + 7)
 
 
 def test_guess_gf_agrees_with_solve():

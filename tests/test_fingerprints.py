@@ -8,7 +8,9 @@ polynomials before the integer polynomial kernel, and `gf` fibonacci `[4]`,
 tribonacci `[1,1]` and tribonacci `[2] --method eliminate` before the
 multi-modular fit, and `matrix` base_stern `[4]`, `[7]`, `[9]`, `[2,2]`,
 `[2,1,2]` and `gf` base_stern `[6]`, `[2,1,2]` before multiset evolution,
-and the long `terms` runs before they were taken from the fitted recurrence;
+and the long `terms` runs before they were taken from the fitted recurrence,
+and `gf fibonacci [3] --method eliminate` and the root digest of random
+recurrences before the root disks moved onto the integer grid;
 any change to what `matrix`, `gf` (its `num`, `den` and `dim`; `method` is
 left out) or `pv` print shows up here.  The
 challenge limit reports are produced in a fresh interpreter, where their
@@ -20,6 +22,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -27,6 +30,8 @@ from contextlib import redirect_stdout
 import pytest
 
 from sterngf import cli
+from sterngf.cfinite import CFiniteSeq, indicial_poly, pv_classify
+from sterngf.roots import dominant_root_certificate
 
 COOKBOOK = pathlib.Path(cli.__file__).parent / "cookbook"
 
@@ -52,6 +57,7 @@ CASES = [
     ("gf", "pentanacci", "1"),
     ("gf", "fibonacci", "4"), ("gf", "tribonacci", "1,1"),
     ("gf", "base_stern", "6"), ("gf", "base_stern", "2,1,2"),
+    ("gf", "fibonacci", "3", "--method", "eliminate"),
     ("pv", "base_stern", None), ("pv", "fibonacci", None),
     ("pv", "tribonacci", None), ("pv", "quadonacci", None),
     ("pv", "pentanacci", None), ("pv", "challenge", None),
@@ -162,6 +168,8 @@ EXPECTED = {
         "11ed8c9fb3dbc671427b02ea1cbb962ad48741e51b70f5a9518e24a86ce01cbd",
     "gf base_stern [2,1,2]":
         "5e79558a517e3da083c1907b16bfbcf9c20d8c39d1f50449e443d35d1749b180",
+    "gf fibonacci [3] --method eliminate":
+        "c0d49d1fa71606c163d7c92c77418e5e2502c4382ad3741b9cf630a854e0dd7c",
     "pv base_stern":
         "ef019b2fd8247159a0ff7fa6596e9f77d509081e1d6bd88a88072cc8b190afee",
     "pv fibonacci":
@@ -242,6 +250,10 @@ EXPECTED_PV = {
         "3347b6feab0bd41ca8d630cd00e7f840b18825af0616218c02bee7c2de2a6001",
 }
 
+# pv_classify and the dominant-root certificate on 300 random recurrences
+EXPECTED_RANDOM_ROOTS = (
+    "f69dc302b7f8640bf417587f40d3edb0c593228ea0663157773f5e03798a78ea")
+
 EXPECTED_LIMIT = (
     "6c25b788101cde01f7b22600661f5f4eaaf9e515d808e76d55e84f6e74f8a9cb")
 EXPECTED_LIMIT_ALPHA2 = (
@@ -292,6 +304,25 @@ def pv_fingerprint(q: list[int], tmp_path) -> str:
     return _sha(buf.getvalue())
 
 
+def random_root_digest() -> str:
+    """Digest of the `pv_classify` kind, reason and root floats and the
+    `dominant_root_certificate` enclosure of the indicial polynomial, over
+    300 recurrences of order 1..6 with coefficients in [-4, 4], the last
+    nonzero, and init all ones."""
+    rng = random.Random(7)
+    out = []
+    for _ in range(300):
+        L = rng.randint(1, 6)
+        rec = [rng.randint(-4, 4) for _ in range(L - 1)]
+        rec.append(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
+        seq = CFiniteSeq((1,) * L, tuple(rec))
+        res = pv_classify(seq)
+        cert = dominant_root_certificate(indicial_poly(seq))
+        out.append((res.kind, res.reason, res.roots,
+                    None if cert is None else (cert.rho.lo, cert.rho.hi)))
+    return _sha(repr(out))
+
+
 def case_id(case) -> str:
     cmd, spec, alpha, *extra = case
     return " ".join([cmd, spec] + ([f"[{alpha}]"] if alpha else []) + extra)
@@ -311,6 +342,10 @@ def test_heavy_output_fingerprint(case):
 @pytest.mark.parametrize("name", PV_CASES)
 def test_pv_fingerprint(name, tmp_path):
     assert pv_fingerprint(PV_CASES[name], tmp_path) == EXPECTED_PV[name]
+
+
+def test_random_recurrence_root_digest():
+    assert random_root_digest() == EXPECTED_RANDOM_ROOTS
 
 
 def test_challenge_limit_report_fingerprint():

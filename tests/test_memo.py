@@ -1,8 +1,8 @@
 """Memo ownership: results and reports depend on their inputs only, the
 per-spec memos and their deadness tables stay within their bounds, a
 validated spec is not re-validated on reload, no module keeps a hidden
-process-global container, the integer kernel modules use no Fraction, and no
-module loads numpy when it is imported."""
+process-global container, no module uses Fraction, and no module loads
+numpy when it is imported."""
 
 import ast
 import importlib
@@ -90,12 +90,12 @@ def imported_modules(name: str, *, at_import: bool = False) -> set[str]:
 
 
 def test_integer_kernel_modules_do_not_import_fractions():
-    """Polynomials, certificates, states, closure, interpolation, the
-    modular kernel and the CLI compute over Z; Fraction belongs to the
-    rational edges (gfs, roots)."""
-    found = [name for name in ("polys", "cfinite", "core", "closure", "cli", "linalg", "modular")
-             if "fractions" in imported_modules(name)]
-    assert found == []
+    """The whole engine computes over Z: integer series and fits (by Fatou
+    an integer series has den(0) = 1), root disks and intervals on the
+    integer grid.  No module imports fractions."""
+    names = ["__init__"] + [info.name for info in pkgutil.iter_modules(sterngf.__path__)]
+    assert len(names) > 8
+    assert [name for name in names if "fractions" in imported_modules(name)] == []
 
 
 def test_no_module_imports_numpy_when_loaded():

@@ -1,11 +1,12 @@
 import random
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from sterngf import polys
-from sterngf.roots import GRID, Iv, certified_disks, dominant_root_certificate, sqrt_bounds
+from sterngf.roots import GRID, Iv, certified_disks, dominant_root_certificate, grid_sqrt
 
 
 def bounds(x: Iv) -> tuple[Fraction, Fraction]:
@@ -13,31 +14,41 @@ def bounds(x: Iv) -> tuple[Fraction, Fraction]:
     return Fraction(x.lo, GRID), Fraction(x.hi, GRID)
 
 
-def test_sqrt_bounds_bracket():
+def test_grid_sqrt_is_tight():
+    """lo and hi are the floor and ceiling of GRID * sqrt(n) / d: lo/GRID <=
+    sqrt(n)/d <= hi/GRID, one grid step apart unless sqrt(n)/d lies on the
+    grid, where both equal it."""
     rng = random.Random(4)
-    for _ in range(50):
-        q = Fraction(rng.randint(0, 1000), rng.randint(1, 50))
-        lo, hi = sqrt_bounds(q)
-        assert lo * lo <= q <= hi * hi
-        assert hi - lo < Fraction(1, 10 ** 12)
+    cases = [(0, 1), (0, 7), (1, 1), (4, 1), (9, 4), (49, 7), (2, 1), (3, 2 ** 60)]
+    cases += [(rng.randint(0, 10 ** rng.randint(1, 40)), rng.randint(1, 2 ** rng.randint(0, 90)))
+              for _ in range(300)]
+    cases += [(k * k, rng.randint(1, 50)) for k in (rng.randint(0, 10 ** 30) for _ in range(50))]
+    for n, d in cases:
+        lo, hi = grid_sqrt(n, d)
+        # lo <= GRID sqrt(n)/d  <=>  (lo d)^2 <= GRID^2 n, and so on
+        assert (lo * d) ** 2 <= GRID ** 2 * n < ((lo + 1) * d) ** 2
+        assert hi == 0 or ((hi - 1) * d) ** 2 < GRID ** 2 * n
+        assert GRID ** 2 * n <= (hi * d) ** 2
+        on_grid = isqrt(GRID ** 2 * n) ** 2 == GRID ** 2 * n and isqrt(GRID ** 2 * n) % d == 0
+        assert hi - lo == (0 if on_grid else 1)
+    assert grid_sqrt(0) == (0, 0)
+    assert grid_sqrt(16, 2) == (2 * GRID, 2 * GRID)
 
 
 def test_interval_arithmetic_encloses():
     """Intervals hold integer numerators on the 2^-96 grid.  Every operation
     encloses the exact results at the endpoints and at interior points, and
-    rounds outward by at most one grid step; the random rationals are off the
-    grid, so the rounding is exercised."""
+    rounds outward by at most one grid step; products and quotients of
+    random numerators leave the grid, so the rounding is exercised."""
     rng = random.Random(6)
     step = Fraction(1, GRID)
 
-    def rational():
-        return Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+    def numerator():
+        return rng.randint(-50 * GRID, 50 * GRID) // rng.randint(1, 9)
 
     def draw():
-        a, b = sorted((rational(), rational()))
-        x = Iv.enclose(a, b)
+        x = Iv(*sorted((numerator(), numerator())))
         lo, hi = bounds(x)
-        assert lo <= a and b <= hi and a - lo < step and hi - b < step
         return x, (lo, hi, lo + (hi - lo) * Fraction(rng.randint(0, 7), 7))
 
     for _ in range(200):
@@ -69,8 +80,15 @@ def test_disks_contain_known_integer_roots():
         disks = certified_disks(p)
         assert disks is not None
         for r in roots_true:
-            assert any((Fraction(r) - d.re) ** 2 + d.im ** 2 <= d.radius ** 2
-                       for d in disks), (roots_true, r)
+            assert any((r - Fraction(d.re)) ** 2 + Fraction(d.im) ** 2
+                       <= Fraction(d.radius, GRID) ** 2 for d in disks), (roots_true, r)
+        # grid modulus bounds: mod_lo <= |centre| - radius (unless clamped
+        # at 0) and |centre| + radius <= mod_hi
+        for d in disks:
+            mod_sq = Fraction(d.re) ** 2 + Fraction(d.im) ** 2
+            if d.mod_lo:
+                assert Fraction(d.mod_lo + d.radius, GRID) ** 2 <= mod_sq
+            assert mod_sq <= Fraction(d.mod_hi - d.radius, GRID) ** 2
 
 
 def test_dominant_certificate_golden_ratio():
