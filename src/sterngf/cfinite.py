@@ -22,6 +22,8 @@ from math import gcd
 from . import polys, roots
 from .roots import GRID, GRID_BITS, Iv
 
+HORIZON = 64  # levels a certificate checks exactly before its tail bound
+
 
 @dataclass(frozen=True)
 class CFiniteSeq:
@@ -67,17 +69,23 @@ class SeqMemo:
                 vals.append(sum(c * v for c, v in zip(rec, reversed(vals[-L:]))))
         return vals
 
+    def form_values(self, form: tuple[int, ...], start: int, stop: int,
+                    const: int = 0) -> list[int]:
+        """const + <form, f(i..i+len(form)-1)> for i = start..stop-1: the one
+        evaluator of a linear form over consecutive terms."""
+        fs = self.values(stop + len(form) - 2)
+        out = [const] * (stop - start)
+        for j, c in enumerate(form):
+            if c:
+                out = [o + c * f for o, f in zip(out, fs[start + j:stop + j])]
+        return out
+
     def prefix_sums(self, form: tuple[int, ...], n: int) -> list[int]:
         """S(m) = sum_{i<m} <form, f(i..i+L-1)> as a list grown to cover
         index n; callers may index it but must not mutate it."""
-        pre = self.prefix.get(form)
-        if pre is None:
-            pre = self.prefix[form] = [0]
+        pre = self.prefix.setdefault(form, [0])
         if len(pre) <= n:
-            fs = self.values(n + self.seq.order)
-            while len(pre) <= n:
-                m = len(pre) - 1
-                val = sum(c * fs[m + j] for j, c in enumerate(form) if c)
+            for val in self.form_values(form, len(pre) - 1, n):
                 pre.append(pre[-1] + val)
         return pre
 
@@ -132,10 +140,6 @@ class PVResult:
     kind: str  # "pv" | "not_pv" | "undecided"
     reason: str = ""
     roots: tuple = ()  # (re, im, radius) floats, informational only
-
-    @property
-    def is_pv(self) -> bool:
-        return self.kind == "pv"
 
 
 def _cyclotomic_factor(p: list[int], max_deg: int) -> int | None:
@@ -304,7 +308,7 @@ def _minimal_annihilator(vals: list[int], A: list[int], n0: int) -> list[int]:
     return q[::-1]
 
 
-def certify_eventually_positive(expr: PosExpr, horizon: int = 64,
+def certify_eventually_positive(expr: PosExpr, horizon: int = HORIZON,
                                 memo: SeqMemo | None = None) -> Positivity:
     """Sound certificate that expr(n) > 0 for every n >= 0.
 

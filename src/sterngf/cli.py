@@ -70,6 +70,11 @@ def load_spec_file(path: str) -> tuple[ProductSpec, tuple[int, ...] | None]:
     return parse_spec(doc, where=path)
 
 
+def _int_list(v) -> bool:
+    """A JSON list of integers; JSON true/false are not integers here."""
+    return isinstance(v, list) and all(type(x) is int for x in v)
+
+
 def parse_spec(doc, where: str = "<spec>") -> tuple[ProductSpec, tuple[int, ...] | None]:
     def fail(loc: str, msg: str):
         raise SpecFileError(f"{where}: {loc}: {msg}")
@@ -80,14 +85,14 @@ def parse_spec(doc, where: str = "<spec>") -> tuple[ProductSpec, tuple[int, ...]
         if key not in ("P", "seq", "factor", "alpha"):
             fail(key, "unknown key")
     P = doc.get("P", [1])
-    if not isinstance(P, list) or not all(isinstance(x, int) for x in P):
+    if not _int_list(P):
         fail("P", "must be a list of integers")
     seq = doc.get("seq")
     if not isinstance(seq, dict) or set(seq) != {"init", "rec"}:
         fail("seq", 'must be {"init": [...], "rec": [...]}')
     init, rec = seq["init"], seq["rec"]
     for name, v in (("seq.init", init), ("seq.rec", rec)):
-        if not isinstance(v, list) or not v or not all(isinstance(x, int) for x in v):
+        if not v or not _int_list(v):
             fail(name, "must be a nonempty list of integers")
     factor = doc.get("factor")
     if not isinstance(factor, list) or not factor:
@@ -96,16 +101,16 @@ def parse_spec(doc, where: str = "<spec>") -> tuple[ProductSpec, tuple[int, ...]
     for i, tm in enumerate(factor):
         if not isinstance(tm, dict) or set(tm) != {"c", "e"}:
             fail(f"factor[{i}]", 'must be {"c": int, "e": [...]}')
-        if not isinstance(tm["c"], int):
+        if type(tm["c"]) is not int:
             fail(f"factor[{i}].c", "must be an integer")
-        if not isinstance(tm["e"], list) or not all(isinstance(x, int) for x in tm["e"]):
+        if not _int_list(tm["e"]):
             fail(f"factor[{i}].e", "must be a list of integers")
         if any(x < 0 for x in tm["e"]):
             fail(f"factor[{i}].e", "entries must be nonnegative")
         terms.append((tm["c"], tuple(tm["e"])))
     alpha = doc.get("alpha")
     if alpha is not None:
-        if not isinstance(alpha, list) or not all(isinstance(x, int) for x in alpha):
+        if not _int_list(alpha):
             fail("alpha", "must be a list of integers")
         alpha = tuple(alpha)
     try:
@@ -138,12 +143,16 @@ def _gf_json(gf: gfs.RationalGF) -> dict:
     return {"num": list(gf.num), "den": list(gf.den)}
 
 
+def _print_json(doc, stream) -> None:
+    json.dump(doc, stream)
+    stream.write("\n")
+
+
 def _emit(doc: dict, pretty_gf: gfs.RationalGF | None, args) -> None:
     if getattr(args, "pretty", False) and pretty_gf is not None:
         doc = dict(doc)
         doc["pretty"] = str(pretty_gf)
-    json.dump(doc, sys.stdout)
-    sys.stdout.write("\n")
+    _print_json(doc, sys.stdout)
 
 
 def _closed_system(args) -> closure.StateSystem | None:
@@ -155,8 +164,7 @@ def _closed_system(args) -> closure.StateSystem | None:
     try:
         return closure.build_system(spec, alpha, limit=args.limit)
     except closure.LimitExceeded as exc:
-        json.dump(exc.report.to_json(), sys.stderr)
-        sys.stderr.write("\n")
+        _print_json(exc.report.to_json(), sys.stderr)
         return None
 
 
@@ -181,14 +189,13 @@ def cmd_matrix(args) -> int:
         "root": sys_.root,
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
-        json.dump({"dim": sys_.dim, "written": args.out}, sys.stdout)
-        sys.stdout.write("\n")
-    else:
-        json.dump(doc, sys.stdout)
-        sys.stdout.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                _print_json(doc, fh)
+        except OSError as exc:
+            raise SpecFileError(f"--out {args.out}: {exc.strerror or exc}") from exc
+        doc = {"dim": sys_.dim, "written": args.out}
+    _print_json(doc, sys.stdout)
     return EXIT_OK
 
 
@@ -198,11 +205,7 @@ def cmd_terms(args) -> int:
     if sys_ is None:
         return EXIT_LIMIT
     terms = closure.stream_terms(sys_, args.n)
-    if args.digits_only:
-        json.dump(decimal_digit_counts(terms), sys.stdout)
-    else:
-        json.dump(terms, sys.stdout)
-    sys.stdout.write("\n")
+    _print_json(decimal_digit_counts(terms) if args.digits_only else terms, sys.stdout)
     return EXIT_OK
 
 
@@ -210,9 +213,7 @@ def cmd_oracle(args) -> int:
     _nonnegative("-n", args.n)
     spec, file_alpha = load_spec_file(args.spec)
     alpha = _resolve_alpha(args, file_alpha)
-    out = core.u_alpha_terms(spec, alpha, args.n)
-    json.dump(out, sys.stdout)
-    sys.stdout.write("\n")
+    _print_json(core.u_alpha_terms(spec, alpha, args.n), sys.stdout)
     return EXIT_OK
 
 
@@ -242,8 +243,7 @@ def cmd_pv(args) -> int:
         "indicial": indicial_poly(spec.seq),
         "roots": [{"re": r, "im": i, "radius": rad} for r, i, rad in res.roots],
     }
-    json.dump(doc, sys.stdout)
-    sys.stdout.write("\n")
+    _print_json(doc, sys.stdout)
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import mul
 
-from . import core, gfs, linalg, polys
+from . import core, gfs, linalg
 from .core import ProductSpec, State
 
 
@@ -116,13 +116,11 @@ def stream_terms(sys: StateSystem, n: int) -> list[int]:
     and extends u through den * U = num, one order-deg(den) step per term
     instead of one product of nnz(M) terms.  That is exact: the fit is the
     root series itself by its degree argument, and by Fatou's lemma the
-    reduced GF of an integer series has den(0) = 1, so no step divides.
+    reduced GF of an integer series has den(0) = 1 (`gfs.series` checks
+    it), so no step divides.
     """
     if n + 1 >= 2 * _fit_length(sys):
-        gf = solve_gf(sys)
-        if gf.den[0] != 1:
-            raise AssertionError(f"fitted denominator has den(0) = {gf.den[0]}, not 1")
-        return gfs.series(gf, n + 1)
+        return gfs.series(solve_gf(sys), n + 1)
     rows = [([col for col, _ in row], [c for _, c in row]) for row in sys.rows]
     vec = list(sys.v)
     out = [vec[sys.root]]
@@ -139,10 +137,10 @@ def _fit_length(sys: StateSystem) -> int:
     return 2 * sys.dim + 10
 
 
-def solve_gf(sys: StateSystem, method: str = "auto") -> gfs.RationalGF:
+def solve_gf(sys: StateSystem, method: str = "fit") -> gfs.RationalGF:
     """Root component of (I - tM)^{-1} v in canonical form.
 
-    fit (also "auto"): stream 2*dim + 10 exact terms and reconstruct;
+    fit: stream 2*dim + 10 exact terms and reconstruct;
     rigorous because the true denominator divides det(I - tM), of degree at
     most dim.  eliminate: exact Cramer quotient det/det over Z[t], each
     determinant recovered from integer Bareiss eliminations at
@@ -150,7 +148,7 @@ def solve_gf(sys: StateSystem, method: str = "auto") -> gfs.RationalGF:
     """
     if method == "eliminate":
         return _solve_eliminate(sys)
-    if method in ("auto", "fit"):
+    if method == "fit":
         terms = stream_terms(sys, _fit_length(sys) - 1)
         gf = gfs.fit_recurrence(terms, max_den_deg=sys.dim, guard=3)
         if gf is None:

@@ -33,19 +33,19 @@ import itertools
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, prod
 from operator import sub
 
 from . import polys
-from .cfinite import CFiniteSeq, PosExpr, SeqMemo, certify_eventually_positive, reduce_shift, shift_level
+from .cfinite import (HORIZON, CFiniteSeq, PosExpr, SeqMemo, certify_eventually_positive,
+                      reduce_shift, shift_level)
 
 DEFAULT_MAX_COEFFS = 1 << 28
 _INT64_GUARD = 1 << 62
 _CHUNK = 1 << 16  # elements per int64 temporary of the numpy correlation sum
 SPEC_MEMO_LIMIT = 16  # per-spec memos kept at once, least recently used dropped
 DEAD_MEMO_LIMIT = 1 << 15  # deadness verdicts kept per spec, oldest dropped
-DEADNESS_HORIZON = 64  # levels checked exactly before the dead-state certificate
 
 
 class SpecValidationError(ValueError):
@@ -99,24 +99,20 @@ class ProductSpec:
         cache = _cache(self)  # reloading a validated spec skips the checks
         if cache.validated:
             return
-        memo = cache.memo
         for _, e in tt:
             if any(e):
-                for i in range(DEADNESS_HORIZON + 1):
-                    if _form_at(memo, e, i) < 0:
-                        raise SpecValidationError(
-                            f"exponent form {e} is negative at level {i}")
+                # form + 1 > 0: the certificate's exact head finds the least
+                # negative level, its tail covers the levels beyond
                 expr = PosExpr(self.seq, shifts=tuple(
                     (x, j) for j, x in enumerate(e) if x), const=1)
-                if not certify_eventually_positive(expr, DEADNESS_HORIZON, memo=memo).is_positive:
+                cert = certify_eventually_positive(expr, memo=cache.memo)
+                if cert.witness is not None and cert.witness <= HORIZON:
+                    raise SpecValidationError(
+                        f"exponent form {e} is negative at level {cert.witness}")
+                if not cert.is_positive:
                     raise SpecValidationError(
                         f"cannot certify exponent form {e} stays nonnegative")
         cache.validated = True
-
-
-def _form_at(memo: SeqMemo, form: tuple[int, ...], i: int) -> int:
-    fs = memo.values(i + len(form))
-    return sum(c * fs[i + j] for j, c in enumerate(form) if c)
 
 
 @dataclass(frozen=True)
@@ -129,9 +125,6 @@ class State:
 
     def sort_key(self):
         return tuple((beta, d) for d, beta in self.factors)
-
-    def __lt__(self, other: "State") -> bool:
-        return self.sort_key() < other.sort_key()
 
 
 def canonicalize(raw: list[tuple[int, tuple[int, ...]]]) -> State:
@@ -156,69 +149,53 @@ def root_state(alpha, L: int) -> State:
 
 class _SpecCache:
     """Everything memoized for one spec: the sequence memo, level degree
-    bounds, deadness verdicts (at most DEAD_MEMO_LIMIT), dominant-term
-    certificates, tail forms and whether the spec was validated.
-    Each entry is a function of the spec alone."""
+    bounds, deadness verdicts (at most DEAD_MEMO_LIMIT), the deadness tail
+    certificate and whether the spec was validated.  Each entry is a
+    function of the spec alone."""
 
     def __init__(self, spec: ProductSpec):
         self.spec = spec
         self.memo = SeqMemo(spec.seq)
-        self.maxdeg: list[int] = []
         self.U_prefix: list[int] = [polys.degree(list(spec.P))]
         self.dead: dict[State, bool] = {}
-        self.dom_term: dict[int, int | None] = {}
-        self.tail_forms: dict[tuple[int, int], tuple[int, ...]] = {}
         self.validated = False
 
-    def level_maxdeg(self, m: int) -> int:
-        while len(self.maxdeg) <= m:
-            i = len(self.maxdeg)
-            self.maxdeg.append(max(_form_at(self.memo, e, i) for _, e in self.spec.terms))
-        return self.maxdeg[m]
-
     def degree_bound(self, n: int) -> int:
-        """U(n): upper bound for deg F_n."""
-        while len(self.U_prefix) <= n:
-            m = len(self.U_prefix) - 1
-            self.U_prefix.append(self.U_prefix[-1] + self.level_maxdeg(m))
-        return self.U_prefix[n]
+        """U(n): upper bound for deg F_n, growing by the largest exponent
+        form at each level."""
+        U = self.U_prefix
+        if len(U) <= n:
+            cols = [self.memo.form_values(e, len(U) - 1, n) for _, e in self.spec.terms]
+            for width in map(max, zip(*cols)):
+                U.append(U[-1] + width)
+        return U[n]
 
-    def tail_form(self, j_star: int, start: int) -> tuple[int, ...]:
-        """Term j_star's exponent form at levels >= start, rewritten over
-        f(m..m+L-1): its partial sums are the degree bound's growth there."""
-        key = (j_star, start)
-        if key not in self.tail_forms:
-            seq = self.spec.seq
-            form = [0] * seq.order
-            for t, x in enumerate(self.spec.terms[j_star][1]):
-                if x:
-                    for u, r in enumerate(reduce_shift(seq, start + t)):
-                        form[u] += x * r
-            self.tail_forms[key] = tuple(form)
-        return self.tail_forms[key]
+    @cached_property
+    def tail(self) -> tuple[tuple[int, ...], int] | None:
+        """(form, U(start)) for the deadness tail, which starts at level
+        start = HORIZON + 1; None when it cannot be certified.
 
-    def dominant_term_from(self, start: int) -> int | None:
-        """Index j* whose exponent form dominates every other term's form for
-        all levels >= start, certified; None when that cannot be certified."""
-        if start not in self.dom_term:
-            self.dom_term[start] = self._certify_dominant(start)
-        return self.dom_term[start]
-
-    def _certify_dominant(self, start: int) -> int | None:
-        seq = self.spec.seq
-        terms = self.spec.terms
-        best = max(range(len(terms)),
-                   key=lambda j: _form_at(self.memo, terms[j][1], start))
-        e_star = terms[best][1]
-        for j, (_, e) in enumerate(terms):
-            if j == best:
-                continue
-            diff = tuple(a - b for a, b in zip(e_star, e))
-            expr = PosExpr(seq, shifts=tuple(
-                (x, start + t) for t, x in enumerate(diff) if x), const=1)
-            if not certify_eventually_positive(expr, memo=self.memo).is_positive:
-                return None
-        return best
+        The term with the largest exponent form at start must be certified
+        to dominate every other term's form at all levels >= start.  Its
+        form, rewritten over f(m..m+L-1), then has partial sums equal to
+        the degree bound's growth from start on."""
+        start = HORIZON + 1
+        seq, terms, memo = self.spec.seq, self.spec.terms, self.memo
+        at_start = [memo.form_values(e, start, start + 1)[0] for _, e in terms]
+        e_star = terms[at_start.index(max(at_start))][1]
+        for _, e in terms:
+            if e != e_star:
+                expr = PosExpr(seq, shifts=tuple(
+                    (a - b, start + t) for t, (a, b) in enumerate(zip(e_star, e)) if a != b),
+                    const=1)
+                if not certify_eventually_positive(expr, memo=memo).is_positive:
+                    return None
+        form = [0] * seq.order
+        for t, x in enumerate(e_star):
+            if x:
+                for u, r in enumerate(reduce_shift(seq, start + t)):
+                    form[u] += x * r
+        return tuple(form), self.degree_bound(start)
 
 
 @lru_cache(maxsize=SPEC_MEMO_LIMIT)
@@ -237,7 +214,7 @@ def is_dead(spec: ProductSpec, state: State) -> bool:
     At level n the factor supports are intervals of length U(n) starting at
     <beta_i, f(n..)> - d_i; the product can only be nonzero when they all
     intersect, so a support spread exceeding U(n) at every level kills the
-    state.  The spread is checked exactly up to DEADNESS_HORIZON; beyond, one
+    state.  The spread is checked exactly up to HORIZON; beyond, one
     factor pair's gap must be certified positive forever.  Any inconclusive
     certificate returns False (alive), which is always safe.
     """
@@ -245,7 +222,7 @@ def is_dead(spec: ProductSpec, state: State) -> bool:
     dead = cache.dead
     if state in dead:
         return dead[state]
-    verdict = _deadness_verdict(spec, cache, state, DEADNESS_HORIZON)
+    verdict = _deadness_verdict(cache, state)
     if len(dead) >= DEAD_MEMO_LIMIT:
         del dead[next(iter(dead))]
     dead[state] = verdict
@@ -253,44 +230,26 @@ def is_dead(spec: ProductSpec, state: State) -> bool:
 
 
 def _offsets_at(memo: SeqMemo, state: State, n: int) -> list[int]:
-    fs = memo.values(n + memo.seq.order)
-    out = []
-    for d, beta in state.factors:
-        s = -d
-        for j, b in enumerate(beta):
-            if b:
-                s += b * fs[n + j]
-        out.append(s)
-    return out
+    """<beta_i, f(n..n+L-1)> - d_i for each factor (d_i, beta_i)."""
+    return [memo.form_values(beta, n, n + 1, -d)[0] for d, beta in state.factors]
 
 
-def _offset_list(fs: list[int], d: int, beta: tuple[int, ...], count: int) -> list[int]:
-    """<beta, f(n..n+L-1)> - d for n = 0..count-1."""
-    out = [-d] * count
-    for j, b in enumerate(beta):
-        if b:
-            out = [o + b * f for o, f in zip(out, fs[j:j + count])]
-    return out
-
-
-def _deadness_verdict(spec: ProductSpec, cache: _SpecCache, state: State, H: int) -> bool:
+def _deadness_verdict(cache: _SpecCache, state: State) -> bool:
     if len(state.factors) < 2:
         return False
-    seq = spec.seq
-    fs = cache.memo.values(H + seq.order + 1)
+    H = HORIZON
+    memo = cache.memo
     cache.degree_bound(H)
-    cols = [_offset_list(fs, d, beta, H + 1) for d, beta in state.factors]
+    cols = [memo.form_values(beta, 0, H + 1, -d) for d, beta in state.factors]
     for offs, bound in zip(zip(*cols), cache.U_prefix):
         if max(offs) - min(offs) <= bound:
             return False
-    start = H + 1
-    j_star = cache.dominant_term_from(start)
-    if j_star is None:
+    if cache.tail is None:
         return False
-    tail_form = cache.tail_form(j_star, start)
-    base = cache.degree_bound(start)
+    tail_form, base = cache.tail
+    start = H + 1
 
-    offs = _offsets_at(cache.memo, state, start)
+    offs = _offsets_at(memo, state, start)
     order = sorted(range(len(offs)), key=lambda i: offs[i], reverse=True)
     pairs = [(i, j) for i in order for j in reversed(order) if i != j]
     for i, j in pairs:
@@ -298,9 +257,9 @@ def _deadness_verdict(spec: ProductSpec, cache: _SpecCache, state: State, H: int
         d_j, beta_j = state.factors[j]
         delta = tuple(a - b for a, b in zip(beta_i, beta_j))
         shifts = tuple((x, start + t) for t, x in enumerate(delta) if x)
-        expr = PosExpr(seq, shifts=shifts, partials=((-1, tail_form),),
+        expr = PosExpr(memo.seq, shifts=shifts, partials=((-1, tail_form),),
                        const=-(d_i - d_j) - base)
-        if certify_eventually_positive(expr, memo=cache.memo).is_positive:
+        if certify_eventually_positive(expr, memo=memo).is_positive:
             return True
     return False
 
@@ -355,16 +314,7 @@ def evolve(spec: ProductSpec, state: State,
 
 def initial_value(spec: ProductSpec, state: State) -> int:
     """f_S(0): the empty product leaves F_0 = P, so the sum is finite."""
-    p = list(spec.P)
-    dp = len(p) - 1
-    g = spec.seq.init
-    offs = [sum(b * gv for b, gv in zip(beta, g)) - d for d, beta in state.factors]
-    k_lo = max(o for o in offs)
-    k_hi = min(o + dp for o in offs)
-    total = 0
-    for k in range(k_lo, k_hi + 1):
-        total += prod(p[k - o] for o in offs)
-    return total
+    return state_oracle(spec, state, 0, coeffs=spec.P)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +357,7 @@ def expand_levels(spec: ProductSpec, n: int, *, force_python: bool = False,
 
 def _levels(spec: ProductSpec, cache: _SpecCache, n: int, force_python: bool):
     coeff_sum = sum(abs(c) for c, _ in spec.terms)
+    widths = [cache.memo.form_values(e, 0, n) for _, e in spec.terms]
     arr = None
     if not force_python and max(abs(c) for c in spec.P) * coeff_sum < _INT64_GUARD:
         import numpy as np
@@ -416,7 +367,7 @@ def _levels(spec: ProductSpec, cache: _SpecCache, n: int, force_python: bool):
         lst = list(spec.P)
     for m in range(n + 1):
         if m:
-            exps = [(c, _form_at(cache.memo, e, m - 1)) for c, e in spec.terms]
+            exps = [(c, w[m - 1]) for (c, _), w in zip(spec.terms, widths)]
             width = max(e for _, e in exps)
             if arr is not None:
                 mx = _max_abs(arr)

@@ -99,7 +99,10 @@ def iv_poly_eval(coeffs: list[int], x: Iv) -> Iv:
     return acc
 
 
-def durand_kerner(coeffs: list[float], max_iter: int = 400) -> list[complex]:
+DK_ITERATIONS = 400  # Durand-Kerner sweeps at most, unless the steps settle first
+
+
+def durand_kerner(coeffs: list[float]) -> list[complex]:
     """Simultaneous root iteration for a monic polynomial given by ascending
     float coefficients (leading 1 implied at index len(coeffs))."""
     n = len(coeffs)
@@ -109,7 +112,7 @@ def durand_kerner(coeffs: list[float], max_iter: int = 400) -> list[complex]:
     z = [radius ** (1 / n) * cmath.exp(2j * cmath.pi * (k + 0.25) / n)
          for k in range(n)]
     full = coeffs + [1.0]
-    for _ in range(max_iter):
+    for _ in range(DK_ITERATIONS):
         moved = 0.0
         for i in range(n):
             p = 0j

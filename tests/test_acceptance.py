@@ -112,7 +112,7 @@ def test_a03_u10_gf_both_paths():
     want = make_gf(num, den)
     t0 = time.time()
     s = build_system(BASE, [10])
-    got_rs = solve_gf(s, "auto")
+    got_rs = solve_gf(s)
     el_rs = time.time() - t0
     assert got_rs == want
     from sterngf import guess_gf
@@ -127,7 +127,7 @@ def test_a04_u11111_gf():
     want = make_gf(num, den)
     t0 = time.time()
     s = build_system(BASE, [1, 1, 1, 1, 1])
-    got = solve_gf(s, "auto")
+    got = solve_gf(s)
     el = time.time() - t0
     assert got == want
     report(4, "u_11111 generating function", el, 30.0)

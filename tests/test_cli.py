@@ -73,6 +73,13 @@ def test_matrix_base(capsys, tmp_path):
     assert json.loads(outfile.read_text())["dim"] == 2
 
 
+def test_matrix_out_unwritable_exit_4(capsys, tmp_path):
+    target = tmp_path / "missing" / "m.json"
+    code, out, err = run(capsys, "matrix", cookbook("base_stern.json"), "--out", str(target))
+    assert (code, out) == (4, "")
+    assert err == f"invalid spec: --out {target}: No such file or directory\n"
+
+
 def test_matrix_alpha_one(capsys):
     code, out, _ = run(capsys, "matrix", cookbook("base_stern.json"), "--alpha", "1")
     assert json.loads(out)["dim"] == 1
@@ -175,6 +182,28 @@ def test_invalid_spec_exit_4(capsys, tmp_path):
                    '"factor": [{"c": 1, "e": [0]}], "alpha": [0, 1]}')
     code, _, err = run(capsys, "gf", str(bad))
     assert code == 4
+
+
+BASE_DOC = {"P": [1], "seq": {"init": [1], "rec": [2]},
+            "factor": [{"c": 1, "e": [0]}, {"c": 1, "e": [1]}, {"c": 1, "e": [2]}],
+            "alpha": [2]}
+
+
+@pytest.mark.parametrize("field", ["P", "seq.init", "seq.rec", "factor[1].c",
+                                   "factor[1].e", "alpha"])
+def test_json_booleans_are_not_integers(capsys, tmp_path, field):
+    doc = json.loads(json.dumps(BASE_DOC))
+    {"P": lambda: doc.update(P=[True]),
+     "seq.init": lambda: doc["seq"].update(init=[True]),
+     "seq.rec": lambda: doc["seq"].update(rec=[True]),
+     "factor[1].c": lambda: doc["factor"][1].update(c=True),
+     "factor[1].e": lambda: doc["factor"][1].update(e=[False]),
+     "alpha": lambda: doc.update(alpha=[True])}[field]()
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "gf", str(path))
+    assert (code, out) == (4, "")
+    assert err.startswith(f"invalid spec: {path}: {field}: must be ")
 
 
 @pytest.mark.parametrize("alpha", ["0,1", "1,0", "-1", "x"])

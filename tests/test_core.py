@@ -74,6 +74,20 @@ def test_spec_rejects_negative_exponent_form():
                     terms=((1, (0, 0)), (1, (2, -3))),)
 
 
+@pytest.mark.parametrize("seq, form, msg", [
+    # f = 1, -2, 4, ...: first negative at level 1
+    (CFiniteSeq((1,), (-2,)), (1,), "exponent form (1,) is negative at level 1"),
+    # f(i) = 100 - i: nonnegative through level 64, negative from level 101
+    (CFiniteSeq((100, 99), (2, -1)), (1, 0),
+     "cannot certify exponent form (1, 0) stays nonnegative"),
+])
+def test_spec_validation_messages(seq, form, msg):
+    zero = (0,) * seq.order
+    with pytest.raises(SpecValidationError) as exc:
+        ProductSpec(P=(1,), seq=seq, terms=((1, zero), (1, form)))
+    assert str(exc.value) == msg
+
+
 # ---------------------------------------------------------------------------
 # states and canonical form
 
