@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--method", choices=("auto", "eliminate", "fit"), default="auto",
                    help="fit streams 2*dim+10 terms and reconstructs (auto is fit); "
-                        "eliminate interpolates Bareiss determinants")
+                        "eliminate is Cramer's rule over a Berkowitz determinant")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_gf)
 

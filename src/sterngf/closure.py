@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import mul
 
-from . import core, gfs, linalg
+from . import core, gfs, linalg, polys
 from .core import ProductSpec, State
 
 
@@ -142,9 +142,8 @@ def solve_gf(sys: StateSystem, method: str = "fit") -> gfs.RationalGF:
 
     fit: stream 2*dim + 10 exact terms and reconstruct;
     rigorous because the true denominator divides det(I - tM), of degree at
-    most dim.  eliminate: exact Cramer quotient det/det over Z[t], each
-    determinant recovered from integer Bareiss eliminations at
-    interpolation points.
+    most dim.  eliminate: exact Cramer quotient over Z[t], det(I - tM) by
+    Berkowitz's recursion and the numerator from dim exact terms.
     """
     if method == "eliminate":
         return _solve_eliminate(sys)
@@ -158,41 +157,16 @@ def solve_gf(sys: StateSystem, method: str = "fit") -> gfs.RationalGF:
 
 
 def _solve_eliminate(sys: StateSystem) -> gfs.RationalGF:
-    """Interpolated fraction-free elimination.
+    """Cramer's rule over Z[t] without a dense matrix.
 
     x_root = det(B_t) / det(A_t) with A_t = I - tM and B_t the matrix A_t
-    with the root column replaced by v (Cramer).  Both determinants are
-    polynomials in t of degree <= dim, so evaluating them exactly at dim + 1
-    integers (skipping the finitely many points where A_t is singular) and
-    interpolating is exact.  Columns are permuted to put the root last, which
-    lets one Bareiss pass per point deliver both determinants.  The fixed
-    permutation gives both the same sign, which make_gf's den(0) > 0
-    normalisation removes.
+    with the root column replaced by v.  den = det(A_t) comes from the
+    division-free determinant of the sparse rows.  B_t's replaced column
+    holds no t, so det(B_t) = den * x_root has degree < dim: it is
+    den * U mod t^dim, U the first dim exact terms.
     """
-    n = sys.dim
-    dense = [[0] * n for _ in range(n)]
-    for r, row in enumerate(sys.rows):
-        for col, c in row:
-            dense[r][col] = c
-    perm = [c for c in range(n) if c != sys.root] + [sys.root]
-    points: list[int] = []
-    detA_vals: list[int] = []
-    detB_vals: list[int] = []
-    t0 = 0
-    while len(points) < n + 1:
-        aug = []
-        for r in range(n):
-            row = [(1 if r == c else 0) - t0 * dense[r][c] for c in perm]
-            row.append(sys.v[r])
-            aug.append(row)
-        dA, dB = linalg.bareiss_solve_last(aug)
-        if dA != 0:
-            points.append(t0)
-            detA_vals.append(dA)
-            detB_vals.append(dB)
-        t0 = -t0 + (1 if t0 <= 0 else 0)  # 0, 1, -1, 2, -2, ...
-    den = linalg.lagrange_interpolate(points, detA_vals)
-    num = linalg.lagrange_interpolate(points, detB_vals)
+    den = linalg.det_one_minus_tM(sys.rows)
+    num = polys.mul(den, stream_terms(sys, sys.dim - 1))[:sys.dim]
     return gfs.make_gf(num, den)
 
 

@@ -96,23 +96,7 @@ class ProductSpec:
                 raise SpecValidationError(f"duplicate exponent vector {e}")
             seen.add(e)
         object.__setattr__(self, "terms", tt)
-        cache = _cache(self)  # reloading a validated spec skips the checks
-        if cache.validated:
-            return
-        for _, e in tt:
-            if any(e):
-                # form + 1 > 0: the certificate's exact head finds the least
-                # negative level, its tail covers the levels beyond
-                expr = PosExpr(self.seq, shifts=tuple(
-                    (x, j) for j, x in enumerate(e) if x), const=1)
-                cert = certify_eventually_positive(expr, memo=cache.memo)
-                if cert.witness is not None and cert.witness <= HORIZON:
-                    raise SpecValidationError(
-                        f"exponent form {e} is negative at level {cert.witness}")
-                if not cert.is_positive:
-                    raise SpecValidationError(
-                        f"cannot certify exponent form {e} stays nonnegative")
-        cache.validated = True
+        _cache(self)  # certifies the exponent forms, once per registered spec
 
 
 @dataclass(frozen=True)
@@ -149,16 +133,14 @@ def root_state(alpha, L: int) -> State:
 
 class _SpecCache:
     """Everything memoized for one spec: the sequence memo, level degree
-    bounds, deadness verdicts (at most DEAD_MEMO_LIMIT), the deadness tail
-    certificate and whether the spec was validated.  Each entry is a
-    function of the spec alone."""
+    bounds, deadness verdicts (at most DEAD_MEMO_LIMIT) and the deadness
+    tail certificate.  Each entry is a function of the spec alone."""
 
     def __init__(self, spec: ProductSpec):
         self.spec = spec
         self.memo = SeqMemo(spec.seq)
         self.U_prefix: list[int] = [polys.degree(list(spec.P))]
         self.dead: dict[State, bool] = {}
-        self.validated = False
 
     def degree_bound(self, n: int) -> int:
         """U(n): upper bound for deg F_n, growing by the largest exponent
@@ -200,8 +182,24 @@ class _SpecCache:
 
 @lru_cache(maxsize=SPEC_MEMO_LIMIT)
 def _cache(spec: ProductSpec) -> _SpecCache:
-    """The spec's memo, from the one bounded registry of them."""
-    return _SpecCache(spec)
+    """The spec's memo, from the one bounded registry of them.  Only a spec
+    whose exponent forms are certified gets a slot: lru_cache keeps no call
+    that raised, and a reloaded spec is not checked again."""
+    cache = _SpecCache(spec)
+    for _, e in spec.terms:
+        if any(e):
+            # form + 1 > 0: the certificate's exact head finds the least
+            # negative level, its tail covers the levels beyond
+            expr = PosExpr(spec.seq, shifts=tuple(
+                (x, j) for j, x in enumerate(e) if x), const=1)
+            cert = certify_eventually_positive(expr, memo=cache.memo)
+            if cert.witness is not None and cert.witness <= HORIZON:
+                raise SpecValidationError(
+                    f"exponent form {e} is negative at level {cert.witness}")
+            if not cert.is_positive:
+                raise SpecValidationError(
+                    f"cannot certify exponent form {e} stays nonnegative")
+    return cache
 
 
 # ---------------------------------------------------------------------------

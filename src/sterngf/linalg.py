@@ -1,8 +1,39 @@
-# Exact linear algebra helpers over the integers: fraction-free Bareiss
-# elimination and Newton interpolation.  Sizes here are moderate
+# Exact linear algebra helpers over the integers: Berkowitz's division-free
+# determinant of I - tM, and the fraction-free Bareiss elimination and Newton
+# interpolation it is tested against.  Sizes here are moderate
 # (transfer-matrix solves), so simplicity and exactness win over asymptotics.
 
 from __future__ import annotations
+
+from operator import mul
+
+
+def det_one_minus_tM(rows: list[list[tuple[int, int]]]) -> list[int]:
+    """Ascending coefficients of det(I - tM), M the sparse integer matrix
+    whose row r is [(col, coeff), ...]: the characteristic polynomial of M
+    reversed, by Berkowitz's division-free recursion (IPL 18, 1984).
+
+    Write the trailing block M[k:, k:] of size s as [[a, R], [C, A]].  Its
+    characteristic polynomial is T times that of A, T the (s+1) x s
+    lower-triangular Toeplitz matrix with first column 1, -a, -RC, -RAC,
+    ..., -RA^(s-2)C: per block, s-2 sparse mat-vecs and one truncated product.
+    """
+    n = len(rows)
+    p = [1]
+    for k in range(n - 1, -1, -1):
+        block, vec = [], []  # row k gives a and R, the rows below A and C
+        for row in rows[k:]:
+            kept = [(c - k - 1, x) for c, x in row if c > k]  # block-local columns
+            block.append(([c for c, _ in kept], [x for _, x in kept]))
+            vec.append(sum(x for c, x in row if c == k))
+        (r_cols, r_coeffs), a = block.pop(0), vec.pop(0)
+        col = [1, -a]
+        for j in range(n - k - 1):
+            if j:
+                vec = [sum(map(mul, xs, map(vec.__getitem__, cs))) for cs, xs in block]
+            col.append(-sum(map(mul, r_coeffs, map(vec.__getitem__, r_cols))))
+        p = [sum(map(mul, p, col[i::-1])) for i in range(len(col))]
+    return p
 
 
 def bareiss_solve_last(M: list[list[int]]) -> tuple[int, int]:

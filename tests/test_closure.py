@@ -150,10 +150,12 @@ def test_solve_gf_u5():
 
 
 def test_method_agreement_small_corpus():
-    for spec, alpha in ((BASE, [2]), (BASE, [1, 1]), (BASE, [3]), (FIB, [2])):
+    tribonacci, _ = cli.load_spec_file(str(COOKBOOK / "tribonacci.json"))
+    for spec, alpha in ((BASE, [2]), (BASE, [1, 1]), (BASE, [3]), (FIB, [2]),
+                        (tribonacci, [2])):
         s = build_system(spec, alpha)
-        assert s.dim <= 64
         assert solve_gf(s, "eliminate") == solve_gf(s, "fit"), (spec.seq, alpha)
+    assert s.dim == 82  # tribonacci [2]: a closure above dim 64 is compared too
 
 
 def test_denominator_degree_bounded_by_dim():

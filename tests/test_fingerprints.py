@@ -58,6 +58,7 @@ CASES = [
     ("gf", "fibonacci", "4"), ("gf", "tribonacci", "1,1"),
     ("gf", "base_stern", "6"), ("gf", "base_stern", "2,1,2"),
     ("gf", "fibonacci", "3", "--method", "eliminate"),
+    ("gf", "tribonacci", "2", "--method", "eliminate"),
     ("pv", "base_stern", None), ("pv", "fibonacci", None),
     ("pv", "tribonacci", None), ("pv", "quadonacci", None),
     ("pv", "pentanacci", None), ("pv", "challenge", None),
@@ -76,7 +77,6 @@ CASES = [
 # heavier closures, seconds each: extended tier only
 EXTENDED_CASES = [
     ("matrix", "quadonacci", "2"), ("matrix", "fibonacci", "4"),
-    ("gf", "tribonacci", "2", "--method", "eliminate"),
     ("terms", "tribonacci", "2", "-n", "3000"),
     ("terms", "fibonacci", "4", "-n", "3000"),
 ]

@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 
-from sterngf.linalg import bareiss_solve_last, lagrange_interpolate
+from sterngf.linalg import bareiss_solve_last, det_one_minus_tM, lagrange_interpolate
 
 
 def leibniz_det(A):
@@ -104,3 +104,63 @@ def test_newton_interpolation_matches_lagrange_on_integer_polynomials():
 def test_newton_interpolation_rejects_non_integer_interpolant():
     with pytest.raises(ValueError):
         lagrange_interpolate([0, 2], [0, 1])  # t / 2
+
+
+def cramer_det_one_minus_tM(rows):
+    """det(I - tM) by the Cramer route: Bareiss determinants of I - tM at
+    t = 0..n, interpolated."""
+    n = len(rows)
+    dense = [[0] * n for _ in range(n)]
+    for r, row in enumerate(rows):
+        for c, x in row:
+            dense[r][c] += x
+    points = list(range(n + 1))
+    values = [bareiss_solve_last([[(r == c) - t * dense[r][c] for c in range(n)] + [0]
+                                  for r in range(n)])[0] for t in points]
+    return lagrange_interpolate(points, values)
+
+
+def random_sparse_rows(rng, n):
+    """Sparse rows [(col, coeff), ...]: some rows empty, some diagonals
+    zero, entries mostly small with an occasional big one."""
+    density = rng.choice((0.2, 0.5, 0.9))
+    rows = []
+    for r in range(n):
+        if rng.random() < 0.15:
+            rows.append([])
+            continue
+        cols = [c for c in range(n) if rng.random() < density]
+        if rng.random() < 0.3:
+            cols = [c for c in cols if c != r]
+        rows.append([(c, rng.choice((-2, -1, 1, 2, 3, rng.randint(1, 10 ** 20))))
+                     for c in cols])
+    return rows
+
+
+def test_berkowitz_matches_cramer_route():
+    rng = random.Random(14)
+    for _ in range(300):
+        rows = random_sparse_rows(rng, rng.randint(1, 9))
+        assert det_one_minus_tM(rows) == cramer_det_one_minus_tM(rows), rows
+
+
+def test_berkowitz_small_cases():
+    assert det_one_minus_tM([[(0, 5)]]) == [1, -5]
+    assert det_one_minus_tM([[]]) == [1, 0]
+    # [[a, b], [c, d]]: 1 - (a + d) t + (ad - bc) t^2
+    assert det_one_minus_tM([[(0, 2), (1, 3)], [(0, 5), (1, 7)]]) == [1, -9, -1]
+    # zero diagonal: the trace term vanishes, the t^2 term is -bc
+    assert det_one_minus_tM([[(1, 3)], [(0, 5)]]) == [1, 0, -15]
+
+
+def test_berkowitz_nilpotent_matrix_has_unit_determinant():
+    rng = random.Random(15)
+    for n in range(1, 10):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        # strictly upper triangular, conjugated by a permutation
+        rows = [[] for _ in range(n)]
+        for r in range(n):
+            rows[perm[r]] = [(perm[c], rng.randint(-9, 9) or 1)
+                             for c in range(r + 1, n) if rng.random() < 0.6]
+        assert det_one_minus_tM(rows) == [1] + [0] * n

@@ -1,8 +1,8 @@
 """Memo ownership: results and reports depend on their inputs only, the
 per-spec memos and their deadness tables stay within their bounds, a
-validated spec is not re-validated on reload, no module keeps a hidden
-process-global container, no module uses Fraction, and no module loads
-numpy when it is imported."""
+validated spec is not re-validated on reload, a rejected one takes no memo
+slot, no module keeps a hidden process-global container, no module uses
+Fraction, and no module loads numpy when it is imported."""
 
 import ast
 import importlib
@@ -135,6 +135,24 @@ def test_reload_skips_validated_checks(tmp_path, monkeypatch):
     again, _ = cli.load_spec_file(path)
     assert again == first
     assert len(calls) == 2
+
+
+def test_rejected_spec_takes_no_memo_slot(monkeypatch):
+    base_stern, _ = cli.load_spec_file(str(COOKBOOK / "base_stern.json"))
+    core._cache.cache_clear()
+    kept = core._cache(base_stern)
+    for k in range(1, 21):
+        # f(i) = k (-2)^i: the form <(1,), f(i..)> is negative at level 1
+        with pytest.raises(core.SpecValidationError, match="negative at level 1"):
+            ProductSpec(P=(1,), seq=CFiniteSeq((k,), (-2,)),
+                        terms=((1, (0,)), (1, (1,))))
+    assert core._cache.cache_info().currsize == 1
+    assert core._cache(base_stern) is kept
+    calls = []
+    monkeypatch.setattr(core, "certify_eventually_positive", calls.append)
+    assert cli.load_spec_file(str(COOKBOOK / "base_stern.json"))[0] == base_stern
+    assert calls == []  # the reload found its memo and certified nothing
+    core._cache.cache_clear()
 
 
 def test_invalid_spec_raises_on_every_load(tmp_path):

@@ -5,7 +5,8 @@ nonnegative exponent forms, and a correlation pattern of at most two
 factors.  On its closed system, M^n v must equal `state_oracle` at every
 state for n <= 4, and every dead target `evolve` drops must have a zero
 `state_oracle` for n <= 6.  A state wrongly pruned as dead, or a term lost
-in evolution, breaks one of the two.
+in evolution, breaks one of the two.  The fitted and the eliminated
+generating functions must be equal.
 """
 
 import random
@@ -21,6 +22,7 @@ from sterngf import (
     evolve,
     expand_levels,
     pv_classify,
+    solve_gf,
     state_oracle,
 )
 
@@ -81,3 +83,9 @@ def test_pruned_dead_targets_vanish(case):
     for st in dead:
         assert all(state_oracle(spec, st, n, coeffs=coeffs[n]) == 0
                    for n in range(7)), (spec, alpha, st)
+
+
+@pytest.mark.parametrize("case", range(SPECS))
+def test_fit_equals_eliminate(case):
+    spec, alpha, sys_ = SYSTEMS[case]
+    assert solve_gf(sys_, "eliminate") == solve_gf(sys_), (spec, alpha)
