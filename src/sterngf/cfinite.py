@@ -254,13 +254,12 @@ class Positivity:
 
 
 def expr_values(memo: SeqMemo, expr: PosExpr, N: int) -> list[int]:
-    """expr(0..N) as one list, from slices of the memo's value and prefix
-    lists."""
-    out = [expr.const] * (N + 1)
-    if expr.shifts:
-        fs = memo.values(N + max(off for _, off in expr.shifts))
-        for c, off in expr.shifts:
-            out = [v + c * f for v, f in zip(out, fs[off:off + N + 1])]
+    """expr(0..N) as one list: const plus the shifted terms as one linear
+    form, then slices of the memo's prefix lists."""
+    form = [0] * (1 + max((off for _, off in expr.shifts), default=0))
+    for c, off in expr.shifts:
+        form[off] += c
+    out = memo.form_values(tuple(form), 0, N + 1, expr.const)
     for c, form in expr.partials:
         out = [v + c * p for v, p in zip(out, memo.prefix_sums(form, N))]
     return out

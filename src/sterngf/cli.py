@@ -105,8 +105,6 @@ def parse_spec(doc, where: str = "<spec>") -> tuple[ProductSpec, tuple[int, ...]
             fail(f"factor[{i}].c", "must be an integer")
         if not _int_list(tm["e"]):
             fail(f"factor[{i}].e", "must be a list of integers")
-        if any(x < 0 for x in tm["e"]):
-            fail(f"factor[{i}].e", "entries must be nonnegative")
         terms.append((tm["c"], tuple(tm["e"])))
     alpha = doc.get("alpha")
     if alpha is not None:

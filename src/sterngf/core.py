@@ -43,7 +43,7 @@ from .cfinite import (HORIZON, CFiniteSeq, PosExpr, SeqMemo, certify_eventually_
 
 DEFAULT_MAX_COEFFS = 1 << 28
 _INT64_GUARD = 1 << 62
-_CHUNK = 1 << 16  # elements per int64 temporary of the numpy correlation sum
+_CHUNK = 1 << 16  # values of k per slice product of the correlation sum
 SPEC_MEMO_LIMIT = 16  # per-spec memos kept at once, least recently used dropped
 DEAD_MEMO_LIMIT = 1 << 15  # deadness verdicts kept per spec, oldest dropped
 
@@ -393,49 +393,39 @@ def _levels(spec: ProductSpec, cache: _SpecCache, n: int, force_python: bool):
 
 
 def state_oracle(spec: ProductSpec, state: State, n: int, *, coeffs=None) -> int:
-    """Direct evaluation of the state's correlation sum at level n."""
+    """Direct evaluation of the state's correlation sum at level n: the sum
+    over k of prod_i a[k - o_i], taken as products of shifted slices, one
+    _CHUNK of k at a time.  An int64 array whose products provably fit is
+    multiplied in place by numpy; anything else runs on Python integers."""
     a = expand_Fn(spec, n) if coeffs is None else coeffs
-    deg = len(a) - 1
     offs = _offsets_at(_cache(spec).memo, state, n)
     k_lo = max(offs)
-    k_hi = min(o + deg for o in offs)
+    starts = [k_lo - o for o in offs]  # each factor's index at k = k_lo
+    count = min(offs) + len(a) - k_lo  # the k whose indices all lie in a
+    np = sys.modules.get("numpy")  # an ndarray exists only once numpy is loaded
+    is_arr = np is not None and isinstance(a, np.ndarray)
+    bound = _max_abs(a) ** len(offs) if is_arr and count > 0 else _INT64_GUARD
     total = 0
-    for k in range(k_lo, k_hi + 1):
-        p = 1
-        for o in offs:
-            v = int(a[k - o])
-            if v == 0:
-                p = 0
-                break
-            p *= v
-        total += p
+    for lo in range(0, count, _CHUNK):
+        size = min(_CHUNK, count - lo)
+        # equal factors share one slice, so one list of Python integers
+        cols = {s: a[s + lo:s + lo + size] for s in set(starts)}
+        if bound < _INT64_GUARD:
+            seg = cols[starts[0]].copy()
+            for s in starts[1:]:
+                seg *= cols[s]
+            total += int(seg.sum()) if bound * size < _INT64_GUARD else sum(seg.tolist())
+        else:
+            if is_arr:
+                cols = {s: col.tolist() for s, col in cols.items()}
+            total += sum(map(prod, zip(*[cols[s] for s in starts])))
     return total
 
 
 def u_alpha_oracle(spec: ProductSpec, alpha, n: int, *, coeffs=None) -> int:
-    """Exact u_alpha(n) = sum_{k>=0} prod_i a(n, k+i)^alpha_i by expansion."""
-    a = validate_alpha(alpha)
-    arr = expand_Fn(spec, n) if coeffs is None else coeffs
-    np = sys.modules.get("numpy")  # an ndarray exists only once numpy is loaded
-    if np is not None and isinstance(arr, np.ndarray):
-        got = _u_alpha_numpy(arr, a)
-        if got is not None:
-            return got
-    m = len(a)
-    size = len(arr)
-    total = 0
-    for k in range(size):
-        p = 1
-        for i, e in enumerate(a):
-            if not e:
-                continue
-            v = int(arr[k + i]) if k + i < size else 0
-            if v == 0:
-                p = 0
-                break
-            p *= v ** e
-        total += p
-    return total
+    """Exact u_alpha(n) = sum_{k>=0} prod_i a(n, k+i)^alpha_i: the root
+    state's correlation sum."""
+    return state_oracle(spec, root_state(alpha, spec.seq.order), n, coeffs=coeffs)
 
 
 def u_alpha_terms(spec: ProductSpec, alpha, n: int) -> list[int]:
@@ -449,29 +439,3 @@ def u_alpha_terms(spec: ProductSpec, alpha, n: int) -> list[int]:
 def _max_abs(arr) -> int:
     """max |a_k| without an array-sized temporary."""
     return max(int(arr.max()), -int(arr.min()))
-
-
-def _u_alpha_numpy(arr, alpha: tuple[int, ...]) -> int | None:
-    """Vectorized correlation sum with an exactness guard: per-term products
-    are bounded and accumulation is chunked so int64 can never overflow."""
-    import numpy as np
-    mx = _max_abs(arr) or 1
-    bound = 1
-    for e in alpha:
-        bound *= mx ** e
-    if bound >= _INT64_GUARD:
-        return None
-    span = len(alpha) - 1
-    n_terms = len(arr) - span
-    if n_terms <= 0:
-        return None
-    chunk = max(1, min(_INT64_GUARD // bound, _CHUNK))
-    total = 0
-    for lo in range(0, n_terms, chunk):
-        hi = min(lo + chunk, n_terms)
-        seg = np.ones(hi - lo, dtype=np.int64)
-        for i, e in enumerate(alpha):
-            for _ in range(e):
-                seg *= arr[lo + i:hi + i]
-        total += int(seg.sum())
-    return total

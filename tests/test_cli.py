@@ -239,6 +239,36 @@ def test_guess_window_too_short_exit_3(capsys, args):
     assert err.startswith("no admissible fit: ") and "cannot certify" in err
 
 
+def signed_fibonacci(tmp_path, e):
+    """The Fibonacci cookbook spec with its last exponent vector replaced."""
+    doc = json.loads((COOKBOOK / "fibonacci.json").read_text())
+    doc["factor"][-1]["e"] = e
+    path = tmp_path / "signed.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_signed_exponent_form_is_accepted(capsys, tmp_path):
+    # f(i+1) - f(i) = f(i-1) >= 0: a signed vector with a nonnegative form
+    path = signed_fibonacci(tmp_path, [-1, 1])
+    code, out, _ = run(capsys, "gf", path)
+    assert code == 0
+    gf = json.loads(out)
+    code, out, _ = run(capsys, "guess", path, "-n", "20")
+    assert code == 0
+    assert json.loads(out) == {"num": gf["num"], "den": gf["den"]}
+    code, terms, _ = run(capsys, "terms", path, "-n", "12")
+    assert code == 0
+    assert run(capsys, "oracle", path, "-n", "12") == (0, terms, "")
+
+
+def test_negative_exponent_form_exit_4(capsys, tmp_path):
+    path = signed_fibonacci(tmp_path, [1, -1])
+    code, out, err = run(capsys, "gf", path)
+    assert (code, out) == (4, "")
+    assert err == f"invalid spec: {path}: exponent form (1, -1) is negative at level 0\n"
+
+
 def test_missing_alpha_is_invalid(capsys, tmp_path):
     doc = {"P": [1], "seq": {"init": [1], "rec": [2]},
            "factor": [{"c": 1, "e": [0]}, {"c": 1, "e": [1]}, {"c": 1, "e": [2]}]}

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+from math import prod
 
 import numpy as np
 import pytest
@@ -351,27 +352,64 @@ COOKBOOK_SPECS = [cli.load_spec_file(str(path))[0] for path in
 DEGREE_TWO = ([1], [2], [1, 1], [1, 0, 1])  # the patterns of total degree <= 2
 
 
+def non_root_state(spec, alpha):
+    """A state one evolve step from the root, where the factors' beta
+    vectors make the offsets level-dependent; the root itself when alpha
+    is [1], whose closure is the root alone."""
+    root = root_state(alpha, spec.seq.order)
+    return next((st for _, st in evolve(spec, root) if st != root), root)
+
+
+def direct_sum(spec, st, n, coeffs):
+    """The state's correlation sum at level n, one k at a time over every k
+    where some factor meets F_n's support."""
+    offs = core._offsets_at(core._cache(spec).memo, st, n)
+    a = [int(v) for v in coeffs]
+    return sum(prod(a[k - o] if 0 <= k - o < len(a) else 0 for o in offs)
+               for k in range(min(offs), max(offs) + len(a)))
+
+
 def oracle_values(spec, alpha, n):
-    """The set of (u_alpha(n), root state's value) pairs from the int64
-    array, the Python-integer list and a tuple of F_n's coefficients; the
-    array's numpy sum must run, so the dispatch is what is compared."""
+    """The set of (u_alpha(n), root state's value, non-root state's value)
+    triples from the int64 array, the Python-integer list and a tuple of
+    F_n's coefficients; the array must pass the int64 guard, so the numpy
+    product is among the paths compared."""
     arr = expand_Fn(spec, n)
     lst = expand_Fn(spec, n, force_python=True)
     assert isinstance(arr, np.ndarray) and isinstance(lst, list)
-    assert core._u_alpha_numpy(arr, tuple(alpha)) is not None
-    st = root_state(alpha, spec.seq.order)
-    return {(u_alpha_oracle(spec, alpha, n, coeffs=c), state_oracle(spec, st, n, coeffs=c))
-            for c in (arr, lst, tuple(lst))}
+    root = root_state(alpha, spec.seq.order)
+    other = non_root_state(spec, alpha)
+    assert len(other.factors) == len(root.factors)
+    assert core._max_abs(arr) ** len(root.factors) < core._INT64_GUARD
+    return {(u_alpha_oracle(spec, alpha, n, coeffs=c), state_oracle(spec, root, n, coeffs=c),
+             state_oracle(spec, other, n, coeffs=c)) for c in (arr, lst, tuple(lst))}
 
 
 @pytest.mark.parametrize("alpha", DEGREE_TWO, ids=str)
 def test_oracle_paths_agree_on_cookbook_specs(alpha):
     for spec in COOKBOOK_SPECS:
         for n in (3, 8):
-            want = {(u_alpha_oracle(spec, alpha, n),) * 2}
-            assert oracle_values(spec, alpha, n) == want, (spec, n)
+            u = u_alpha_oracle(spec, alpha, n)
+            other = direct_sum(spec, non_root_state(spec, alpha), n, expand_Fn(spec, n))
+            assert oracle_values(spec, alpha, n) == {(u, u, other)}, (spec, n)
 
 
 def test_oracle_paths_agree_across_numpy_chunks():
-    # F_17 has 2^18 - 1 coefficients, four chunks of the numpy sum
-    assert oracle_values(BASE, [2], 17) == {(u_alpha_terms(BASE, [2], 17)[17],) * 2}
+    # F_17 has 2^18 - 1 coefficients, four chunks of the correlation sum
+    u = u_alpha_terms(BASE, [2], 17)[17]
+    other = direct_sum(BASE, non_root_state(BASE, [2]), 17, expand_Fn(BASE, 17))
+    assert oracle_values(BASE, [2], 17) == {(u, u, other)}
+
+
+@pytest.mark.parametrize("alpha", ([2], [1, 1]), ids=str)
+def test_chunk_sums_exact_inside_the_int64_guard(alpha):
+    # each product fits int64 (max|a|^2 < 2^62), a chunk's sum does not
+    rng = random.Random(5)
+    top = (1 << 31) - 1
+    vals = [rng.choice((top, -top)) for _ in range(3 * core._CHUNK + 7)]
+    arr = np.array(vals, dtype=np.int64)
+    assert core._max_abs(arr) ** 2 < core._INT64_GUARD <= top ** 2 * core._CHUNK
+    want = sum(prod(vals[k + i] ** e for i, e in enumerate(alpha))
+               for k in range(len(vals) - len(alpha) + 1))
+    got = {u_alpha_oracle(BASE, alpha, 0, coeffs=c) for c in (arr, tuple(vals))}
+    assert got == {want}
