@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import closure, core, gfs
 from .cfinite import CFiniteSeq, indicial_poly, pv_classify
@@ -245,7 +246,11 @@ def cmd_pv(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared by every call
+    of `main` in the process; `parse_args` returns a fresh namespace each
+    time, so no call sees another's arguments."""
     ap = argparse.ArgumentParser(
         prog="sterngf",
         description="Exact generating functions for correlation sums of "

@@ -11,7 +11,7 @@ the root state is the root component of (I - tM)^{-1} v.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from operator import mul
 
 from . import core, gfs, linalg, polys
@@ -48,7 +48,9 @@ class LimitExceeded(Exception):
 @dataclass
 class StateSystem:
     """Indexed closed state set: row s of M holds the evolution coefficients
-    of state s onto its targets, v the level-0 values, root at index 0."""
+    of state s onto its targets, v the level-0 values, root at index 0.
+    `proven` holds the fitted GF once `solve_gf` has proven it; copies made
+    by `dataclasses.replace` share it, and equality ignores it."""
 
     spec: ProductSpec
     states: list[State]
@@ -61,6 +63,7 @@ class StateSystem:
         return len(self.states)
 
     root: int = 0
+    proven: list[gfs.RationalGF] = field(default_factory=list, compare=False, repr=False)
 
 
 def build_system(spec: ProductSpec, alpha, limit: int = 5000) -> StateSystem:
@@ -70,8 +73,18 @@ def build_system(spec: ProductSpec, alpha, limit: int = 5000) -> StateSystem:
     and the report depend only on the inputs.  Raises LimitExceeded (with a
     ClosureReport) as soon as the number of distinct live states passes the
     limit.
+
+    So a closed system of dimension dim is the same for every limit >= dim:
+    the spec's memo keeps it, and such a request gets it back with the
+    report's limit set to its own.  A smaller limit closes afresh, which
+    raises with the report of the states it reached.
     """
     root = core.root_state(alpha, spec.seq.order)
+    cache = core._cache(spec)
+    kept = cache.systems.get(root)
+    if kept is not None and limit >= kept[0].dim:
+        sys_ = kept[0]
+        return replace(sys_, report=replace(sys_.report, limit=limit))
     index: dict[State, int] = {root: 0}
     states = [root]
     rows: list[list[tuple[int, int]]] = []
@@ -104,7 +117,9 @@ def build_system(spec: ProductSpec, alpha, limit: int = 5000) -> StateSystem:
         outcome="closed",
     )
     v = [core.initial_value(spec, s) for s in states]
-    return StateSystem(spec=spec, states=states, rows=rows, v=v, report=report)
+    sys_ = StateSystem(spec=spec, states=states, rows=rows, v=v, report=report)
+    cache.keep_system(root, sys_, sum(map(len, rows)) + len(states))
+    return sys_
 
 
 def stream_terms(sys: StateSystem, n: int) -> list[int]:
@@ -142,17 +157,21 @@ def solve_gf(sys: StateSystem, method: str = "fit") -> gfs.RationalGF:
 
     fit: stream 2*dim + 10 exact terms and reconstruct;
     rigorous because the true denominator divides det(I - tM), of degree at
-    most dim.  eliminate: exact Cramer quotient over Z[t], det(I - tM) by
-    Berkowitz's recursion and the numerator from dim exact terms.
+    most dim.  The proven fit is kept with the system (`sys.proven`), so a
+    memoized system fits once.  eliminate: exact Cramer quotient over Z[t],
+    det(I - tM) by Berkowitz's recursion and the numerator from dim exact
+    terms.
     """
     if method == "eliminate":
         return _solve_eliminate(sys)
     if method == "fit":
-        terms = stream_terms(sys, _fit_length(sys) - 1)
-        gf = gfs.fit_recurrence(terms, max_den_deg=sys.dim, guard=3)
-        if gf is None:
-            raise AssertionError("fit failed below its proven degree bound")
-        return gf
+        if not sys.proven:
+            terms = stream_terms(sys, _fit_length(sys) - 1)
+            gf = gfs.fit_recurrence(terms, max_den_deg=sys.dim, guard=3)
+            if gf is None:
+                raise AssertionError("fit failed below its proven degree bound")
+            sys.proven.append(gf)
+        return sys.proven[0]
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -46,6 +46,7 @@ _INT64_GUARD = 1 << 62
 _CHUNK = 1 << 16  # values of k per slice product of the correlation sum
 SPEC_MEMO_LIMIT = 16  # per-spec memos kept at once, least recently used dropped
 DEAD_MEMO_LIMIT = 1 << 15  # deadness verdicts kept per spec, oldest dropped
+SYSTEM_MEMO_LIMIT = 1 << 14  # nnz + states of the closed systems kept per spec, oldest dropped
 
 
 class SpecValidationError(ValueError):
@@ -133,14 +134,30 @@ def root_state(alpha, L: int) -> State:
 
 class _SpecCache:
     """Everything memoized for one spec: the sequence memo, level degree
-    bounds, deadness verdicts (at most DEAD_MEMO_LIMIT) and the deadness
-    tail certificate.  Each entry is a function of the spec alone."""
+    bounds, deadness verdicts (at most DEAD_MEMO_LIMIT), the deadness tail
+    certificate and the closed systems by root state (their nonzeros and
+    states at most SYSTEM_MEMO_LIMIT in all).  Each entry is a function of
+    the spec alone."""
 
     def __init__(self, spec: ProductSpec):
         self.spec = spec
         self.memo = SeqMemo(spec.seq)
         self.U_prefix: list[int] = [polys.degree(list(spec.P))]
         self.dead: dict[State, bool] = {}
+        self.systems: dict[State, tuple[object, int]] = {}  # root -> (system, size)
+
+    def keep_system(self, root: State, system, size: int) -> None:
+        """Memoize a closed system of `size` nonzeros plus states under its
+        root state, dropping the oldest systems until the sizes kept fit
+        SYSTEM_MEMO_LIMIT; a system over the limit on its own, or one
+        already kept, is not kept."""
+        if size > SYSTEM_MEMO_LIMIT or root in self.systems:
+            return
+        systems = self.systems
+        total = size + sum(kept for _, kept in systems.values())
+        while total > SYSTEM_MEMO_LIMIT:
+            total -= systems.pop(next(iter(systems)))[1]
+        systems[root] = (system, size)
 
     def degree_bound(self, n: int) -> int:
         """U(n): upper bound for deg F_n, growing by the largest exponent
@@ -228,8 +245,10 @@ def is_dead(spec: ProductSpec, state: State) -> bool:
 
 
 def _offsets_at(memo: SeqMemo, state: State, n: int) -> list[int]:
-    """<beta_i, f(n..n+L-1)> - d_i for each factor (d_i, beta_i)."""
-    return [memo.form_values(beta, n, n + 1, -d)[0] for d, beta in state.factors]
+    """<beta_i, f(n..n+L-1)> - d_i for each factor (d_i, beta_i); a zero
+    beta, as at the root state, gives -d_i at every level."""
+    return [memo.form_values(beta, n, n + 1, -d)[0] if any(beta) else -d
+            for d, beta in state.factors]
 
 
 def _deadness_verdict(cache: _SpecCache, state: State) -> bool:
@@ -429,10 +448,11 @@ def u_alpha_oracle(spec: ProductSpec, alpha, n: int, *, coeffs=None) -> int:
 
 
 def u_alpha_terms(spec: ProductSpec, alpha, n: int) -> list[int]:
-    """u_alpha(0..n) from one incremental expansion of F_0..F_n; a level
-    over the coefficient limit is reported before anything is expanded."""
-    validate_alpha(alpha)
-    return [u_alpha_oracle(spec, alpha, m, coeffs=coeffs)
+    """u_alpha(0..n) from one incremental expansion of F_0..F_n: the root
+    state's correlation sum at each level; a level over the coefficient
+    limit is reported before anything is expanded."""
+    root = root_state(alpha, spec.seq.order)
+    return [state_oracle(spec, root, m, coeffs=coeffs)
             for m, coeffs in enumerate(expand_levels(spec, n))]
 
 

@@ -289,3 +289,28 @@ def test_decimal_digit_counts_match_string_lengths():
         want = [len(str(abs(t))) for t in seq]
         assert cli.decimal_digit_counts(seq) == want
         assert [cli.decimal_digit_counts([t])[0] for t in seq] == want
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    """main builds its parser once per process; a call after any other call,
+    an argparse error included, prints what it prints with a new parser."""
+    base = cookbook("base_stern.json")
+    histories = [
+        (["gf", base, "--pretty"], ["gf", base]),
+        (["terms", base, "-n", "6", "--digits-only"], ["terms", base, "-n", "6"]),
+        (["matrix", base, "--out", str(tmp_path / "m.json")], ["matrix", base]),
+        (["gf", base, "--method", "bogus"], ["gf", base]),
+    ]
+    for first, second in histories:
+        cli.build_parser.cache_clear()
+        fresh = run(capsys, *second)
+        cli.build_parser.cache_clear()
+        try:
+            run(capsys, *first)
+        except SystemExit as exc:
+            assert exc.code == 2
+            capsys.readouterr()
+        assert run(capsys, *second) == fresh, first
+        assert cli.build_parser.cache_info().misses == 1
+    doc = json.loads(fresh[1])
+    assert "pretty" not in doc and doc["dim"] == 2

@@ -1,5 +1,6 @@
 """Memo ownership: results and reports depend on their inputs only, the
-per-spec memos and their deadness tables stay within their bounds, a
+per-spec memos, their deadness tables and their closed systems stay within
+their bounds, a warm request closes and fits nothing again, a
 validated spec is not re-validated on reload, a rejected one takes no memo
 slot, no module keeps a hidden process-global container, no module uses
 Fraction, and no module loads numpy when it is imported."""
@@ -13,7 +14,7 @@ import pkgutil
 import pytest
 
 import sterngf
-from sterngf import CFiniteSeq, ProductSpec, build_system, cli, core
+from sterngf import CFiniteSeq, LimitExceeded, ProductSpec, build_system, cli, core, gfs
 from sterngf.cfinite import certify_eventually_positive
 
 COOKBOOK = pathlib.Path(cli.__file__).parent / "cookbook"
@@ -174,4 +175,106 @@ def test_deadness_table_is_bounded(monkeypatch):
     capped = [snapshot(build_system(spec, a)) for a in alphas]
     assert len(core._cache(spec).dead) == 40
     assert capped == free
+    core._cache.cache_clear()
+
+
+def test_memo_serves_the_fresh_snapshot_in_any_history(monkeypatch):
+    """A closed system comes back as a fresh build makes it: on first build,
+    from the memo, in reversed request order, and after eviction."""
+    spec, _ = cli.load_spec_file(str(COOKBOOK / "base_stern.json"))
+    alphas = [[2], [3], [4], [5], [6], [2, 1, 2]]
+    fresh, sizes = {}, {}
+    for a in alphas:
+        core._cache.cache_clear()
+        system = build_system(spec, a)
+        fresh[tuple(a)] = snapshot(system)
+        sizes[tuple(a)] = sum(map(len, system.rows)) + system.dim
+    core._cache.cache_clear()
+    for a in alphas + alphas[::-1]:
+        assert snapshot(build_system(spec, a)) == fresh[tuple(a)]
+    assert build_system(spec, [6]).rows is build_system(spec, [6]).rows  # served
+
+    small = sorted(sizes.values())
+    monkeypatch.setattr(core, "SYSTEM_MEMO_LIMIT", small[-2] + small[-3])
+    core._cache.cache_clear()
+    kept = []
+    for a in alphas + alphas[::-1] + alphas:
+        assert snapshot(build_system(spec, a)) == fresh[tuple(a)]
+        systems = core._cache(spec).systems
+        assert sum(size for _, size in systems.values()) <= core.SYSTEM_MEMO_LIMIT
+        assert core.root_state([2, 1, 2], 1) not in systems  # over the limit alone
+        kept.append(len(systems))
+    assert max(kept) < len(alphas) - 1  # the oldest systems were dropped
+    core._cache.cache_clear()
+
+
+def test_limit_below_dim_reports_as_a_fresh_build():
+    spec, _ = cli.load_spec_file(str(COOKBOOK / "base_stern.json"))
+    dim = build_system(spec, [2, 1, 2]).dim
+    for limit in (0, 5, dim - 1):
+        with pytest.raises(LimitExceeded) as served:
+            build_system(spec, [2, 1, 2], limit=limit)
+        core._cache.cache_clear()
+        with pytest.raises(LimitExceeded) as fresh:
+            build_system(spec, [2, 1, 2], limit=limit)
+        assert served.value.report == fresh.value.report
+        assert served.value.report.to_json() == fresh.value.report.to_json()
+        assert fresh.value.report.frontier_sample
+        build_system(spec, [2, 1, 2])
+    core._cache.cache_clear()
+
+
+def test_served_report_carries_the_requested_limit():
+    spec, _ = cli.load_spec_file(str(COOKBOOK / "fibonacci.json"))
+    core._cache.cache_clear()
+    first = build_system(spec, [2])
+    for limit in (first.dim, first.dim + 7, 5000, 10 ** 6):
+        served = build_system(spec, [2], limit=limit)
+        assert served.rows is first.rows
+        assert served.report.limit == limit
+        core._cache.cache_clear()
+        assert snapshot(served) == snapshot(build_system(spec, [2], limit=limit))
+        first = build_system(spec, [2])
+    core._cache.cache_clear()
+
+
+def run_cli(capsys, *argv):
+    code = cli.main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_zero_limit_on_a_one_state_system_prints_as_fresh(capsys):
+    """The root state is not counted against the limit, so dim 1 closes
+    under --limit 0 whether or not the memo holds it."""
+    argv = ["gf", str(COOKBOOK / "quadonacci.json"), "--alpha", "1", "--limit", "0"]
+    core._cache.cache_clear()
+    fresh = run_cli(capsys, *argv)
+    assert fresh[0] == 0 and json.loads(fresh[1])["dim"] == 1
+    run_cli(capsys, *argv[:-2])
+    assert run_cli(capsys, *argv) == fresh
+    assert run_cli(capsys, *argv[:-2]) == fresh
+    core._cache.cache_clear()
+
+
+def test_warm_requests_close_and_fit_nothing(capsys, monkeypatch):
+    gf_argv = ["gf", str(COOKBOOK / "fibonacci.json"), "--alpha", "2"]
+    terms_argv = ["terms", str(COOKBOOK / "base_stern.json"), "-n", "300"]
+    core._cache.cache_clear()
+    first = [run_cli(capsys, *argv) for argv in (gf_argv, terms_argv)]
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(core, "evolve", counting("evolve", core.evolve))
+    monkeypatch.setattr(gfs, "fit_recurrence", counting("fit", gfs.fit_recurrence))
+    assert [run_cli(capsys, *argv) for argv in (gf_argv, terms_argv)] == first
+    assert calls == []
+    core._cache.cache_clear()
+    assert [run_cli(capsys, *argv) for argv in (gf_argv, terms_argv)] == first
+    assert calls.count("fit") == 2 and "evolve" in calls  # a fresh memo works again
     core._cache.cache_clear()

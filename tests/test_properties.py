@@ -6,7 +6,8 @@ factors.  On its closed system, M^n v must equal `state_oracle` at every
 state for n <= 4, and every dead target `evolve` drops must have a zero
 `state_oracle` for n <= 6.  A state wrongly pruned as dead, or a term lost
 in evolution, breaks one of the two.  The fitted and the eliminated
-generating functions must be equal.
+generating functions must be equal.  A system served from the spec's memo,
+after other specs ran, must equal a fresh build, and so must its fitted GF.
 """
 
 import random
@@ -19,6 +20,7 @@ from sterngf import (
     ProductSpec,
     SpecValidationError,
     build_system,
+    core,
     evolve,
     expand_levels,
     pv_classify,
@@ -89,3 +91,20 @@ def test_pruned_dead_targets_vanish(case):
 def test_fit_equals_eliminate(case):
     spec, alpha, sys_ = SYSTEMS[case]
     assert solve_gf(sys_, "eliminate") == solve_gf(sys_), (spec, alpha)
+
+
+@pytest.mark.parametrize("case", range(SPECS))
+def test_memo_served_system_equals_a_fresh_build(case):
+    spec, alpha, _ = SYSTEMS[case]
+    other_spec, other_alpha, _ = SYSTEMS[(case + 1) % SPECS]
+    first = build_system(spec, alpha, limit=STATE_LIMIT)
+    build_system(other_spec, other_alpha, limit=STATE_LIMIT)
+    served = build_system(spec, alpha, limit=STATE_LIMIT)
+    assert served.rows is first.rows
+    gf = solve_gf(served)
+    core._cache.cache_clear()
+    fresh = build_system(spec, alpha, limit=STATE_LIMIT)
+    assert fresh.rows is not first.rows
+    assert ((served.states, served.rows, served.v, served.report)
+            == (fresh.states, fresh.rows, fresh.v, fresh.report)), (spec, alpha)
+    assert gf == solve_gf(fresh), (spec, alpha)
