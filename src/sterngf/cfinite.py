@@ -55,7 +55,7 @@ class SeqMemo:
         self.seq = seq
         self.vals: list[int] = list(seq.init)
         self.prefix: dict[tuple[int, ...], list[int]] = {}
-        self.certs: dict[tuple[int, ...], roots.DominantRootCert | None] = {}
+        self.certs: dict[tuple[int, ...], Iv | None] = {}
         self.growth: dict[tuple[tuple[int, ...], int], _GrowthData | None] = {}
 
     def values(self, n: int) -> list[int]:
@@ -405,11 +405,10 @@ def _growth_data(memo: SeqMemo, A: tuple[int, ...], n0: int) -> _GrowthData | No
         return memo.growth[key]
     if A not in memo.certs:
         memo.certs[A] = roots.dominant_root_certificate(list(A))
-    cert = memo.certs[A]
+    rho = memo.certs[A]
     out = None
     k = len(A) - 1
-    if cert is not None and cert.rho.lo > GRID:
-        rho = cert.rho
+    if rho is not None and rho.lo > GRID:
         # B = A / (X - rho), interval coefficients via synthetic division
         b: list[Iv] = [Iv.point(0)] * k
         b[k - 1] = Iv.point(A[k])

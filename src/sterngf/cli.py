@@ -68,6 +68,10 @@ def load_spec_file(path: str) -> tuple[ProductSpec, tuple[int, ...] | None]:
         raise SpecFileError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise SpecFileError(f"{path}: JSON nested too deeply") from exc
     return parse_spec(doc, where=path)
 
 
@@ -123,7 +127,7 @@ def parse_spec(doc, where: str = "<spec>") -> tuple[ProductSpec, tuple[int, ...]
 
 
 def _resolve_alpha(args, file_alpha):
-    if getattr(args, "alpha", None):
+    if getattr(args, "alpha", None) is not None:
         try:
             return core.validate_alpha(args.alpha.split(","))
         except (ValueError, SpecValidationError) as exc:

@@ -70,9 +70,11 @@ def build_system(spec: ProductSpec, alpha, limit: int = 5000) -> StateSystem:
     """FIFO worklist closure from the root state.
 
     Deterministic: evolution rows are sorted, so discovery order, indexing
-    and the report depend only on the inputs.  Raises LimitExceeded (with a
-    ClosureReport) as soon as the number of distinct live states passes the
-    limit.
+    and the report depend only on the inputs.  The closure prunes: it asks
+    `core.is_dead` once per distinct target, for a whole row before it
+    indexes any of it, and drops the dead targets from its rows.  Raises
+    LimitExceeded (with a ClosureReport) as soon as the number of distinct
+    live states passes the limit.
 
     So a closed system of dimension dim is the same for every limit >= dim:
     the spec's memo keeps it, and such a request gets it back with the
@@ -89,11 +91,18 @@ def build_system(spec: ProductSpec, alpha, limit: int = 5000) -> StateSystem:
     states = [root]
     rows: list[list[tuple[int, int]]] = []
     queue: deque[State] = deque([root])
-    dead: set[State] = set()  # dead targets this closure's rows dropped
+    # each distinct target's deadness, True for the ones this closure's rows
+    # drop; apart from `index`, since the root is indexed unjudged yet may
+    # come back as a dead target
+    verdicts: dict[State, bool] = {}
 
     while queue:
         st = queue.popleft()
-        row = core.evolve(spec, st, dead)
+        row = core.evolve(spec, st)
+        for _, tgt in row:
+            if tgt not in verdicts:
+                verdicts[tgt] = core.is_dead(spec, tgt)
+        row = [(c, tgt) for c, tgt in row if not verdicts[tgt]]
         for _, tgt in row:
             if tgt not in index:
                 index[tgt] = len(states)
@@ -103,7 +112,7 @@ def build_system(spec: ProductSpec, alpha, limit: int = 5000) -> StateSystem:
                     sample = tuple(list(queue)[-4:])
                     raise LimitExceeded(ClosureReport(
                         state_count=len(states),
-                        dead_discarded_count=len(dead),
+                        dead_discarded_count=sum(verdicts.values()),
                         limit=limit,
                         outcome="limit_exceeded",
                         frontier_sample=sample,
@@ -112,7 +121,7 @@ def build_system(spec: ProductSpec, alpha, limit: int = 5000) -> StateSystem:
 
     report = ClosureReport(
         state_count=len(states),
-        dead_discarded_count=len(dead),
+        dead_discarded_count=sum(verdicts.values()),
         limit=limit,
         outcome="closed",
     )

@@ -21,10 +21,10 @@ sound normalization move unconditionally; at the root state the (0, 0) factor
 kills every k < 0, so the value agrees with the k >= 0 sums of interest.
 
 Dead states (identically zero because the shifted supports can never all
-overlap) are pruned, but only under a sound certificate: exact support checks
-up to a horizon plus an eventual-positivity certificate for the support gap
-beyond it.  An inconclusive certificate keeps the state; that can only grow
-the system, never corrupt it.
+overlap) are pruned by the closure, but only under a sound certificate:
+exact support checks up to a horizon plus an eventual-positivity certificate
+for the support gap beyond it.  An inconclusive certificate keeps the state;
+that can only grow the system, never corrupt it.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ DEFAULT_MAX_COEFFS = 1 << 28
 _INT64_GUARD = 1 << 62
 _CHUNK = 1 << 16  # values of k per slice product of the correlation sum
 SPEC_MEMO_LIMIT = 16  # per-spec memos kept at once, least recently used dropped
-DEAD_MEMO_LIMIT = 1 << 15  # deadness verdicts kept per spec, oldest dropped
 SYSTEM_MEMO_LIMIT = 1 << 14  # nnz + states of the closed systems kept per spec, oldest dropped
 
 
@@ -134,16 +133,14 @@ def root_state(alpha, L: int) -> State:
 
 class _SpecCache:
     """Everything memoized for one spec: the sequence memo, level degree
-    bounds, deadness verdicts (at most DEAD_MEMO_LIMIT), the deadness tail
-    certificate and the closed systems by root state (their nonzeros and
-    states at most SYSTEM_MEMO_LIMIT in all).  Each entry is a function of
-    the spec alone."""
+    bounds, the deadness tail certificate and the closed systems by root
+    state (their nonzeros and states at most SYSTEM_MEMO_LIMIT in all).
+    Each entry is a function of the spec alone."""
 
     def __init__(self, spec: ProductSpec):
         self.spec = spec
         self.memo = SeqMemo(spec.seq)
         self.U_prefix: list[int] = [polys.degree(list(spec.P))]
-        self.dead: dict[State, bool] = {}
         self.systems: dict[State, tuple[object, int]] = {}  # root -> (system, size)
 
     def keep_system(self, root: State, system, size: int) -> None:
@@ -231,29 +228,12 @@ def is_dead(spec: ProductSpec, state: State) -> bool:
     intersect, so a support spread exceeding U(n) at every level kills the
     state.  The spread is checked exactly up to HORIZON; beyond, one
     factor pair's gap must be certified positive forever.  Any inconclusive
-    certificate returns False (alive), which is always safe.
+    certificate returns False (alive), which is always safe.  Nothing is
+    memoized: the verdict is a pure function of its arguments.
     """
-    cache = _cache(spec)
-    dead = cache.dead
-    if state in dead:
-        return dead[state]
-    verdict = _deadness_verdict(cache, state)
-    if len(dead) >= DEAD_MEMO_LIMIT:
-        del dead[next(iter(dead))]
-    dead[state] = verdict
-    return verdict
-
-
-def _offsets_at(memo: SeqMemo, state: State, n: int) -> list[int]:
-    """<beta_i, f(n..n+L-1)> - d_i for each factor (d_i, beta_i); a zero
-    beta, as at the root state, gives -d_i at every level."""
-    return [memo.form_values(beta, n, n + 1, -d)[0] if any(beta) else -d
-            for d, beta in state.factors]
-
-
-def _deadness_verdict(cache: _SpecCache, state: State) -> bool:
     if len(state.factors) < 2:
         return False
+    cache = _cache(spec)
     H = HORIZON
     memo = cache.memo
     cache.degree_bound(H)
@@ -281,12 +261,18 @@ def _deadness_verdict(cache: _SpecCache, state: State) -> bool:
     return False
 
 
+def _offsets_at(memo: SeqMemo, state: State, n: int) -> list[int]:
+    """<beta_i, f(n..n+L-1)> - d_i for each factor (d_i, beta_i); a zero
+    beta, as at the root state, gives -d_i at every level."""
+    return [memo.form_values(beta, n, n + 1, -d)[0] if any(beta) else -d
+            for d, beta in state.factors]
+
+
 # ---------------------------------------------------------------------------
 # evolution
 
 
-def evolve(spec: ProductSpec, state: State,
-           dead: set[State] | None = None) -> list[tuple[int, State]]:
+def evolve(spec: ProductSpec, state: State) -> list[tuple[int, State]]:
     """Exact identity f_S(n) = sum coeff * f_S'(n-1), valid for all n >= 1.
 
     Every beta is first rewritten one level down, then the product of factor
@@ -299,9 +285,9 @@ def evolve(spec: ProductSpec, state: State,
     multisets of its picks once with that multinomial weight, and the product
     runs over the groups: one canonicalization per multiset pick, and rows
     equal to the sums over all ordered picks.  The resulting states are
-    merged and pruned of dead targets, which are added to `dead` when it is
-    given.  The row is returned sorted, so system construction is
-    deterministic.
+    merged, and every target with a nonzero coefficient is kept, dead or
+    not: pruning is the closure's decision.  The row is returned sorted, so
+    system construction is deterministic.
     """
     seq = spec.seq
     groups = []
@@ -317,14 +303,7 @@ def evolve(spec: ProductSpec, state: State,
     for combo in itertools.product(*groups):
         st = canonicalize([f for _, raw in combo for f in raw])
         acc[st] = acc.get(st, 0) + prod(c for c, _ in combo)
-    row = []
-    for st, c in acc.items():
-        if c == 0:
-            continue
-        if not is_dead(spec, st):
-            row.append((c, st))
-        elif dead is not None:
-            dead.add(st)
+    row = [(c, st) for st, c in acc.items() if c]
     row.sort(key=lambda t: t[1].sort_key())
     return row
 

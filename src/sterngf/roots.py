@@ -208,16 +208,10 @@ def certified_disks(int_coeffs: list[int]) -> list[RootDisk] | None:
     return disks
 
 
-@dataclass(frozen=True)
-class DominantRootCert:
-    """Certificate that a monic integer polynomial has a unique, simple,
-    real dominant root, with grid bounds on it."""
-
-    rho: Iv  # encloses the dominant root, rounded outward
-
-
-def dominant_root_certificate(monic_coeffs: list[int]) -> DominantRootCert | None:
-    """Try to certify a unique simple real dominant root.
+def dominant_root_certificate(monic_coeffs: list[int]) -> Iv | None:
+    """Try to certify a unique simple real dominant root of a monic integer
+    polynomial; the certificate is a grid enclosure of that root, rounded
+    outward, and None means none was found.
 
     Requirements checked exactly: the maximum-modulus disk is disjoint from
     every other disk (hence contains exactly one root), every other root has
@@ -232,7 +226,7 @@ def dominant_root_certificate(monic_coeffs: list[int]) -> DominantRootCert | Non
     if n == 0:
         return None
     if n == 1:
-        return DominantRootCert(Iv.point(-p[0]))
+        return Iv.point(-p[0])
     disks = certified_disks(p)
     if disks is None:
         return None
@@ -253,4 +247,4 @@ def dominant_root_certificate(monic_coeffs: list[int]) -> DominantRootCert | Non
     re_lo, re_hi = d.re_grid()
     if not re_hi - d.radius > 0:  # re - radius > 0
         return None
-    return DominantRootCert(Iv(re_lo - d.radius, re_hi + d.radius))
+    return Iv(re_lo - d.radius, re_hi + d.radius)

@@ -184,6 +184,19 @@ def test_invalid_spec_exit_4(capsys, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("content,reason", [
+    (b'{"P": [1], "seq": "\xff"}', "not UTF-8"),
+    (b"[" * 10 ** 5 + b"]" * 10 ** 5, "nested too deeply"),
+], ids=["not-utf8", "deep-nesting"])
+def test_unreadable_spec_file_exit_4(capsys, tmp_path, content, reason):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "gf", str(path))
+    assert (code, out) == (4, "")
+    assert err.startswith(f"invalid spec: {path}: ") and reason in err
+    assert err.count("\n") == 1
+
+
 BASE_DOC = {"P": [1], "seq": {"init": [1], "rec": [2]},
             "factor": [{"c": 1, "e": [0]}, {"c": 1, "e": [1]}, {"c": 1, "e": [2]}],
             "alpha": [2]}
@@ -206,7 +219,7 @@ def test_json_booleans_are_not_integers(capsys, tmp_path, field):
     assert err.startswith(f"invalid spec: {path}: {field}: must be ")
 
 
-@pytest.mark.parametrize("alpha", ["0,1", "1,0", "-1", "x"])
+@pytest.mark.parametrize("alpha", ["0,1", "1,0", "-1", "x", ""])
 @pytest.mark.parametrize("cmd", ["gf", "terms", "oracle", "guess"])
 def test_invalid_alpha_option_exit_4(capsys, cmd, alpha):
     extra = [] if cmd == "gf" else ["-n", "3"]

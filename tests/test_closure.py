@@ -9,6 +9,7 @@ from sterngf import (
     ProductSpec,
     build_system,
     guess_gf,
+    is_dead,
     make_gf,
     series,
     solve_gf,
@@ -44,6 +45,16 @@ def test_build_single_factor():
     assert s.dim == 1
     assert s.rows == [[(0, 3)]]
     assert s.v == [1]
+
+
+def test_dead_root_is_dropped_from_its_own_row():
+    # f = 0 at every level, so F_n = 2^n is a constant and the root of
+    # [1, 0, 0, 1] is dead: it comes back as its own target and is dropped
+    spec, _ = cli.parse_spec({"P": [1], "seq": {"init": [0], "rec": [2]},
+                              "factor": [{"c": 1, "e": [0]}, {"c": 1, "e": [1]}]})
+    s = build_system(spec, [1, 0, 0, 1])
+    assert (s.rows, s.v, s.report.dead_discarded_count) == ([[]], [0], 3)
+    assert is_dead(spec, s.states[0])
 
 
 def test_build_deterministic():

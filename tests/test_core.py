@@ -183,14 +183,24 @@ def test_deadness_with_nontrivial_P():
 # evolution: the worked two-state example
 
 
+def gap(g: int) -> State:
+    return State(((0, (0,)), (0, (g,))))
+
+
+def live(spec, row):
+    return [(c, st) for c, st in row if not is_dead(spec, st)]
+
+
 def test_evolve_f0():
     row = evolve(BASE, F0)
-    assert row == [(3, F0), (4, F1)]
+    assert row == [(3, F0), (4, F1), (2, gap(2))]
+    assert live(BASE, row) == [(3, F0), (4, F1)]
 
 
 def test_evolve_f1():
     row = evolve(BASE, F1)
-    assert row == [(1, F0), (2, F1)]
+    assert row == [(1, F0), (2, F1), (3, gap(2)), (2, gap(3)), (1, gap(4))]
+    assert live(BASE, row) == [(1, F0), (2, F1)]
 
 
 def test_evolve_single_factor_row_sum():

@@ -317,9 +317,9 @@ def random_root_digest() -> str:
         rec.append(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
         seq = CFiniteSeq((1,) * L, tuple(rec))
         res = pv_classify(seq)
-        cert = dominant_root_certificate(indicial_poly(seq))
+        rho = dominant_root_certificate(indicial_poly(seq))
         out.append((res.kind, res.reason, res.roots,
-                    None if cert is None else (cert.rho.lo, cert.rho.hi)))
+                    None if rho is None else (rho.lo, rho.hi)))
     return _sha(repr(out))
 
 

@@ -1,9 +1,9 @@
 """Memo ownership: results and reports depend on their inputs only, the
-per-spec memos, their deadness tables and their closed systems stay within
-their bounds, a warm request closes and fits nothing again, a
-validated spec is not re-validated on reload, a rejected one takes no memo
-slot, no module keeps a hidden process-global container, no module uses
-Fraction, and no module loads numpy when it is imported."""
+per-spec memos and their closed systems stay within their bounds, a closure
+judges each distinct target's deadness once, a warm request closes and fits
+nothing again, a validated spec is not re-validated on reload, a rejected
+one takes no memo slot, no module keeps a hidden process-global container,
+no module uses Fraction, and no module loads numpy when it is imported."""
 
 import ast
 import importlib
@@ -164,17 +164,23 @@ def test_invalid_spec_raises_on_every_load(tmp_path):
             cli.load_spec_file(path)
 
 
-def test_deadness_table_is_bounded(monkeypatch):
-    spec, _ = cli.load_spec_file(str(COOKBOOK / "base_stern.json"))
-    alphas = [[2], [3], [4], [5], [1, 1], [1, 1, 1], [2, 2], [1, 2], [2, 1, 2]]
+@pytest.mark.parametrize("spec,alpha", [(FIB, [1, 1]), (FIB, [4])],
+                         ids=["fib[1,1]", "fib[4]"])
+def test_one_deadness_verdict_per_distinct_target(monkeypatch, spec, alpha):
+    calls = []
+    is_dead = core.is_dead
+
+    def counting(spec, state):
+        calls.append((state, is_dead(spec, state)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(core, "is_dead", counting)
     core._cache.cache_clear()
-    free = [snapshot(build_system(spec, a)) for a in alphas]
-    assert len(core._cache(spec).dead) > 40
-    core._cache.cache_clear()
-    monkeypatch.setattr(core, "DEAD_MEMO_LIMIT", 40)
-    capped = [snapshot(build_system(spec, a)) for a in alphas]
-    assert len(core._cache(spec).dead) == 40
-    assert capped == free
+    system = build_system(spec, alpha)
+    targets = {tgt for st in system.states for _, tgt in core.evolve(spec, st)}
+    judged = [st for st, _ in calls]
+    assert len(judged) == len(set(judged)) and set(judged) == targets
+    assert system.report.dead_discarded_count == sum(v for _, v in calls) > 0
     core._cache.cache_clear()
 
 

@@ -3,10 +3,11 @@
 Each draw is a small PV spec: an order 1-2 sequence with a PV dominant root,
 nonnegative exponent forms, and a correlation pattern of at most two
 factors.  On its closed system, M^n v must equal `state_oracle` at every
-state for n <= 4, and every dead target `evolve` drops must have a zero
-`state_oracle` for n <= 6.  A state wrongly pruned as dead, or a term lost
-in evolution, breaks one of the two.  The fitted and the eliminated
-generating functions must be equal.  A system served from the spec's memo,
+state for n <= 4, every state's unpruned `evolve` row must satisfy
+f_S(n) = sum c f_T(n-1) under `state_oracle` for n <= 6, and every target
+`is_dead` prunes must have a zero `state_oracle` for n <= 6.  A state
+wrongly pruned as dead, or a term lost in evolution, breaks one of them.
+The fitted and the eliminated generating functions must be equal.  A system served from the spec's memo,
 after other specs ran, must equal a fresh build, and so must its fitted GF.
 """
 
@@ -23,6 +24,7 @@ from sterngf import (
     core,
     evolve,
     expand_levels,
+    is_dead,
     pv_classify,
     solve_gf,
     state_oracle,
@@ -76,11 +78,22 @@ def test_matrix_powers_match_state_oracle(case):
 
 
 @pytest.mark.parametrize("case", range(SPECS))
+def test_unpruned_rows_are_the_evolution_identity(case):
+    spec, alpha, sys_ = SYSTEMS[case]
+    coeffs = levels(spec, 6)
+    for st in sys_.states:
+        row = evolve(spec, st)
+        for n in range(1, 7):
+            assert state_oracle(spec, st, n, coeffs=coeffs[n]) == sum(
+                c * state_oracle(spec, tgt, n - 1, coeffs=coeffs[n - 1])
+                for c, tgt in row), (spec, alpha, st, n)
+
+
+@pytest.mark.parametrize("case", range(SPECS))
 def test_pruned_dead_targets_vanish(case):
     spec, alpha, sys_ = SYSTEMS[case]
-    dead = set()
-    for st in sys_.states:
-        evolve(spec, st, dead)
+    dead = {tgt for st in sys_.states for _, tgt in evolve(spec, st)
+            if is_dead(spec, tgt)}
     coeffs = levels(spec, 6)
     for st in dead:
         assert all(state_oracle(spec, st, n, coeffs=coeffs[n]) == 0

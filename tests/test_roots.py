@@ -92,9 +92,9 @@ def test_disks_contain_known_integer_roots():
 
 
 def test_dominant_certificate_golden_ratio():
-    cert = dominant_root_certificate([-1, -1, 1])  # X^2 - X - 1
-    assert cert is not None
-    lo, hi = bounds(cert.rho)
+    rho = dominant_root_certificate([-1, -1, 1])  # X^2 - X - 1
+    assert rho is not None
+    lo, hi = bounds(rho)
     assert Fraction(1618, 1000) < lo <= hi < Fraction(1619, 1000)
 
 
@@ -104,6 +104,6 @@ def test_dominant_certificate_rejects_tied_moduli():
 
 
 def test_dominant_certificate_degree_one():
-    cert = dominant_root_certificate([-3, 1])
-    assert cert.rho == Iv.point(3)
-    assert bounds(cert.rho) == (3, 3)
+    rho = dominant_root_certificate([-3, 1])
+    assert rho == Iv.point(3)
+    assert bounds(rho) == (3, 3)
