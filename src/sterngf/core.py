@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial, prod
-from operator import sub
+from operator import le, sub
 
 from . import polys
 from .cfinite import (HORIZON, CFiniteSeq, PosExpr, SeqMemo, certify_eventually_positive,
@@ -46,6 +46,7 @@ _INT64_GUARD = 1 << 62
 _CHUNK = 1 << 16  # values of k per slice product of the correlation sum
 SPEC_MEMO_LIMIT = 16  # per-spec memos kept at once, least recently used dropped
 SYSTEM_MEMO_LIMIT = 1 << 14  # nnz + states of the closed systems kept per spec, oldest dropped
+DEADNESS_MEMO_LIMIT = 1 << 10  # head columns, and pair certificates, kept per spec; oldest dropped
 
 
 class SpecValidationError(ValueError):
@@ -133,15 +134,28 @@ def root_state(alpha, L: int) -> State:
 
 class _SpecCache:
     """Everything memoized for one spec: the sequence memo, level degree
-    bounds, the deadness tail certificate and the closed systems by root
-    state (their nonzeros and states at most SYSTEM_MEMO_LIMIT in all).
-    Each entry is a function of the spec alone."""
+    bounds, the deadness tail certificate, the inputs of deadness verdicts
+    (head columns by beta and pair certificates by key, at most
+    DEADNESS_MEMO_LIMIT of each) and the closed systems by root state
+    (their nonzeros and states at most SYSTEM_MEMO_LIMIT in all).  Each
+    entry is a function of the spec and its key alone."""
 
     def __init__(self, spec: ProductSpec):
         self.spec = spec
         self.memo = SeqMemo(spec.seq)
         self.U_prefix: list[int] = [polys.degree(list(spec.P))]
+        self.heads: dict[tuple[int, ...], list[int]] = {}  # beta -> column
+        self.pairs: dict[tuple[tuple[int, ...], int], bool] = {}  # (dbeta, dd) -> certified
         self.systems: dict[State, tuple[object, int]] = {}  # root -> (system, size)
+
+    def head(self, beta: tuple[int, ...]) -> list[int]:
+        """<beta, f(n..n+L-1)> for n = 0..HORIZON + 1: the exact head of
+        every factor (d, beta) is this column minus d, and its last entry
+        is the level where the tail starts."""
+        col = self.heads.get(beta)
+        if col is None:
+            col = _remember(self.heads, beta, self.memo.form_values(beta, 0, HORIZON + 2))
+        return col
 
     def keep_system(self, root: State, system, size: int) -> None:
         """Memoize a closed system of `size` nonzeros plus states under its
@@ -194,6 +208,15 @@ class _SpecCache:
         return tuple(form), self.degree_bound(start)
 
 
+def _remember(table: dict, key, value):
+    """table[key] = value, first dropping the oldest entries so that at
+    most DEADNESS_MEMO_LIMIT stay; returns value."""
+    while len(table) >= DEADNESS_MEMO_LIMIT:
+        del table[next(iter(table))]
+    table[key] = value
+    return value
+
+
 @lru_cache(maxsize=SPEC_MEMO_LIMIT)
 def _cache(spec: ProductSpec) -> _SpecCache:
     """The spec's memo, from the one bounded registry of them.  Only a spec
@@ -228,35 +251,48 @@ def is_dead(spec: ProductSpec, state: State) -> bool:
     intersect, so a support spread exceeding U(n) at every level kills the
     state.  The spread is checked exactly up to HORIZON; beyond, one
     factor pair's gap must be certified positive forever.  Any inconclusive
-    certificate returns False (alive), which is always safe.  Nothing is
-    memoized: the verdict is a pure function of its arguments.
+    certificate returns False (alive), which is always safe.
+
+    The verdict is a pure function of its arguments and is not memoized;
+    its inputs are, per spec and each at most DEADNESS_MEMO_LIMIT: the head
+    column of each beta, and each pair certificate's outcome under the key
+    (beta_i - beta_j, d_i - d_j), which with the spec's tail fixes the
+    certified expression.  Equal factors are taken once, and a pair whose
+    gap is at most U(start) at the tail's first level is not certified: its
+    expression is <= 0 at n = 0, so its certificate could only fail.
     """
-    if len(state.factors) < 2:
+    factors = list(dict.fromkeys(state.factors))
+    if len(factors) < 2:
         return False
     cache = _cache(spec)
-    H = HORIZON
-    memo = cache.memo
-    cache.degree_bound(H)
-    cols = [memo.form_values(beta, 0, H + 1, -d) for d, beta in state.factors]
-    for offs, bound in zip(zip(*cols), cache.U_prefix):
-        if max(offs) - min(offs) <= bound:
-            return False
+    cols = [list(map(sub, cache.head(beta), itertools.repeat(d))) for d, beta in factors]
+    cache.degree_bound(HORIZON)
+    # lazily, level by level: the first spread <= U(n) keeps the state
+    spreads = map(sub, map(max, *cols), map(min, *cols))
+    if any(map(le, spreads, cache.U_prefix[:HORIZON + 1])):
+        return False
     if cache.tail is None:
         return False
     tail_form, base = cache.tail
-    start = H + 1
+    start = HORIZON + 1
+    memo = cache.memo
 
-    offs = _offsets_at(memo, state, start)
-    order = sorted(range(len(offs)), key=lambda i: offs[i], reverse=True)
-    pairs = [(i, j) for i in order for j in reversed(order) if i != j]
+    offs = [col[start] for col in cols]
+    order = sorted(range(len(offs)), key=offs.__getitem__, reverse=True)
+    # base = U(start) >= 0, so no factor pairs with itself
+    pairs = ((i, j) for i in order for j in reversed(order) if offs[i] - offs[j] > base)
     for i, j in pairs:
-        d_i, beta_i = state.factors[i]
-        d_j, beta_j = state.factors[j]
-        delta = tuple(a - b for a, b in zip(beta_i, beta_j))
-        shifts = tuple((x, start + t) for t, x in enumerate(delta) if x)
-        expr = PosExpr(memo.seq, shifts=shifts, partials=((-1, tail_form),),
-                       const=-(d_i - d_j) - base)
-        if certify_eventually_positive(expr, memo=memo).is_positive:
+        (d_i, beta_i), (d_j, beta_j) = factors[i], factors[j]
+        key = (tuple(map(sub, beta_i, beta_j)), d_i - d_j)
+        certified = cache.pairs.get(key)
+        if certified is None:
+            delta, dd = key
+            shifts = tuple((x, start + t) for t, x in enumerate(delta) if x)
+            expr = PosExpr(memo.seq, shifts=shifts, partials=((-1, tail_form),),
+                           const=-dd - base)
+            certified = _remember(cache.pairs, key, certify_eventually_positive(
+                expr, memo=memo).is_positive)
+        if certified:
             return True
     return False
 

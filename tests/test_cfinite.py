@@ -364,8 +364,10 @@ CLOSURE_COLD = [("base_stern", [6], 5000), ("base_stern", [1, 1, 1, 1], 5000),
 
 
 def test_minimal_annihilator_matches_reference_on_closures(monkeypatch):
-    """Every certificate of five cold closures gets the annihilator that the
-    Berlekamp-Massey guess, given its full window, proves."""
+    """Every certificate of five cold closures, and of challenge [1,1],
+    gets the annihilator that the Berlekamp-Massey guess, given its full
+    window, proves.  Deadness certifies each pair expression once per spec,
+    so the five make about 650 certificates, and challenge [1,1] adds 469."""
     calls = []
 
     def checked(vals, A, n0):
@@ -378,7 +380,7 @@ def test_minimal_annihilator_matches_reference_on_closures(monkeypatch):
     monkeypatch.setattr(cfinite, "_minimal_annihilator", checked)
     core._cache.cache_clear()
     try:
-        for name, alpha, limit in CLOSURE_COLD:
+        for name, alpha, limit in CLOSURE_COLD + [("challenge", [1, 1], 500)]:
             spec, _ = cli.load_spec_file(str(COOKBOOK / f"{name}.json"))
             try:
                 closure.build_system(spec, alpha, limit=limit)

@@ -10,7 +10,9 @@ multi-modular fit, and `matrix` base_stern `[4]`, `[7]`, `[9]`, `[2,2]`,
 `[2,1,2]` and `gf` base_stern `[6]`, `[2,1,2]` before multiset evolution,
 and the long `terms` runs before they were taken from the fitted recurrence,
 and `gf fibonacci [3] --method eliminate` and the root digest of random
-recurrences before the root disks moved onto the integer grid;
+recurrences before the root disks moved onto the integer grid, and the
+deadness log before `core.is_dead` kept its head columns by beta and its
+pair certificates by key;
 any change to what `matrix`, `gf` (its `num`, `den` and `dim`; `method` is
 left out) or `pv` print shows up here.  The
 challenge limit reports are produced in a fresh interpreter, where their
@@ -29,7 +31,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from sterngf import cli
+from sterngf import LimitExceeded, build_system, cli, core
 from sterngf.cfinite import CFiniteSeq, indicial_poly, pv_classify
 from sterngf.roots import dominant_root_certificate
 
@@ -254,6 +256,16 @@ EXPECTED_PV = {
 EXPECTED_RANDOM_ROOTS = (
     "f69dc302b7f8640bf417587f40d3edb0c593228ea0663157773f5e03798a78ea")
 
+# every core.is_dead call of these closures, each from a fresh registry, as
+# the (factors, verdict) sequence: (spec, alpha, state limit)
+DEADNESS_CASES = [
+    ("base_stern", [6], 5000), ("base_stern", [1, 1, 1, 1], 5000),
+    ("fibonacci", [3], 5000), ("tribonacci", [2], 5000),
+    ("challenge", [2], 500), ("fibonacci", [4], 5000),
+]
+EXPECTED_DEADNESS_LOG = (
+    "5e3e99656ddfe7202b20e22bdd23787776b92e1f1d0b10a56cd2d159e03b0972")
+
 EXPECTED_LIMIT = (
     "6c25b788101cde01f7b22600661f5f4eaaf9e515d808e76d55e84f6e74f8a9cb")
 EXPECTED_LIMIT_ALPHA2 = (
@@ -323,6 +335,26 @@ def random_root_digest() -> str:
     return _sha(repr(out))
 
 
+def deadness_log_digest(monkeypatch) -> str:
+    log = []
+    is_dead = core.is_dead
+
+    def logging(spec, state):
+        log.append((state.factors, is_dead(spec, state)))
+        return log[-1][1]
+
+    monkeypatch.setattr(core, "is_dead", logging)
+    for name, alpha, limit in DEADNESS_CASES:
+        core._cache.cache_clear()
+        spec, _ = cli.load_spec_file(str(COOKBOOK / f"{name}.json"))
+        try:
+            build_system(spec, alpha, limit=limit)
+        except LimitExceeded:
+            pass
+    core._cache.cache_clear()
+    return _sha(repr(log))
+
+
 def case_id(case) -> str:
     cmd, spec, alpha, *extra = case
     return " ".join([cmd, spec] + ([f"[{alpha}]"] if alpha else []) + extra)
@@ -346,6 +378,10 @@ def test_pv_fingerprint(name, tmp_path):
 
 def test_random_recurrence_root_digest():
     assert random_root_digest() == EXPECTED_RANDOM_ROOTS
+
+
+def test_deadness_verdict_log_digest(monkeypatch):
+    assert deadness_log_digest(monkeypatch) == EXPECTED_DEADNESS_LOG
 
 
 def test_challenge_limit_report_fingerprint():

@@ -284,3 +284,83 @@ def test_warm_requests_close_and_fit_nothing(capsys, monkeypatch):
     assert [run_cli(capsys, *argv) for argv in (gf_argv, terms_argv)] == first
     assert calls.count("fit") == 2 and "evolve" in calls  # a fresh memo works again
     core._cache.cache_clear()
+
+
+CHALLENGE = str(COOKBOOK / "challenge.json")
+
+
+def test_deadness_memos_stay_within_their_bound(capsys, monkeypatch):
+    argv = ["gf", CHALLENGE, "--alpha", "2", "--limit", "2000"]
+    core._cache.cache_clear()
+    first = run_cli(capsys, *argv)
+    assert first[0] == 2
+    spec, _ = cli.load_spec_file(CHALLENGE)
+    cache = core._cache(spec)
+    assert 0 < len(cache.heads) <= core.DEADNESS_MEMO_LIMIT
+    assert 0 < len(cache.pairs) <= core.DEADNESS_MEMO_LIMIT
+    # a small bound drops the oldest entries and reports the same closure
+    monkeypatch.setattr(core, "DEADNESS_MEMO_LIMIT", 64)
+    core._cache.cache_clear()
+    assert run_cli(capsys, *argv) == first
+    cache = core._cache(spec)
+    assert len(cache.heads) == len(cache.pairs) == 64
+    core._cache.cache_clear()
+
+
+def closure_targets(spec, alpha, limit):
+    """Every target of every row the closure of alpha evolves, sorted."""
+    try:
+        states = build_system(spec, alpha, limit=limit).states
+    except LimitExceeded as exc:
+        states = [core.root_state(alpha, spec.seq.order), *exc.report.frontier_sample]
+    targets = {tgt for st in states for _, tgt in core.evolve(spec, st)}
+    return sorted(targets, key=core.State.sort_key)
+
+
+def test_deadness_verdicts_do_not_depend_on_the_memo(monkeypatch):
+    """Verdicts on fixed states are the same from a fresh registry, from one
+    that other specs and closures filled, and from one whose deadness memos
+    are small enough to drop entries between the calls."""
+    specs = {name: cli.load_spec_file(str(COOKBOOK / f"{name}.json"))[0]
+             for name in ("base_stern", "fibonacci", "challenge")}
+    cases = [(specs["base_stern"], [1, 1, 1]), (specs["fibonacci"], [3]),
+             (specs["challenge"], [2])]
+    fixed = [(spec, st) for spec, alpha in cases for st in closure_targets(spec, alpha, 60)]
+    fresh = []
+    for spec, st in fixed:
+        core._cache.cache_clear()
+        fresh.append(core.is_dead(spec, st))
+    assert 0 < sum(fresh) < len(fresh)
+    core._cache.cache_clear()
+    for spec, alpha in [(specs["fibonacci"], [4]), (specs["base_stern"], [6]),
+                        (specs["challenge"], [2])]:
+        closure_targets(spec, alpha, 300)
+    assert [core.is_dead(spec, st) for spec, st in fixed] == fresh
+    monkeypatch.setattr(core, "DEADNESS_MEMO_LIMIT", 3)
+    assert [core.is_dead(spec, st) for spec, st in fixed] == fresh
+    assert [core.is_dead(spec, st) for spec, st in reversed(fixed)] == fresh[::-1]
+    core._cache.cache_clear()
+
+
+def test_at_most_one_certificate_per_judged_target(capsys, monkeypatch):
+    """Pair certificates are kept by key, and a pair whose gap cannot beat
+    the degree bound at the tail's first level is never certified."""
+    judged, certs = [], []
+    is_dead, certify = core.is_dead, core.certify_eventually_positive
+
+    def judging(spec, state):
+        judged.append(state)
+        return is_dead(spec, state)
+
+    def counting(*args, **kwargs):
+        certs.append(args[0])
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(core, "is_dead", judging)
+    monkeypatch.setattr(core, "certify_eventually_positive", counting)
+    core._cache.cache_clear()
+    code, _, err = run_cli(capsys, "gf", CHALLENGE, "--alpha", "2", "--limit", "500")
+    assert code == 2 and "limit_exceeded" in err
+    assert len(judged) == len(set(judged)) > 400
+    assert len(certs) <= len(judged)
+    core._cache.cache_clear()

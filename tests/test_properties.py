@@ -1,17 +1,22 @@
 """Seeded random specs against the brute-force oracle.
 
-Each draw is a small PV spec: an order 1-2 sequence with a PV dominant root,
-nonnegative exponent forms, and a correlation pattern of at most two
-factors.  On its closed system, M^n v must equal `state_oracle` at every
+Each draw is a small PV spec: a sequence with a PV dominant root and
+nonnegative exponent forms.  Most draws have order 1-2 and a correlation
+pattern of at most two factors; the others have order 1-3 and a pattern of
+three factors, so states hold three factors whose pairs deadness tries in
+turn.  On its closed system, M^n v must equal `state_oracle` at every
 state for n <= 4, every state's unpruned `evolve` row must satisfy
 f_S(n) = sum c f_T(n-1) under `state_oracle` for n <= 6, and every target
 `is_dead` prunes must have a zero `state_oracle` for n <= 6.  A state
 wrongly pruned as dead, or a term lost in evolution, breaks one of them.
-The fitted and the eliminated generating functions must be equal.  A system served from the spec's memo,
-after other specs ran, must equal a fresh build, and so must its fitted GF.
+The fitted and the eliminated generating functions must be equal.  A
+system served from the spec's memo, after other specs ran, must equal a
+fresh build, and so must its fitted GF.  The extended tier runs every check
+on 40 more three-factor draws.
 """
 
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -31,18 +36,18 @@ from sterngf import (
 )
 
 SEED = 20261019
-SPECS = 30
 STATE_LIMIT = 200
 ALPHAS = ([1], [2], [1, 1], [1, 0, 1])
+THREE_FACTOR_ALPHAS = ([3], [1, 1, 1], [2, 1])
 
 
-def random_systems(seed: int, count: int):
+def random_systems(seed: int, count: int, orders=(1, 2), alphas=ALPHAS):
     """(spec, alpha, closed system) for `count` draws that validate and close
     within STATE_LIMIT states."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        L = rng.randint(1, 2)
+        L = rng.choice(orders)
         seq = CFiniteSeq(tuple(rng.randint(1, 2) for _ in range(L)),
                          tuple(rng.randint(1, 2) for _ in range(L)))
         if pv_classify(seq).kind != "pv":
@@ -50,7 +55,7 @@ def random_systems(seed: int, count: int):
         forms = {tuple(rng.randint(0, 2) for _ in range(L)) for _ in range(rng.randint(2, 3))}
         terms = tuple((rng.choice((1, 1, 2, -1)), e) for e in sorted(forms))
         P = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 2)))
-        alpha = rng.choice(ALPHAS)
+        alpha = rng.choice(alphas)
         try:
             spec = ProductSpec(P=P, seq=seq, terms=terms)
             out.append((spec, alpha, build_system(spec, alpha, limit=STATE_LIMIT)))
@@ -59,16 +64,24 @@ def random_systems(seed: int, count: int):
     return out
 
 
-SYSTEMS = random_systems(SEED, SPECS)
+SYSTEMS = (random_systems(SEED, 30)
+           + random_systems(SEED, 10, orders=(1, 2, 3, 3), alphas=THREE_FACTOR_ALPHAS))
+SPECS = len(SYSTEMS)
+EXTENDED_SPECS = 40
+
+
+@lru_cache(maxsize=1)
+def extended_systems():
+    """More three-factor draws, for the extended tier."""
+    return random_systems(SEED + 1, EXTENDED_SPECS, orders=(1, 2, 3, 3),
+                          alphas=THREE_FACTOR_ALPHAS)
 
 
 def levels(spec, n):
     return [[int(x) for x in a] for a in expand_levels(spec, n)]
 
 
-@pytest.mark.parametrize("case", range(SPECS))
-def test_matrix_powers_match_state_oracle(case):
-    spec, alpha, sys_ = SYSTEMS[case]
+def check_matrix_powers(spec, alpha, sys_):
     coeffs = levels(spec, 4)
     vec = list(sys_.v)
     for n in range(5):
@@ -77,9 +90,7 @@ def test_matrix_powers_match_state_oracle(case):
         vec = [sum(c * vec[col] for col, c in row) for row in sys_.rows]
 
 
-@pytest.mark.parametrize("case", range(SPECS))
-def test_unpruned_rows_are_the_evolution_identity(case):
-    spec, alpha, sys_ = SYSTEMS[case]
+def check_evolution_identity(spec, alpha, sys_):
     coeffs = levels(spec, 6)
     for st in sys_.states:
         row = evolve(spec, st)
@@ -89,9 +100,7 @@ def test_unpruned_rows_are_the_evolution_identity(case):
                 for c, tgt in row), (spec, alpha, st, n)
 
 
-@pytest.mark.parametrize("case", range(SPECS))
-def test_pruned_dead_targets_vanish(case):
-    spec, alpha, sys_ = SYSTEMS[case]
+def check_dead_targets_vanish(spec, alpha, sys_):
     dead = {tgt for st in sys_.states for _, tgt in evolve(spec, st)
             if is_dead(spec, tgt)}
     coeffs = levels(spec, 6)
@@ -100,18 +109,15 @@ def test_pruned_dead_targets_vanish(case):
                    for n in range(7)), (spec, alpha, st)
 
 
-@pytest.mark.parametrize("case", range(SPECS))
-def test_fit_equals_eliminate(case):
-    spec, alpha, sys_ = SYSTEMS[case]
+def check_fit_equals_eliminate(spec, alpha, sys_):
     assert solve_gf(sys_, "eliminate") == solve_gf(sys_), (spec, alpha)
 
 
-@pytest.mark.parametrize("case", range(SPECS))
-def test_memo_served_system_equals_a_fresh_build(case):
-    spec, alpha, _ = SYSTEMS[case]
-    other_spec, other_alpha, _ = SYSTEMS[(case + 1) % SPECS]
+def check_memo_served_system(spec, alpha, other):
+    """Build, build `other` (a (spec, alpha) pair), build again: the served
+    system and its fitted GF equal a fresh build's."""
     first = build_system(spec, alpha, limit=STATE_LIMIT)
-    build_system(other_spec, other_alpha, limit=STATE_LIMIT)
+    build_system(*other, limit=STATE_LIMIT)
     served = build_system(spec, alpha, limit=STATE_LIMIT)
     assert served.rows is first.rows
     gf = solve_gf(served)
@@ -121,3 +127,40 @@ def test_memo_served_system_equals_a_fresh_build(case):
     assert ((served.states, served.rows, served.v, served.report)
             == (fresh.states, fresh.rows, fresh.v, fresh.report)), (spec, alpha)
     assert gf == solve_gf(fresh), (spec, alpha)
+
+
+@pytest.mark.parametrize("case", range(SPECS))
+def test_matrix_powers_match_state_oracle(case):
+    check_matrix_powers(*SYSTEMS[case])
+
+
+@pytest.mark.parametrize("case", range(SPECS))
+def test_unpruned_rows_are_the_evolution_identity(case):
+    check_evolution_identity(*SYSTEMS[case])
+
+
+@pytest.mark.parametrize("case", range(SPECS))
+def test_pruned_dead_targets_vanish(case):
+    check_dead_targets_vanish(*SYSTEMS[case])
+
+
+@pytest.mark.parametrize("case", range(SPECS))
+def test_fit_equals_eliminate(case):
+    check_fit_equals_eliminate(*SYSTEMS[case])
+
+
+@pytest.mark.parametrize("case", range(SPECS))
+def test_memo_served_system_equals_a_fresh_build(case):
+    spec, alpha, _ = SYSTEMS[case]
+    check_memo_served_system(spec, alpha, SYSTEMS[(case + 1) % SPECS][:2])
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("case", range(EXTENDED_SPECS))
+def test_three_factor_draw_extended(case):
+    draws = extended_systems()
+    spec, alpha, sys_ = draws[case]
+    for check in (check_matrix_powers, check_evolution_identity,
+                  check_dead_targets_vanish, check_fit_equals_eliminate):
+        check(spec, alpha, sys_)
+    check_memo_served_system(spec, alpha, draws[(case + 1) % EXTENDED_SPECS][:2])
