@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from . import polys, roots
+from . import modular, polys, roots
 from .roots import GRID, GRID_BITS, Iv
 
 HORIZON = 64  # levels a certificate checks exactly before its tail bound
@@ -292,12 +292,16 @@ def _minimal_annihilator(vals: list[int], A: list[int], n0: int) -> list[int]:
     generating function N / R, N = R * u mod t^k.  Its minimal annihilator is
     the reduced denominator R / gcd(N, R), normalised to constant term 1 and
     reversed (Everest et al., Recurrence Sequences, 2003): deg N < deg R, so
-    no power of X joins it.  Exact, from k values.
+    no power of X joins it.  Exact, from k values.  When one prime proves
+    N and R coprime (`modular.proves_coprime`; lc(R) = A(0)), A is returned
+    without a PRS gcd.
     """
     k = polys.degree(A)
     R = A[::-1]
     u = vals[n0:n0 + k]
     N = [sum(R[i] * u[j - i] for i in range(j + 1)) for j in range(k)]
+    if modular.proves_coprime(N, R):
+        return A
     g = polys.poly_gcd(N, R)
     if polys.degree(g) < 1:
         return A

@@ -376,8 +376,12 @@ def expand_levels(spec: ProductSpec, n: int, *, force_python: bool = False,
     over max_coeffs raises ResourceLimitError at once.  Dense integer
     arithmetic runs on int64 numpy arrays while a per-level bound proves no
     overflow is possible, and falls back to Python integers beyond that;
-    numpy is imported only when the int64 kernel runs.  Each level is a
-    numpy array or a list, and is never written to after it is yielded.
+    numpy is imported only when the int64 kernel runs.
+
+    The int64 levels share one buffer of F_n's length, each level written
+    over the one before: a level is yielded as a view of that buffer, valid
+    only until the next level is requested, so a caller that keeps levels
+    must copy them.  A level on Python integers is a list of its own.
     """
     cache = _cache(spec)
     if n >= 0 and cache.degree_bound(n) + 1 > max_coeffs:
@@ -388,34 +392,29 @@ def expand_levels(spec: ProductSpec, n: int, *, force_python: bool = False,
 
 
 def _levels(spec: ProductSpec, cache: _SpecCache, n: int, force_python: bool):
+    if n < 0:
+        return
     coeff_sum = sum(abs(c) for c, _ in spec.terms)
     widths = [cache.memo.form_values(e, 0, n) for _, e in spec.terms]
-    arr = None
+    buf = None
     if not force_python and max(abs(c) for c in spec.P) * coeff_sum < _INT64_GUARD:
         import numpy as np
-        arr = np.zeros(len(spec.P), dtype=np.int64)
-        arr[:] = spec.P
+        # every level fits: each grows by the largest width, so F_n is the longest
+        buf = np.zeros(cache.degree_bound(n) + 1, dtype=np.int64)
+        size = len(spec.P)
+        buf[:size] = spec.P
     else:
         lst = list(spec.P)
     for m in range(n + 1):
         if m:
             exps = [(c, w[m - 1]) for (c, _), w in zip(spec.terms, widths)]
             width = max(e for _, e in exps)
-            if arr is not None:
-                mx = _max_abs(arr)
-                if mx * coeff_sum >= _INT64_GUARD:
-                    lst = arr.tolist()
-                    arr = None
-            if arr is not None:
-                new = np.zeros(len(arr) + width, dtype=np.int64)
-                for c, e in exps:
-                    if c == 1:
-                        new[e:e + len(arr)] += arr
-                    elif c == -1:
-                        new[e:e + len(arr)] -= arr
-                    else:
-                        new[e:e + len(arr)] += c * arr
-                arr = new
+            if buf is not None and _max_abs(buf[:size]) * coeff_sum >= _INT64_GUARD:
+                lst = buf[:size].tolist()
+                buf = None
+            if buf is not None:
+                _step_in_place(buf, size, size + width, exps)
+                size += width
             else:
                 new = [0] * (len(lst) + width)
                 for c, e in exps:
@@ -423,14 +422,43 @@ def _levels(spec: ProductSpec, cache: _SpecCache, n: int, force_python: bool):
                         if v:
                             new[e + k] += c * v
                 lst = new
-        yield arr if arr is not None else lst
+        yield buf[:size] if buf is not None else lst
+
+
+def _step_in_place(buf, size: int, new_size: int, exps) -> None:
+    """Overwrite buf[:size], one level, with buf[:new_size], the next:
+    new[k] = sum_j c_j old[k - w_j], one _CHUNK of k at a time from the top
+    down.  Every width w_j is >= 0, so a chunk [lo, hi) reads only old
+    indices below hi: its own, read before the chunk is written, and lower
+    ones, not yet written.  Past the old level buf holds zeros."""
+    import numpy as np
+    acc = np.empty(min(_CHUNK, new_size), dtype=np.int64)
+    for hi in range(new_size, 0, -_CHUNK):
+        lo = max(hi - _CHUNK, 0)
+        out = acc[:hi - lo]
+        out.fill(0)
+        for c, w in exps:
+            src_lo, src_hi = max(lo - w, 0), min(hi - w, size)
+            if src_lo >= src_hi:
+                continue
+            dst, src = out[src_lo + w - lo:src_hi + w - lo], buf[src_lo:src_hi]
+            if c == 1:
+                dst += src
+            elif c == -1:
+                dst -= src
+            else:
+                dst += c * src
+        buf[lo:hi] = out
 
 
 def state_oracle(spec: ProductSpec, state: State, n: int, *, coeffs=None) -> int:
     """Direct evaluation of the state's correlation sum at level n: the sum
     over k of prod_i a[k - o_i], taken as products of shifted slices, one
-    _CHUNK of k at a time.  An int64 array whose products provably fit is
-    multiplied in place by numpy; anything else runs on Python integers."""
+    _CHUNK of k at a time.  On an int64 array whose products provably fit,
+    numpy computes them: a chunk of two slices whose sum provably fits too is
+    one np.dot of the two views, and otherwise a copy of the first slice is
+    multiplied in place by the others.  Anything else runs on Python
+    integers."""
     a = expand_Fn(spec, n) if coeffs is None else coeffs
     offs = _offsets_at(_cache(spec).memo, state, n)
     k_lo = max(offs)
@@ -444,7 +472,9 @@ def state_oracle(spec: ProductSpec, state: State, n: int, *, coeffs=None) -> int
         size = min(_CHUNK, count - lo)
         # equal factors share one slice, so one list of Python integers
         cols = {s: a[s + lo:s + lo + size] for s in set(starts)}
-        if bound < _INT64_GUARD:
+        if len(starts) == 2 and bound * size < _INT64_GUARD:
+            total += int(np.dot(cols[starts[0]], cols[starts[1]]))
+        elif bound < _INT64_GUARD:
             seg = cols[starts[0]].copy()
             for s in starts[1:]:
                 seg *= cols[s]

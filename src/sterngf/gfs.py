@@ -40,10 +40,8 @@ def make_gf(num: list, den: list) -> RationalGF:
     # dividing out the joint content makes it 1
     c = polys.content(num + den)
     num, den = [x // c for x in num], [x // c for x in den]
-    # one prime not dividing lc(den) at which the images are coprime proves
-    # num and den coprime over Z; only then is the PRS gcd skipped
-    p = next((q for q in modular.PRIMES if den[-1] % q), None)
-    g = [1] if p and modular.gcd_degree(num, den, p) == 0 else polys.poly_gcd(num, den)
+    # the PRS gcd runs only when one prime cannot prove num and den coprime
+    g = [1] if modular.proves_coprime(num, den) else polys.poly_gcd(num, den)
     if polys.degree(g) > 0:
         # g is primitive, so by Gauss's lemma the quotients are integral and
         # keep the joint content 1

@@ -63,3 +63,11 @@ def gcd_degree(a: list[int], b: list[int], p: int) -> int:
                 a.pop()
         a, b = b, a
     return len(a) - 1
+
+
+def proves_coprime(a: list[int], b: list[int]) -> bool:
+    """True when gcd(a mod p, b mod p) = 1 for the first prime p not dividing
+    lc(b), which proves gcd(a, b) = 1 over Z up to content (see gcd_degree);
+    False proves nothing."""
+    p = next((q for q in PRIMES if b[-1] % q), None)
+    return p is not None and gcd_degree(a, b, p) == 0

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+import tracemalloc
 from math import prod
 
 import numpy as np
@@ -293,8 +294,10 @@ def test_expand_levels_match_the_product_definition():
                 factor[k] += c
             want.append(polys.mul(want[-1], factor))
         for force_python in (False, True):
-            levels = list(expand_levels(spec, 7, force_python=force_python))
-            assert [polys.normalize([int(x) for x in a]) for a in levels] == want
+            # an int64 level is a view of one buffer: read it as it is yielded
+            levels = [polys.normalize([int(x) for x in a])
+                      for a in expand_levels(spec, 7, force_python=force_python)]
+            assert levels == want
 
 
 def test_expand_levels_names_first_level_over_limit():
@@ -302,6 +305,35 @@ def test_expand_levels_names_first_level_over_limit():
     msg = r"^F_7 needs 255 coefficients \(limit 200\)$"
     with pytest.raises(ResourceLimitError, match=msg):
         expand_levels(BASE, 12, max_coeffs=200)
+
+
+def test_int64_levels_share_one_buffer_of_the_last_levels_length():
+    # F_20 of the challenge has about 2^21 coefficients; apart from the one
+    # buffer, only chunk-sized temporaries may be allocated
+    n = 20
+    limit = 8 * (core._cache(CHALLENGE).degree_bound(n) + 1) + 4 * 8 * core._CHUNK
+    tracemalloc.start()
+    try:
+        u = u_alpha_terms(CHALLENGE, [2], n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert u == ORACLE["challenge_w"][:n + 1]
+    assert peak <= limit, (peak, limit)
+
+
+@pytest.mark.parametrize("chunk", (core._CHUNK, 3), ids=str)
+def test_levels_leave_the_int64_guard_midway(monkeypatch, chunk):
+    # |P| * sum|c| starts below 2^62 and passes it after four levels; the
+    # factor coefficients 1, -1 and 3 run every update of the in-place step
+    monkeypatch.setattr(core, "_CHUNK", chunk)
+    spec = ProductSpec(P=(1 << 55, -3, 1), seq=BASE.seq,
+                       terms=((1, (0,)), (-1, (1,)), (3, (2,))))
+    kinds = []
+    for a, b in zip(expand_levels(spec, 8), expand_levels(spec, 8, force_python=True)):
+        kinds.append(type(a))
+        assert [int(x) for x in a] == b
+    assert len(kinds) == 9 and kinds[0] is np.ndarray and kinds[-1] is list
 
 
 def test_state_oracle_worked_values():

@@ -333,3 +333,8 @@ def test_modular_lifts_and_gcd():
     assert modular.gcd_degree([1, -2], [1, -5, 2], p) == 0
     assert modular.gcd_degree([p, 1], [p, 2], p) == 1
     assert modular.gcd_degree([], [], p) == -1
+    assert modular.proves_coprime([1, -2], [1, -5, 2])
+    assert not modular.proves_coprime(polys.mul([1, 1], [1, -2]), polys.mul([1, 1], [3, 1]))
+    # 1 + p x divides both, but is 1 mod p: p divides lc(b), so it cannot decide
+    assert modular.gcd_degree([1, p], polys.mul([1, p], [2, 1]), p) == 0
+    assert not modular.proves_coprime([1, p], polys.mul([1, p], [2, 1]))

@@ -11,8 +11,11 @@ f_S(n) = sum c f_T(n-1) under `state_oracle` for n <= 6, and every target
 wrongly pruned as dead, or a term lost in evolution, breaks one of them.
 The fitted and the eliminated generating functions must be equal.  A
 system served from the spec's memo, after other specs ran, must equal a
-fresh build, and so must its fitted GF.  The extended tier runs every check
-on 40 more three-factor draws.
+fresh build, and so must its fitted GF.  The brute-force oracle's int64
+path must give every level of F_0..F_8 and u_alpha(0..8) exactly as its
+Python-integer path does, with the default chunk and a small one whose
+boundaries cut every level.  The extended tier runs every check on 40 more
+three-factor draws.
 """
 
 import random
@@ -31,14 +34,18 @@ from sterngf import (
     expand_levels,
     is_dead,
     pv_classify,
+    root_state,
     solve_gf,
     state_oracle,
+    u_alpha_terms,
 )
 
 SEED = 20261019
 STATE_LIMIT = 200
 ALPHAS = ([1], [2], [1, 1], [1, 0, 1])
 THREE_FACTOR_ALPHAS = ([3], [1, 1, 1], [2, 1])
+ORACLE_LEVEL = 8
+SMALL_CHUNK = 29
 
 
 def random_systems(seed: int, count: int, orders=(1, 2), alphas=ALPHAS):
@@ -113,6 +120,17 @@ def check_fit_equals_eliminate(spec, alpha, sys_):
     assert solve_gf(sys_, "eliminate") == solve_gf(sys_), (spec, alpha)
 
 
+def check_oracle_paths_agree(spec, alpha):
+    """Each int64 level, read as it is yielded, equals the Python-integer
+    level, and u_alpha_terms equals the root state's sums over those."""
+    lists = list(expand_levels(spec, ORACLE_LEVEL, force_python=True))
+    for m, level in enumerate(expand_levels(spec, ORACLE_LEVEL)):
+        assert [int(x) for x in level] == lists[m], (spec, m)
+    root = root_state(alpha, spec.seq.order)
+    assert u_alpha_terms(spec, alpha, ORACLE_LEVEL) == [
+        state_oracle(spec, root, m, coeffs=level) for m, level in enumerate(lists)], (spec, alpha)
+
+
 def check_memo_served_system(spec, alpha, other):
     """Build, build `other` (a (spec, alpha) pair), build again: the served
     system and its fitted GF equal a fresh build's."""
@@ -147,6 +165,13 @@ def test_pruned_dead_targets_vanish(case):
 @pytest.mark.parametrize("case", range(SPECS))
 def test_fit_equals_eliminate(case):
     check_fit_equals_eliminate(*SYSTEMS[case])
+
+
+@pytest.mark.parametrize("chunk", (core._CHUNK, SMALL_CHUNK), ids=str)
+@pytest.mark.parametrize("case", range(SPECS))
+def test_oracle_int64_and_list_paths_agree(case, chunk, monkeypatch):
+    monkeypatch.setattr(core, "_CHUNK", chunk)
+    check_oracle_paths_agree(*SYSTEMS[case][:2])
 
 
 @pytest.mark.parametrize("case", range(SPECS))
