@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial, prod
-from operator import le, sub
+from operator import add, gt, sub
 
 from . import polys
 from .cfinite import (HORIZON, CFiniteSeq, PosExpr, SeqMemo, certify_eventually_positive,
@@ -46,7 +46,9 @@ _INT64_GUARD = 1 << 62
 _CHUNK = 1 << 16  # values of k per slice product of the correlation sum
 SPEC_MEMO_LIMIT = 16  # per-spec memos kept at once, least recently used dropped
 SYSTEM_MEMO_LIMIT = 1 << 14  # nnz + states of the closed systems kept per spec, oldest dropped
-DEADNESS_MEMO_LIMIT = 1 << 10  # head columns, and pair certificates, kept per spec; oldest dropped
+DEADNESS_MEMO_LIMIT = 1 << 10  # head columns, and pair records, kept per spec; oldest dropped
+# a pair's head mask holds one flag byte per level 0..HORIZON; this one has them all
+_ALL_LEVELS = int.from_bytes(b"\x01" * (HORIZON + 1), "little")
 
 
 class SpecValidationError(ValueError):
@@ -109,15 +111,19 @@ class State:
     factors: tuple[tuple[int, tuple[int, ...]], ...]
 
     def sort_key(self):
-        return tuple((beta, d) for d, beta in self.factors)
+        return tuple([(beta, d) for d, beta in self.factors])
 
 
 def canonicalize(raw: list[tuple[int, tuple[int, ...]]]) -> State:
     """Shift all beta vectors by their componentwise minimum (a shift of the
-    summation variable k) and sort the factors."""
-    mins = list(map(min, zip(*[beta for _, beta in raw])))
-    shifted = sorted([(tuple(map(sub, beta, mins)), d) for d, beta in raw])
-    return State(tuple([(d, beta) for beta, d in shifted]))
+    summation variable k) and sort the factors; raw is left as it is."""
+    mins = tuple(map(min, zip(*[beta for _, beta in raw])))
+    if any(mins):
+        keyed = [(tuple(map(sub, beta, mins)), d) for d, beta in raw]
+    else:
+        keyed = [(beta, d) for d, beta in raw]
+    keyed.sort()
+    return State(tuple([(d, beta) for beta, d in keyed]))
 
 
 def root_state(alpha, L: int) -> State:
@@ -132,20 +138,37 @@ def root_state(alpha, L: int) -> State:
 # per-spec memo
 
 
+class _Pair:
+    """The deadness inputs of one factor pair under its key (beta_i -
+    beta_j, d_i - d_j), oriented so that the gap <beta_i - beta_j, f(n..)>
+    - (d_i - d_j) is >= 0 at the tail's first level: one `head` flag byte
+    per level n <= HORIZON, set where |gap| > U(n), and the tail
+    certificate's outcome, None until it is asked.  A plain slotted class:
+    a dataclass would cost about 0.5 ms at import."""
+
+    __slots__ = ("head", "certified")
+
+    def __init__(self, head: int):
+        self.head = head
+        self.certified: bool | None = None
+
+
 class _SpecCache:
     """Everything memoized for one spec: the sequence memo, level degree
     bounds, the deadness tail certificate, the inputs of deadness verdicts
-    (head columns by beta and pair certificates by key, at most
-    DEADNESS_MEMO_LIMIT of each) and the closed systems by root state
-    (their nonzeros and states at most SYSTEM_MEMO_LIMIT in all).  Each
-    entry is a function of the spec and its key alone."""
+    (head columns by beta and pair records by key, at most
+    DEADNESS_MEMO_LIMIT of each), the multiset pick table of each group
+    size, and the closed systems by root state (their nonzeros and states
+    at most SYSTEM_MEMO_LIMIT in all).  Each entry is a function of the
+    spec and its key alone."""
 
     def __init__(self, spec: ProductSpec):
         self.spec = spec
         self.memo = SeqMemo(spec.seq)
         self.U_prefix: list[int] = [polys.degree(list(spec.P))]
         self.heads: dict[tuple[int, ...], list[int]] = {}  # beta -> column
-        self.pairs: dict[tuple[tuple[int, ...], int], bool] = {}  # (dbeta, dd) -> certified
+        self.pairs: dict[tuple[tuple[int, ...], int], _Pair] = {}  # (dbeta, dd) -> record
+        self.picks: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}  # m -> pick table
         self.systems: dict[State, tuple[object, int]] = {}  # root -> (system, size)
 
     def head(self, beta: tuple[int, ...]) -> list[int]:
@@ -156,6 +179,38 @@ class _SpecCache:
         if col is None:
             col = _remember(self.heads, beta, self.memo.form_values(beta, 0, HORIZON + 2))
         return col
+
+    @cached_property
+    def head_bound(self) -> list[int]:
+        """U(n) for n = 0..HORIZON."""
+        self.degree_bound(HORIZON)
+        return self.U_prefix[:HORIZON + 1]
+
+    def pair(self, key: tuple[tuple[int, ...], int], col_i: list[int],
+             col_j: list[int]) -> _Pair:
+        """The record of the pair of factors (d_i, beta_i), (d_j, beta_j)
+        under key (beta_i - beta_j, d_i - d_j), given the head columns of
+        beta_i and beta_j."""
+        rec = self.pairs.get(key)
+        if rec is None:
+            gaps = map(sub, map(sub, col_i, col_j), itertools.repeat(key[1]))
+            rec = _remember(self.pairs, key, _Pair(int.from_bytes(
+                bytes(map(gt, map(abs, gaps), self.head_bound)), "little")))
+        return rec
+
+    def pick_table(self, m: int) -> tuple[list[int], list[tuple[int, ...]]]:
+        """The multisets of m picks among the spec's terms, as term index
+        tuples, and their weights: the multiset taking term j k_j times
+        stands for m! / prod k_j! ordered picks of coefficient
+        prod c_j^k_j each."""
+        table = self.picks.get(m)
+        if table is None:
+            coeffs = [c for c, _ in self.spec.terms]
+            idxs = list(itertools.combinations_with_replacement(range(len(coeffs)), m))
+            table = self.picks[m] = (
+                [factorial(m) // prod(map(factorial, Counter(idx).values()))
+                 * prod(map(coeffs.__getitem__, idx)) for idx in idxs], idxs)
+        return table
 
     def keep_system(self, root: State, system, size: int) -> None:
         """Memoize a closed system of `size` nonzeros plus states under its
@@ -249,15 +304,17 @@ def is_dead(spec: ProductSpec, state: State) -> bool:
     At level n the factor supports are intervals of length U(n) starting at
     <beta_i, f(n..)> - d_i; the product can only be nonzero when they all
     intersect, so a support spread exceeding U(n) at every level kills the
-    state.  The spread is checked exactly up to HORIZON; beyond, one
-    factor pair's gap must be certified positive forever.  Any inconclusive
-    certificate returns False (alive), which is always safe.
+    state.  The spread exceeds U(n) exactly when some factor pair's gap
+    does, so up to HORIZON the state is checked exactly by OR-ing its pairs'
+    head masks; beyond, one factor pair's gap must be certified positive
+    forever.  Any inconclusive certificate returns False (alive), which is
+    always safe.
 
     The verdict is a pure function of its arguments and is not memoized;
     its inputs are, per spec and each at most DEADNESS_MEMO_LIMIT: the head
-    column of each beta, and each pair certificate's outcome under the key
-    (beta_i - beta_j, d_i - d_j), which with the spec's tail fixes the
-    certified expression.  Equal factors are taken once, and a pair whose
+    column of each beta, and each pair's record under the key (beta_i -
+    beta_j, d_i - d_j), whose head mask and certified expression the key
+    and the spec's tail fix.  Equal factors are taken once, and a pair whose
     gap is at most U(start) at the tail's first level is not certified: its
     expression is <= 0 at n = 0, so its certificate could only fail.
     """
@@ -265,34 +322,36 @@ def is_dead(spec: ProductSpec, state: State) -> bool:
     if len(factors) < 2:
         return False
     cache = _cache(spec)
-    cols = [list(map(sub, cache.head(beta), itertools.repeat(d))) for d, beta in factors]
-    cache.degree_bound(HORIZON)
-    # lazily, level by level: the first spread <= U(n) keeps the state
-    spreads = map(sub, map(max, *cols), map(min, *cols))
-    if any(map(le, spreads, cache.U_prefix[:HORIZON + 1])):
-        return False
-    if cache.tail is None:
+    start = HORIZON + 1
+    cols = [cache.head(beta) for _, beta in factors]
+    offs = [col[start] - d for col, (d, _) in zip(cols, factors)]
+    order = sorted(range(len(offs)), key=offs.__getitem__, reverse=True)
+    # every pair (i, j) with i before j in order, so its gap at start is >= 0,
+    # in the order the tail tries them
+    pairs = []
+    covered = 0
+    for a, i in enumerate(order):
+        d_i, beta_i = factors[i]
+        for j in reversed(order[a + 1:]):
+            d_j, beta_j = factors[j]
+            key = (tuple(map(sub, beta_i, beta_j)), d_i - d_j)
+            rec = cache.pair(key, cols[i], cols[j])
+            covered |= rec.head
+            pairs.append((offs[i] - offs[j], key, rec))
+    # a level no pair covers has spread <= U(n) and keeps the state
+    if covered != _ALL_LEVELS or cache.tail is None:
         return False
     tail_form, base = cache.tail
-    start = HORIZON + 1
     memo = cache.memo
-
-    offs = [col[start] for col in cols]
-    order = sorted(range(len(offs)), key=offs.__getitem__, reverse=True)
-    # base = U(start) >= 0, so no factor pairs with itself
-    pairs = ((i, j) for i in order for j in reversed(order) if offs[i] - offs[j] > base)
-    for i, j in pairs:
-        (d_i, beta_i), (d_j, beta_j) = factors[i], factors[j]
-        key = (tuple(map(sub, beta_i, beta_j)), d_i - d_j)
-        certified = cache.pairs.get(key)
-        if certified is None:
-            delta, dd = key
+    for gap, (delta, dd), rec in pairs:
+        if gap <= base:
+            continue
+        if rec.certified is None:
             shifts = tuple((x, start + t) for t, x in enumerate(delta) if x)
             expr = PosExpr(memo.seq, shifts=shifts, partials=((-1, tail_form),),
                            const=-dd - base)
-            certified = _remember(cache.pairs, key, certify_eventually_positive(
-                expr, memo=memo).is_positive)
-        if certified:
+            rec.certified = certify_eventually_positive(expr, memo=memo).is_positive
+        if rec.certified:
             return True
     return False
 
@@ -318,27 +377,28 @@ def evolve(spec: ProductSpec, state: State) -> list[tuple[int, State]]:
     multiplicities k_j give the same raw state in every order: the
     m! / prod k_j! ordered picks of that multiset, each with coefficient
     prod c_j^k_j.  So equal factors are grouped, each group enumerates the
-    multisets of its picks once with that multinomial weight, and the product
-    runs over the groups: one canonicalization per multiset pick, and rows
-    equal to the sums over all ordered picks.  The resulting states are
+    multisets of its picks once with that multinomial weight (the spec's
+    pick table of its size, which the group's factors index), and the
+    product runs lazily over the groups: one canonicalization per multiset
+    pick, and rows equal to the sums over all ordered picks.  The states are
     merged, and every target with a nonzero coefficient is kept, dead or
     not: pruning is the closure's decision.  The row is returned sorted, so
     system construction is deterministic.
     """
-    seq = spec.seq
-    groups = []
+    seq, terms = spec.seq, spec.terms
+    cache = _cache(spec)
+    weights, picks = [], []
     for (d, beta), m in Counter(state.factors).items():
         beta = shift_level(seq, beta)
-        moved = [(c, (d, tuple(b + x for b, x in zip(beta, e)))) for c, e in spec.terms]
-        picks = []
-        for pick in itertools.combinations_with_replacement(moved, m):
-            weight = factorial(m) // prod(factorial(k) for k in Counter(pick).values())
-            picks.append((weight * prod(c for c, _ in pick), [f for _, f in pick]))
-        groups.append(picks)
+        moved = [(d, tuple(map(add, beta, e))) for _, e in terms]
+        group_weights, idxs = cache.pick_table(m)
+        weights.append(group_weights)
+        picks.append([tuple(map(moved.__getitem__, idx)) for idx in idxs])
     acc: dict[State, int] = {}
-    for combo in itertools.product(*groups):
-        st = canonicalize([f for _, raw in combo for f in raw])
-        acc[st] = acc.get(st, 0) + prod(c for c, _ in combo)
+    raws = map(list, map(itertools.chain.from_iterable, itertools.product(*picks)))
+    for w, raw in zip(map(prod, itertools.product(*weights)), raws):
+        st = canonicalize(raw)
+        acc[st] = acc.get(st, 0) + w
     row = [(c, st) for st, c in acc.items() if c]
     row.sort(key=lambda t: t[1].sort_key())
     return row

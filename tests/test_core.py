@@ -147,6 +147,20 @@ def test_canonicalize_translation_invariant():
         assert canonicalize(raw) == canonicalize(moved)
 
 
+def test_canonicalize_leaves_its_input_unchanged():
+    # unsorted inputs whose minimum is zero (no shift) and nonzero
+    rng = random.Random(4)
+    for shift in (0, -2, 3):
+        for _ in range(20):
+            raw = [(rng.randint(-2, 2), (rng.randint(0, 3) + shift, rng.randint(0, 3)))
+                   for _ in range(rng.randint(2, 5))]
+            kept = list(raw)
+            st = canonicalize(raw)
+            assert raw == kept
+            assert [min(b) for b in zip(*[beta for _, beta in st.factors])] == [0, 0]
+            assert list(st.factors) == sorted(st.factors, key=lambda f: (f[1], f[0]))
+
+
 # ---------------------------------------------------------------------------
 # deadness
 

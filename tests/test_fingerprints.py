@@ -16,7 +16,9 @@ pair certificates by key;
 any change to what `matrix`, `gf` (its `num`, `den` and `dim`; `method` is
 left out) or `pv` print shows up here.  The
 challenge limit reports are produced in a fresh interpreter, where their
-counts do not depend on anything the test session ran before.
+counts do not depend on anything the test session ran before.  Every
+deadness verdict of the logged closures must also equal the former
+level-by-level spread scan's (`spread_scan.py`).
 """
 
 import hashlib
@@ -34,6 +36,8 @@ import pytest
 from sterngf import LimitExceeded, build_system, cli, core
 from sterngf.cfinite import CFiniteSeq, indicial_poly, pv_classify
 from sterngf.roots import dominant_root_certificate
+
+from spread_scan import spread_scan_is_dead
 
 COOKBOOK = pathlib.Path(cli.__file__).parent / "cookbook"
 
@@ -335,13 +339,15 @@ def random_root_digest() -> str:
     return _sha(repr(out))
 
 
-def deadness_log_digest(monkeypatch) -> str:
+def deadness_log(monkeypatch) -> list:
+    """(spec, state, verdict) for every core.is_dead call of the
+    DEADNESS_CASES closures, each from a fresh registry."""
     log = []
     is_dead = core.is_dead
 
     def logging(spec, state):
-        log.append((state.factors, is_dead(spec, state)))
-        return log[-1][1]
+        log.append((spec, state, is_dead(spec, state)))
+        return log[-1][2]
 
     monkeypatch.setattr(core, "is_dead", logging)
     for name, alpha, limit in DEADNESS_CASES:
@@ -352,7 +358,11 @@ def deadness_log_digest(monkeypatch) -> str:
         except LimitExceeded:
             pass
     core._cache.cache_clear()
-    return _sha(repr(log))
+    return log
+
+
+def deadness_log_digest(monkeypatch) -> str:
+    return _sha(repr([(state.factors, dead) for _, state, dead in deadness_log(monkeypatch)]))
 
 
 def case_id(case) -> str:
@@ -382,6 +392,14 @@ def test_random_recurrence_root_digest():
 
 def test_deadness_verdict_log_digest(monkeypatch):
     assert deadness_log_digest(monkeypatch) == EXPECTED_DEADNESS_LOG
+
+
+def test_deadness_verdicts_match_the_spread_scan(monkeypatch):
+    log = deadness_log(monkeypatch)
+    assert sum(dead for _, _, dead in log) > 1000
+    assert [dead for _, _, dead in log] == [
+        spread_scan_is_dead(spec, state) for spec, state, _ in log]
+    core._cache.cache_clear()
 
 
 def test_challenge_limit_report_fingerprint():

@@ -15,7 +15,9 @@ import pytest
 
 import sterngf
 from sterngf import CFiniteSeq, LimitExceeded, ProductSpec, build_system, cli, core, gfs
-from sterngf.cfinite import certify_eventually_positive
+from sterngf.cfinite import HORIZON, certify_eventually_positive
+
+from spread_scan import head_mask, pair_certified
 
 COOKBOOK = pathlib.Path(cli.__file__).parent / "cookbook"
 
@@ -297,14 +299,28 @@ def test_deadness_memos_stay_within_their_bound(capsys, monkeypatch):
     spec, _ = cli.load_spec_file(CHALLENGE)
     cache = core._cache(spec)
     assert 0 < len(cache.heads) <= core.DEADNESS_MEMO_LIMIT
-    assert 0 < len(cache.pairs) <= core.DEADNESS_MEMO_LIMIT
+    assert 0 < check_pair_records(spec) <= core.DEADNESS_MEMO_LIMIT
     # a small bound drops the oldest entries and reports the same closure
     monkeypatch.setattr(core, "DEADNESS_MEMO_LIMIT", 64)
     core._cache.cache_clear()
     assert run_cli(capsys, *argv) == first
     cache = core._cache(spec)
-    assert len(cache.heads) == len(cache.pairs) == 64
+    assert len(cache.heads) == check_pair_records(spec) == 64
     core._cache.cache_clear()
+
+
+def check_pair_records(spec) -> int:
+    """Each kept pair record is what its key alone fixes: the key's gap is
+    >= 0 at the tail's first level, the head flags are the levels where
+    the gap exceeds U(n), and a certificate outcome, once kept, is the one
+    a fresh certificate gives.  Returns the number of records kept."""
+    cache = core._cache(spec)
+    for key, rec in cache.pairs.items():
+        delta, dd = key
+        assert cache.memo.form_values(delta, HORIZON + 1, HORIZON + 2, -dd)[0] >= 0, key
+        assert rec.head == head_mask(spec, key), key
+        assert rec.certified is None or rec.certified == pair_certified(spec, key), key
+    return len(cache.pairs)
 
 
 def closure_targets(spec, alpha, limit):
@@ -320,7 +336,8 @@ def closure_targets(spec, alpha, limit):
 def test_deadness_verdicts_do_not_depend_on_the_memo(monkeypatch):
     """Verdicts on fixed states are the same from a fresh registry, from one
     that other specs and closures filled, and from one whose deadness memos
-    are small enough to drop entries between the calls."""
+    are small enough to drop entries between the calls; the pair records
+    such a registry keeps are the ones their keys fix."""
     specs = {name: cli.load_spec_file(str(COOKBOOK / f"{name}.json"))[0]
              for name in ("base_stern", "fibonacci", "challenge")}
     cases = [(specs["base_stern"], [1, 1, 1]), (specs["fibonacci"], [3]),
@@ -339,6 +356,10 @@ def test_deadness_verdicts_do_not_depend_on_the_memo(monkeypatch):
     monkeypatch.setattr(core, "DEADNESS_MEMO_LIMIT", 3)
     assert [core.is_dead(spec, st) for spec, st in fixed] == fresh
     assert [core.is_dead(spec, st) for spec, st in reversed(fixed)] == fresh[::-1]
+    # from an empty registry every spec's pair records overflow the bound
+    core._cache.cache_clear()
+    assert [core.is_dead(spec, st) for spec, st in fixed] == fresh
+    assert [check_pair_records(spec) for spec in specs.values()] == [3, 3, 3]
     core._cache.cache_clear()
 
 

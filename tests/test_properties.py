@@ -2,20 +2,24 @@
 
 Each draw is a small PV spec: a sequence with a PV dominant root and
 nonnegative exponent forms.  Most draws have order 1-2 and a correlation
-pattern of at most two factors; the others have order 1-3 and a pattern of
+pattern of at most two factors; others have order 1-3 and a pattern of
 three factors, so states hold three factors whose pairs deadness tries in
-turn.  On its closed system, M^n v must equal `state_oracle` at every
-state for n <= 4, every state's unpruned `evolve` row must satisfy
-f_S(n) = sum c f_T(n-1) under `state_oracle` for n <= 6, and every target
-`is_dead` prunes must have a zero `state_oracle` for n <= 6.  A state
-wrongly pruned as dead, or a term lost in evolution, breaks one of them.
-The fitted and the eliminated generating functions must be equal.  A
-system served from the spec's memo, after other specs ran, must equal a
-fresh build, and so must its fitted GF.  The brute-force oracle's int64
-path must give every level of F_0..F_8 and u_alpha(0..8) exactly as its
-Python-integer path does, with the default chunk and a small one whose
-boundaries cut every level.  The extended tier runs every check on 40 more
-three-factor draws.
+turn; the last have order 2-3 and exponent vectors with a negative entry,
+so beta differences take both signs.  On its closed system, M^n v must
+equal `state_oracle` at every state for n <= 4, every state's unpruned
+`evolve` row must satisfy f_S(n) = sum c f_T(n-1) under `state_oracle` for
+n <= 6, and every target `is_dead` prunes must have a zero `state_oracle`
+for n <= 6.  A state wrongly pruned as dead, or a term lost in evolution,
+breaks one of them.  Every target's deadness verdict must equal the former
+level-by-level spread scan's (`spread_scan.py`).  The fitted and the
+eliminated generating functions must be equal, and a `terms` run long
+enough to be served from the fitted recurrence must equal the sparse
+M^n v stream.  A system served from the spec's memo, after other specs
+ran, must equal a fresh build, and so must its fitted GF.  The brute-force
+oracle's int64 path must give every level of F_0..F_8 and u_alpha(0..8)
+exactly as its Python-integer path does, with the default chunk and a
+small one whose boundaries cut every level.  The extended tier runs every
+check on 40 more three-factor draws.
 """
 
 import random
@@ -37,8 +41,12 @@ from sterngf import (
     root_state,
     solve_gf,
     state_oracle,
+    stream_terms,
     u_alpha_terms,
 )
+from sterngf.closure import _fit_length
+
+from spread_scan import spread_scan_is_dead
 
 SEED = 20261019
 STATE_LIMIT = 200
@@ -48,9 +56,11 @@ ORACLE_LEVEL = 8
 SMALL_CHUNK = 29
 
 
-def random_systems(seed: int, count: int, orders=(1, 2), alphas=ALPHAS):
+def random_systems(seed: int, count: int, orders=(1, 2), alphas=ALPHAS, low=0,
+                   limit=STATE_LIMIT):
     """(spec, alpha, closed system) for `count` draws that validate and close
-    within STATE_LIMIT states."""
+    within `limit` states; exponent entries lie in [low, 2], and with
+    low < 0 some entry of each draw is negative."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -59,20 +69,26 @@ def random_systems(seed: int, count: int, orders=(1, 2), alphas=ALPHAS):
                          tuple(rng.randint(1, 2) for _ in range(L)))
         if pv_classify(seq).kind != "pv":
             continue
-        forms = {tuple(rng.randint(0, 2) for _ in range(L)) for _ in range(rng.randint(2, 3))}
+        forms = {tuple(rng.randint(low, 2) for _ in range(L)) for _ in range(rng.randint(2, 3))}
+        if low < 0 and min(map(min, forms)) >= 0:
+            continue
         terms = tuple((rng.choice((1, 1, 2, -1)), e) for e in sorted(forms))
         P = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 2)))
         alpha = rng.choice(alphas)
         try:
             spec = ProductSpec(P=P, seq=seq, terms=terms)
-            out.append((spec, alpha, build_system(spec, alpha, limit=STATE_LIMIT)))
+            out.append((spec, alpha, build_system(spec, alpha, limit=limit)))
         except (SpecValidationError, LimitExceeded):
             continue
     return out
 
 
+SIGNED_DRAWS = 10
+SIGNED_LIMIT = 150  # a larger closure makes the eliminate check take seconds
 SYSTEMS = (random_systems(SEED, 30)
-           + random_systems(SEED, 10, orders=(1, 2, 3, 3), alphas=THREE_FACTOR_ALPHAS))
+           + random_systems(SEED, 10, orders=(1, 2, 3, 3), alphas=THREE_FACTOR_ALPHAS)
+           + random_systems(SEED + 2, SIGNED_DRAWS, orders=(2, 3),
+                            alphas=ALPHAS + THREE_FACTOR_ALPHAS, low=-1, limit=SIGNED_LIMIT))
 SPECS = len(SYSTEMS)
 EXTENDED_SPECS = 40
 
@@ -116,8 +132,25 @@ def check_dead_targets_vanish(spec, alpha, sys_):
                    for n in range(7)), (spec, alpha, st)
 
 
+def check_deadness_matches_spread_scan(spec, alpha, sys_):
+    targets = {tgt for st in sys_.states for _, tgt in evolve(spec, st)}
+    for st in targets:
+        assert is_dead(spec, st) == spread_scan_is_dead(spec, st), (spec, alpha, st)
+
+
 def check_fit_equals_eliminate(spec, alpha, sys_):
     assert solve_gf(sys_, "eliminate") == solve_gf(sys_), (spec, alpha)
+
+
+def check_recurrence_stream(spec, alpha, sys_):
+    """n + 1 = 2 * (2 dim + 10) terms are served from the fitted recurrence."""
+    n = 2 * _fit_length(sys_) - 1
+    vec = list(sys_.v)
+    want = [vec[sys_.root]]
+    for _ in range(n):
+        vec = [sum(c * vec[col] for col, c in row) for row in sys_.rows]
+        want.append(vec[sys_.root])
+    assert stream_terms(sys_, n) == want, (spec, alpha)
 
 
 def check_oracle_paths_agree(spec, alpha):
@@ -163,8 +196,30 @@ def test_pruned_dead_targets_vanish(case):
 
 
 @pytest.mark.parametrize("case", range(SPECS))
+def test_deadness_matches_the_spread_scan(case):
+    check_deadness_matches_spread_scan(*SYSTEMS[case])
+
+
+def test_signed_draws_prune_states_whose_beta_differences_change_sign():
+    """Dead targets of the signed draws hold factor pairs whose beta
+    difference has a negative and a positive entry."""
+    mixed = 0
+    for spec, _, sys_ in SYSTEMS[-SIGNED_DRAWS:]:
+        for st in {tgt for row_st in sys_.states for _, tgt in evolve(spec, row_st)}:
+            betas = [beta for _, beta in st.factors]
+            diffs = [[x - y for x, y in zip(a, b)] for a in betas for b in betas]
+            mixed += is_dead(spec, st) and any(min(d) < 0 < max(d) for d in diffs)
+    assert mixed > 50
+
+
+@pytest.mark.parametrize("case", range(SPECS))
 def test_fit_equals_eliminate(case):
     check_fit_equals_eliminate(*SYSTEMS[case])
+
+
+@pytest.mark.parametrize("case", range(SPECS))
+def test_recurrence_served_terms_equal_the_sparse_stream(case):
+    check_recurrence_stream(*SYSTEMS[case])
 
 
 @pytest.mark.parametrize("chunk", (core._CHUNK, SMALL_CHUNK), ids=str)
@@ -185,7 +240,8 @@ def test_memo_served_system_equals_a_fresh_build(case):
 def test_three_factor_draw_extended(case):
     draws = extended_systems()
     spec, alpha, sys_ = draws[case]
-    for check in (check_matrix_powers, check_evolution_identity,
-                  check_dead_targets_vanish, check_fit_equals_eliminate):
+    for check in (check_matrix_powers, check_evolution_identity, check_dead_targets_vanish,
+                  check_deadness_matches_spread_scan, check_fit_equals_eliminate,
+                  check_recurrence_stream):
         check(spec, alpha, sys_)
     check_memo_served_system(spec, alpha, draws[(case + 1) % EXTENDED_SPECS][:2])
