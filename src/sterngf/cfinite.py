@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from . import modular, polys, roots
 from .roots import GRID, GRID_BITS, Iv
@@ -47,16 +48,18 @@ class CFiniteSeq:
 
 class SeqMemo:
     """Memo of one sequence: its terms, prefix sums of linear forms over
-    them, and dominant-root and growth certificates per annihilator.  Every
-    entry is a pure function of the sequence and its key, so what a caller
-    reads never depends on which caller filled it first."""
+    them, dominant-root and growth certificates per annihilator, and the
+    residue images that certificates combine (`image`).  Every entry is a
+    pure function of the sequence and its key, so what a caller reads never
+    depends on which caller filled it first."""
 
     def __init__(self, seq: CFiniteSeq):
         self.seq = seq
         self.vals: list[int] = list(seq.init)
         self.prefix: dict[tuple[int, ...], list[int]] = {}
         self.certs: dict[tuple[int, ...], Iv | None] = {}
-        self.growth: dict[tuple[tuple[int, ...], int], _GrowthData | None] = {}
+        self.growth: dict[tuple[tuple[int, ...], int], tuple | None] = {}
+        self.images: dict[tuple, list[int]] = {}  # (A, n0, basis) -> residues
 
     def values(self, n: int) -> list[int]:
         """The value list, grown to cover index n; callers may index it but
@@ -88,6 +91,24 @@ class SeqMemo:
             for val in self.form_values(form, len(pre) - 1, n):
                 pre.append(pre[-1] + val)
         return pre
+
+    def image(self, A: tuple[int, ...], n0: int, basis, p: int) -> list[int]:
+        """R * u mod t^k mod p, R = A reversed, for u = b(n0..n0+k-1) of one
+        basis element b: f(n + basis) for an int, the partial sum S_basis(n)
+        for a form, 1 for None.  p is the first prime not dividing A(0)."""
+        key = (A, n0, basis)
+        img = self.images.get(key)
+        if img is None:
+            k = len(A) - 1
+            if basis is None:
+                u = [1] * k
+            elif isinstance(basis, int):
+                u = self.values(n0 + basis + k)[n0 + basis:n0 + basis + k]
+            else:
+                u = self.prefix_sums(basis, n0 + k)[n0:n0 + k]
+            img = self.images[key] = [sum(A[k - i] * u[j - i] for i in range(j + 1)) % p
+                                      for j in range(k)]
+        return img
 
 
 def term(seq: CFiniteSeq, n: int) -> int:
@@ -273,14 +294,29 @@ def _verdict(vals: list[int], lo: int, hi: int, kind: str = "positive_for_all") 
     return Positivity(kind)
 
 
-def _annihilator(expr: PosExpr) -> list[int]:
-    """A monic integer polynomial A with A(E) expr = 0 for all n >= 0
-    (E the shift operator).  Shifted terms are killed by the indicial
-    polynomial; partial sums and constants need an extra factor (X - 1)."""
+def _annihilator(expr: PosExpr) -> tuple[list[int], int]:
+    """A monic A with A(E) expr = 0 for all n >= 0 (E the shift), and the
+    level n0 where the certificate's tail starts.  Shifted terms are killed
+    by the indicial polynomial; partial sums and constants need (X - 1)."""
     A = indicial_poly(expr.seq)
     if expr.partials or expr.const:
-        A = polys.mul(A, [-1, 1])
-    return A
+        A = [a - b for a, b in zip([0] + A, A + [0])]  # (X - 1) * A
+    return A, 2 * expr.seq.order + max((off for _, off in expr.shifts), default=0) + 2
+
+
+def _proves_minimal(memo: SeqMemo, expr: PosExpr, A: list[int], n0: int) -> bool:
+    """True when residues prove A the least annihilator of expr from n0 on:
+    N = R * u mod t^k (see _minimal_annihilator) is linear in expr, so N
+    mod p combines the memo's `SeqMemo.image`s, and one gcd over GF(p)
+    proves N and R coprime as `modular.proves_coprime` would on N."""
+    p = next((q for q in modular.PRIMES if A[0] % q), None)
+    if p is None:
+        return False
+    key = tuple(A)
+    parts = [(c, basis) for c, basis in (*expr.shifts, *expr.partials, (expr.const, None)) if c]
+    images = [memo.image(key, n0, basis, p) for _, basis in parts]
+    N = [sum(map(mul, [c for c, _ in parts], col)) for col in zip(*images)]
+    return modular.gcd_degree(N, A[::-1], p) == 0
 
 
 def _minimal_annihilator(vals: list[int], A: list[int], n0: int) -> list[int]:
@@ -292,16 +328,13 @@ def _minimal_annihilator(vals: list[int], A: list[int], n0: int) -> list[int]:
     generating function N / R, N = R * u mod t^k.  Its minimal annihilator is
     the reduced denominator R / gcd(N, R), normalised to constant term 1 and
     reversed (Everest et al., Recurrence Sequences, 2003): deg N < deg R, so
-    no power of X joins it.  Exact, from k values.  When one prime proves
-    N and R coprime (`modular.proves_coprime`; lc(R) = A(0)), A is returned
-    without a PRS gcd.
+    no power of X joins it.  Exact, from k values, by a PRS gcd: the
+    certificate asks only when `_proves_minimal` has not proved A minimal.
     """
     k = polys.degree(A)
     R = A[::-1]
     u = vals[n0:n0 + k]
     N = [sum(R[i] * u[j - i] for i in range(j + 1)) for j in range(k)]
-    if modular.proves_coprime(N, R):
-        return A
     g = polys.poly_gcd(N, R)
     if polys.degree(g) < 1:
         return A
@@ -309,6 +342,17 @@ def _minimal_annihilator(vals: list[int], A: list[int], n0: int) -> list[int]:
     if q[0] < 0:
         q = polys.neg(q)
     return q[::-1]
+
+
+def cannot_certify(expr: PosExpr, memo: SeqMemo) -> bool:
+    """True when the certificate of expr cannot come out positive, told
+    without any value of expr: residues prove A minimal and A has no growth
+    data.  As A(0) != 0 and deg A >= 2, a minimal A is neither eventually
+    constant nor geometric, so the certificate ends in a head witness or
+    "unknown".  False proves nothing.  memo must belong to expr.seq."""
+    A, n0 = _annihilator(expr)
+    return (len(A) > 2 and _growth_data(memo, tuple(A), n0) is None
+            and _proves_minimal(memo, expr, A, n0))
 
 
 def certify_eventually_positive(expr: PosExpr, horizon: int = HORIZON,
@@ -329,14 +373,13 @@ def certify_eventually_positive(expr: PosExpr, horizon: int = HORIZON,
     """
     if memo is None:
         memo = SeqMemo(expr.seq)
-    max_off = max((off for _, off in expr.shifts), default=0)
-    n0 = 2 * expr.seq.order + max_off + 2
-    A = _annihilator(expr)
+    A, n0 = _annihilator(expr)
     vals = expr_values(memo, expr, max(horizon, n0 + 2 * polys.degree(A) + 2))
     head = _verdict(vals, 0, horizon)
     if not head.is_positive:
         return head
-    A = _minimal_annihilator(vals, A, n0)
+    if not _proves_minimal(memo, expr, A, n0):
+        A = _minimal_annihilator(vals, A, n0)
     k = polys.degree(A)
 
     # eventually-zero difference => eventually constant (> 0 was checked)
@@ -351,29 +394,29 @@ def certify_eventually_positive(expr: PosExpr, horizon: int = HORIZON,
     gd = _growth_data(memo, tuple(A), n0)
     if gd is None:
         return Positivity("unknown")
+    rho, b, (num, den), rho_pow, dA_rho_pow, rho_lo_pow = gd
 
     # leading projection c = w(n0) / (A'(rho) * rho^n0)
     w0 = Iv.point(0)
     for j in range(k):
-        w0 = w0 + gd.b[j] * Iv.point(vals[n0 + j])
-    c = w0.divided_by(gd.dA_rho_pow)
+        w0 = w0 + b[j] * Iv.point(vals[n0 + j])
+    c = w0.divided_by(dA_rho_pow)
     if not c.lo > 0:
         return Positivity("unknown")
 
-    num, den = gd.tau
     M = 0
     tpow = GRID  # tau^j, rounded down: dividing by it can only inflate M
-    c_rho_pow = c * gd.rho_pow
+    c_rho_pow = c * rho_pow
     rpow = Iv.point(1)
     for j in range(max(k - 1, 1)):
         eps = Iv.point(vals[n0 + j]) - c_rho_pow * rpow
         M = max(M, -(-(eps.abs_hi() << GRID_BITS) // tpow))
         tpow = tpow * num // den
-        rpow = rpow * gd.rho
+        rpow = rpow * rho
 
     # crossover: smallest n* >= n0 with c rho^n > M tau^(n - n0) onwards
-    rho_lo = gd.rho.lo
-    lo_side = c.lo * gd.rho_lo_pow >> GRID_BITS
+    rho_lo = rho.lo
+    lo_side = c.lo * rho_lo_pow >> GRID_BITS
     hi_side = M
     n_star = n0
     while lo_side <= hi_side:
@@ -387,23 +430,15 @@ def certify_eventually_positive(expr: PosExpr, horizon: int = HORIZON,
     return _verdict(vals, horizon + 1, n_star)
 
 
-@dataclass(frozen=True)
-class _GrowthData:
-    """Annihilator-level certificate data, reusable across expressions:
-    dominant-root enclosure rho, interval coefficients of B = A/(X - rho),
-    the geometric tail ratio tau = num/den with tau^(k-1) >= sum |b_j| tau^j,
-    and the fixed powers appearing in the projection formulas.  Bounds are
-    integer numerators on the grid of `roots.Iv`."""
-
-    rho: Iv
-    b: tuple[Iv, ...]
-    tau: tuple[int, int]  # exact (num, den)
-    rho_pow: Iv           # rho^n0
-    dA_rho_pow: Iv        # A'(rho) * rho^n0
-    rho_lo_pow: int       # rho.lo^n0, rounded down
-
-
-def _growth_data(memo: SeqMemo, A: tuple[int, ...], n0: int) -> _GrowthData | None:
+def _growth_data(memo: SeqMemo, A: tuple[int, ...], n0: int) -> tuple | None:
+    """Annihilator-level certificate data, reusable across expressions, as
+    the tuple (rho, b, tau, rho_pow, dA_rho_pow, rho_lo_pow): the
+    dominant-root enclosure rho, the interval coefficients b of
+    B = A/(X - rho), the exact geometric tail ratio tau = (num, den) with
+    tau^(k-1) >= sum |b_j| tau^j, rho^n0, A'(rho) * rho^n0 and rho.lo^n0
+    rounded down; None when a part cannot be certified.  Bounds are
+    integer numerators on the grid of `roots.Iv`; a plain tuple, as a
+    dataclass would cost about 13 KB at import."""
     key = (A, n0)
     if key in memo.growth:
         return memo.growth[key]
@@ -434,8 +469,7 @@ def _growth_data(memo: SeqMemo, A: tuple[int, ...], n0: int) -> _GrowthData | No
             rho_pow = Iv.point(1)
             for _ in range(n0):
                 rho_pow = rho_pow * rho
-            out = _GrowthData(rho=rho, b=tuple(b), tau=tau, rho_pow=rho_pow,
-                              dA_rho_pow=dA * rho_pow,
-                              rho_lo_pow=rho.lo ** n0 >> (GRID_BITS * (n0 - 1)))
+            out = (rho, tuple(b), tau, rho_pow, dA * rho_pow,
+                   rho.lo ** n0 >> (GRID_BITS * (n0 - 1)))
     memo.growth[key] = out
     return out

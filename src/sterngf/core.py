@@ -34,12 +34,12 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 from operator import add, gt, sub
 
 from . import polys
-from .cfinite import (HORIZON, CFiniteSeq, PosExpr, SeqMemo, certify_eventually_positive,
-                      reduce_shift, shift_level)
+from .cfinite import (HORIZON, CFiniteSeq, PosExpr, SeqMemo, cannot_certify,
+                      certify_eventually_positive, reduce_shift, shift_level)
 
 DEFAULT_MAX_COEFFS = 1 << 28
 _INT64_GUARD = 1 << 62
@@ -47,6 +47,7 @@ _CHUNK = 1 << 16  # values of k per slice product of the correlation sum
 SPEC_MEMO_LIMIT = 16  # per-spec memos kept at once, least recently used dropped
 SYSTEM_MEMO_LIMIT = 1 << 14  # nnz + states of the closed systems kept per spec, oldest dropped
 DEADNESS_MEMO_LIMIT = 1 << 10  # head columns, and pair records, kept per spec; oldest dropped
+PICK_LIMIT = 1 << 20  # multiset picks one evolve step may enumerate
 # a pair's head mask holds one flag byte per level 0..HORIZON; this one has them all
 _ALL_LEVELS = int.from_bytes(b"\x01" * (HORIZON + 1), "little")
 
@@ -316,7 +317,8 @@ def is_dead(spec: ProductSpec, state: State) -> bool:
     beta_j, d_i - d_j), whose head mask and certified expression the key
     and the spec's tail fix.  Equal factors are taken once, and a pair whose
     gap is at most U(start) at the tail's first level is not certified: its
-    expression is <= 0 at n = 0, so its certificate could only fail.
+    expression is <= 0 at n = 0, so its certificate could only fail; nor
+    is one whose failure residues show first (`cfinite.cannot_certify`).
     """
     factors = list(dict.fromkeys(state.factors))
     if len(factors) < 2:
@@ -350,7 +352,8 @@ def is_dead(spec: ProductSpec, state: State) -> bool:
             shifts = tuple((x, start + t) for t, x in enumerate(delta) if x)
             expr = PosExpr(memo.seq, shifts=shifts, partials=((-1, tail_form),),
                            const=-dd - base)
-            rec.certified = certify_eventually_positive(expr, memo=memo).is_positive
+            rec.certified = (not cannot_certify(expr, memo)
+                             and certify_eventually_positive(expr, memo=memo).is_positive)
         if rec.certified:
             return True
     return False
@@ -380,15 +383,21 @@ def evolve(spec: ProductSpec, state: State) -> list[tuple[int, State]]:
     multisets of its picks once with that multinomial weight (the spec's
     pick table of its size, which the group's factors index), and the
     product runs lazily over the groups: one canonicalization per multiset
-    pick, and rows equal to the sums over all ordered picks.  The states are
-    merged, and every target with a nonzero coefficient is kept, dead or
-    not: pruning is the closure's decision.  The row is returned sorted, so
-    system construction is deterministic.
+    pick, and rows equal to the sums over all ordered picks; their count,
+    prod C(T + m - 1, m) for T terms, must not exceed PICK_LIMIT.  The
+    states are merged, and every target with a nonzero coefficient is
+    kept, dead or not: pruning is the closure's decision.  The row is
+    returned sorted, so system construction is deterministic.
     """
     seq, terms = spec.seq, spec.terms
+    groups = Counter(state.factors)
+    count = prod(comb(len(terms) + m - 1, m) for m in groups.values())
+    if count > PICK_LIMIT:
+        raise ResourceLimitError(
+            f"a state of {len(state.factors)} factors needs {count} picks (limit {PICK_LIMIT})")
     cache = _cache(spec)
     weights, picks = [], []
-    for (d, beta), m in Counter(state.factors).items():
+    for (d, beta), m in groups.items():
         beta = shift_level(seq, beta)
         moved = [(d, tuple(map(add, beta, e))) for _, e in terms]
         group_weights, idxs = cache.pick_table(m)

@@ -13,9 +13,14 @@ from sterngf import cfinite, cli, closure, core, gfs, polys
 from sterngf.cfinite import (
     CFiniteSeq,
     PosExpr,
+    SeqMemo,
+    _annihilator,
     _cyclotomic_factor,
     _minimal_annihilator,
+    _proves_minimal,
+    cannot_certify,
     certify_eventually_positive,
+    expr_values,
     indicial_poly,
     pv_classify,
     reduce_shift,
@@ -325,6 +330,56 @@ def test_certificate_sound_on_cookbook_sequences(case):
         assert all(v > 0 for v in vals[:res.witness])
 
 
+@settings(max_examples=300, deadline=None)
+@given(cookbook_exprs())
+@example((DIP, 0))
+@example((PosExpr(DIP.seq, DIP.shifts, const=1), 0))
+def test_residue_screen_agrees_with_the_certificate(case):
+    """A screen rejection means the certificate is not positive, and an
+    annihilator the residues prove minimal is the one the PRS gcd finds."""
+    expr, horizon = case
+    memo = SeqMemo(expr.seq)
+    if cannot_certify(expr, memo):
+        assert not certify_eventually_positive(expr, horizon, memo).is_positive
+    A, n0 = _annihilator(expr)
+    if _proves_minimal(memo, expr, A, n0):
+        assert _minimal_annihilator(expr_values(memo, expr, n0 + len(A)), A, n0) == A
+
+
+def test_screen_without_shifted_terms():
+    """Equal betas with different d give a pair expression with no shifted
+    term, read from n0 = 2L + 2.  Over f = 0 it is a constant, whose
+    annihilator X - 1 the residues cannot prove minimal; over 2^n + 1 its
+    full annihilator (X - 2)(X - 1)^2 is minimal and has no growth data, so
+    the screen rejects it, though it is positive and the certificate says
+    "unknown"."""
+    spec, _ = cli.parse_spec({"P": [1], "seq": {"init": [0], "rec": [2]},
+                              "factor": [{"c": 1, "e": [0]}, {"c": 1, "e": [1]}]})
+    tail_form, base = core._cache(spec).tail
+    memo = SeqMemo(spec.seq)
+    expr = PosExpr(spec.seq, partials=((-1, tail_form),), const=3 - base)
+    assert _annihilator(expr) == ([2, -3, 1], 4)
+    assert not _proves_minimal(memo, expr, [2, -3, 1], 4)
+    assert not cannot_certify(expr, memo)
+    assert certify_eventually_positive(expr, memo=memo).is_positive
+    expr = PosExpr(POW2P1, partials=((1, (1, 0)),), const=5)
+    assert _annihilator(expr) == ([-2, 5, -4, 1], 6)
+    assert cannot_certify(expr, memo := SeqMemo(POW2P1))
+    assert certify_eventually_positive(expr, memo=memo).kind == "unknown"
+
+
+def test_screen_passes_expressions_of_shifted_terms_alone():
+    """No partial sum and no constant: A is the indicial polynomial alone,
+    of degree 1 for 2^n, where the certificate's geometric branch decides,
+    and of degree 2 for 2^n + 1, whose A has growth data."""
+    for expr, A in [(PosExpr(POW2, shifts=((1, 0),)), [-2, 1]),
+                    (PosExpr(POW2P1, shifts=((1, 3),)), [2, -3, 1])]:
+        memo = SeqMemo(expr.seq)
+        assert _annihilator(expr)[0] == A
+        assert not cannot_certify(expr, memo)
+        assert certify_eventually_positive(expr, memo=memo).is_positive
+
+
 # ---------------------------------------------------------------------------
 # minimal annihilators
 
@@ -364,20 +419,47 @@ CLOSURE_COLD = [("base_stern", [6], 5000), ("base_stern", [1, 1, 1, 1], 5000),
 
 
 def test_minimal_annihilator_matches_reference_on_closures(monkeypatch):
-    """Every certificate of five cold closures, and of challenge [1,1],
-    gets the annihilator that the Berlekamp-Massey guess, given its full
-    window, proves.  Deadness certifies each pair expression once per spec,
-    so the five make about 650 certificates, and challenge [1,1] adds 469."""
-    calls = []
+    """Every annihilator that five cold closures, and challenge [1,1],
+    settle is the one the Berlekamp-Massey guess, given its full window,
+    proves: when residues prove the full A minimal, when the PRS gcd
+    computes it, and when the deadness screen rejects a pair because A is
+    minimal and has no growth data.  Deadness settles each pair expression
+    once per spec, so the five settle about 650 annihilators, and
+    challenge [1,1] adds 469."""
+    settled, screened = [], []
+    proves_minimal, minimal = cfinite._proves_minimal, cfinite._minimal_annihilator
+    screen = core.cannot_certify
 
-    def checked(vals, A, n0):
-        got = _minimal_annihilator(vals, A, n0)
+    def check(memo, expr, A, n0, got):
+        window = cfinite.expr_values(memo, expr, n0 + 3 * polys.degree(A) + 8)
+        assert got == reference_minimal_annihilator(window, A, n0), (expr, A, n0)
+
+    def residue_checked(memo, expr, A, n0):
+        proved = proves_minimal(memo, expr, A, n0)
+        if proved:
+            check(memo, expr, A, n0, A)
+            settled.append(False)
+        return proved
+
+    def gcd_checked(vals, A, n0):
+        got = minimal(vals, A, n0)
         window = extend_by(A, vals, n0 + 3 * polys.degree(A) + 8)
         assert got == reference_minimal_annihilator(window, A, n0), (A, n0)
-        calls.append(len(got) < len(A))
+        settled.append(len(got) < len(A))
         return got
 
-    monkeypatch.setattr(cfinite, "_minimal_annihilator", checked)
+    def screen_checked(expr, memo):
+        rejected = screen(expr, memo)
+        if rejected:
+            A, n0 = cfinite._annihilator(expr)
+            check(memo, expr, A, n0, A)
+            assert cfinite._growth_data(memo, tuple(A), n0) is None
+            screened.append(expr)
+        return rejected
+
+    monkeypatch.setattr(cfinite, "_proves_minimal", residue_checked)
+    monkeypatch.setattr(cfinite, "_minimal_annihilator", gcd_checked)
+    monkeypatch.setattr(core, "cannot_certify", screen_checked)
     core._cache.cache_clear()
     try:
         for name, alpha, limit in CLOSURE_COLD + [("challenge", [1, 1], 500)]:
@@ -388,7 +470,7 @@ def test_minimal_annihilator_matches_reference_on_closures(monkeypatch):
                 assert name == "challenge"
     finally:
         core._cache.cache_clear()
-    assert len(calls) > 1000 and any(calls)
+    assert len(settled) > 1000 and any(settled) and len(screened) > 900
 
 
 def test_minimal_annihilator_matches_reference_on_random_sequences():

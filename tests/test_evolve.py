@@ -80,3 +80,18 @@ def test_one_canonicalization_per_multiset_pick(monkeypatch):
     monkeypatch.setattr(core, "canonicalize", counting)
     core.evolve(spec, core.root_state([9], 1))
     assert len(calls) == comb(11, 2) == 55
+
+
+def test_pick_count_is_checked_before_anything_is_enumerated(monkeypatch):
+    """The count is the product over groups of C(T + m - 1, m); one over
+    PICK_LIMIT raises before a pick table or a product is built."""
+    spec = load("base_stern")
+    monkeypatch.setattr(core, "canonicalize", None)
+    with pytest.raises(core.ResourceLimitError, match=r"needs 55 picks \(limit 54\)"):
+        monkeypatch.setattr(core, "PICK_LIMIT", 54)
+        core.evolve(spec, core.root_state([9], 1))
+    with pytest.raises(core.ResourceLimitError, match=r"needs 243 picks \(limit 242\)"):
+        monkeypatch.setattr(core, "PICK_LIMIT", 242)
+        core.evolve(spec, core.root_state([1, 1, 1, 1, 1], 1))
+    monkeypatch.undo()
+    core.evolve(spec, core.root_state([1, 1, 1, 1, 1], 1))

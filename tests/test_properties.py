@@ -11,7 +11,8 @@ equal `state_oracle` at every state for n <= 4, every state's unpruned
 n <= 6, and every target `is_dead` prunes must have a zero `state_oracle`
 for n <= 6.  A state wrongly pruned as dead, or a term lost in evolution,
 breaks one of them.  Every target's deadness verdict must equal the former
-level-by-level spread scan's (`spread_scan.py`).  The fitted and the
+level-by-level spread scan's (`spread_scan.py`), and every pair record's
+outcome, screened by residues or certified, must equal a fresh certificate's.  The fitted and the
 eliminated generating functions must be equal, and a `terms` run long
 enough to be served from the fitted recurrence must equal the sparse
 M^n v stream.  A system served from the spec's memo, after other specs
@@ -30,9 +31,11 @@ import pytest
 from sterngf import (
     CFiniteSeq,
     LimitExceeded,
+    PosExpr,
     ProductSpec,
     SpecValidationError,
     build_system,
+    certify_eventually_positive,
     core,
     evolve,
     expand_levels,
@@ -44,6 +47,7 @@ from sterngf import (
     stream_terms,
     u_alpha_terms,
 )
+from sterngf.cfinite import HORIZON
 from sterngf.closure import _fit_length
 
 from spread_scan import spread_scan_is_dead
@@ -138,6 +142,22 @@ def check_deadness_matches_spread_scan(spec, alpha, sys_):
         assert is_dead(spec, st) == spread_scan_is_dead(spec, st), (spec, alpha, st)
 
 
+def check_pair_records_are_fresh_certificates(spec, alpha, sys_):
+    """From a cleared registry, judge every target, then compare each pair
+    record's outcome, screened or certified, with a certificate made afresh
+    on a throwaway sequence memo."""
+    core._cache.cache_clear()
+    for st in {tgt for row_st in sys_.states for _, tgt in evolve(spec, row_st)}:
+        is_dead(spec, st)
+    cache = core._cache(spec)
+    for (delta, dd), rec in cache.pairs.items():
+        if rec.certified is not None:
+            tail_form, base = cache.tail
+            expr = PosExpr(spec.seq, tuple((x, HORIZON + 1 + t) for t, x in enumerate(delta) if x),
+                           ((-1, tail_form),), -dd - base)
+            assert rec.certified == certify_eventually_positive(expr).is_positive, (spec, delta, dd)
+
+
 def check_fit_equals_eliminate(spec, alpha, sys_):
     assert solve_gf(sys_, "eliminate") == solve_gf(sys_), (spec, alpha)
 
@@ -210,6 +230,11 @@ def test_signed_draws_prune_states_whose_beta_differences_change_sign():
             diffs = [[x - y for x, y in zip(a, b)] for a in betas for b in betas]
             mixed += is_dead(spec, st) and any(min(d) < 0 < max(d) for d in diffs)
     assert mixed > 50
+
+
+@pytest.mark.parametrize("case", range(SPECS))
+def test_pair_records_are_fresh_certificates(case):
+    check_pair_records_are_fresh_certificates(*SYSTEMS[case])
 
 
 @pytest.mark.parametrize("case", range(SPECS))
