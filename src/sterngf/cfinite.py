@@ -17,11 +17,13 @@ must treat it conservatively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
 
 from . import modular, polys, roots
-from .roots import GRID, GRID_BITS, Iv
+from .roots import GRID, GRID_BITS, Iv, grid_mul
 
 HORIZON = 64  # levels a certificate checks exactly before its tail bound
 
@@ -49,7 +51,7 @@ class CFiniteSeq:
 class SeqMemo:
     """Memo of one sequence: its terms, prefix sums of linear forms over
     them, dominant-root and growth certificates per annihilator, and the
-    residue images that certificates combine (`image`).  Every entry is a
+    annihilator frames that certificates share (`frame`).  Every entry is a
     pure function of the sequence and its key, so what a caller reads never
     depends on which caller filled it first."""
 
@@ -59,7 +61,7 @@ class SeqMemo:
         self.prefix: dict[tuple[int, ...], list[int]] = {}
         self.certs: dict[tuple[int, ...], Iv | None] = {}
         self.growth: dict[tuple[tuple[int, ...], int], tuple | None] = {}
-        self.images: dict[tuple, list[int]] = {}  # (A, n0, basis) -> residues
+        self.frames: dict[tuple[int, int], list] = {}  # (len(A), n0) -> frame
 
     def values(self, n: int) -> list[int]:
         """The value list, grown to cover index n; callers may index it but
@@ -92,23 +94,41 @@ class SeqMemo:
                 pre.append(pre[-1] + val)
         return pre
 
-    def image(self, A: tuple[int, ...], n0: int, basis, p: int) -> list[int]:
-        """R * u mod t^k mod p, R = A reversed, for u = b(n0..n0+k-1) of one
-        basis element b: f(n + basis) for an int, the partial sum S_basis(n)
-        for a form, 1 for None.  p is the first prime not dividing A(0)."""
-        key = (A, n0, basis)
-        img = self.images.get(key)
-        if img is None:
-            k = len(A) - 1
-            if basis is None:
-                u = [1] * k
-            elif isinstance(basis, int):
-                u = self.values(n0 + basis + k)[n0 + basis:n0 + basis + k]
-            else:
-                u = self.prefix_sums(basis, n0 + k)[n0:n0 + k]
-            img = self.images[key] = [sum(A[k - i] * u[j - i] for i in range(j + 1)) % p
-                                      for j in range(k)]
-        return img
+    def frame(self, expr: PosExpr) -> list:
+        """[A, n0, p, R, growth, residues], shared by every expression with
+        expr's largest shift offset and constant-or-partial presence, built
+        on first use under the key (len(A), n0): (A, n0) = _annihilator(expr),
+        the first prime p not dividing A(0) (or None), R = A reversed split
+        mod p (`_split_reversed`), A's growth data (False until
+        `_frame_growth` asks) and `residues` by basis element."""
+        L = self.seq.order
+        key = (L + 1 + bool(expr.partials or expr.const),
+               2 * L + 2 + max((off for _, off in expr.shifts), default=0))
+        fr = self.frames.get(key)
+        if fr is None:
+            A, n0 = _annihilator(expr)
+            p = next((q for q in modular.PRIMES if A[0] % q), None)
+            R = _split_reversed(A, p) if p else None
+            fr = self.frames[key] = [A, n0, p, R, False, {}]
+        return fr
+
+    def residues(self, fr: list, basis) -> list[int]:
+        """The residue data of one basis element b in frame fr, kept there:
+        the image R * u mod t^k mod p of u = b(n0..n0+k-1), with b f(n + basis)
+        for an int, the partial sum S_basis(n) for a form and 1 for None, as
+        its values at R's known roots, then itself if R's rest is not 1."""
+        A, n0, p, (xs, Q), _, kept = fr
+        k = len(A) - 1
+        if basis is None:
+            u = [1] * k
+        elif isinstance(basis, int):
+            u = self.values(n0 + basis + k)[n0 + basis:n0 + basis + k]
+        else:
+            u = self.prefix_sums(basis, n0 + k)[n0:n0 + k]
+        img = [sum(A[k - i] * u[j - i] for i in range(j + 1)) % p for j in range(k)]
+        kept[basis] = [reduce(lambda v, a: (v * x + a) % p, reversed(img), 0)
+                       for x in xs] + (img if len(Q) > 1 else [])
+        return kept[basis]
 
 
 def term(seq: CFiniteSeq, n: int) -> int:
@@ -275,23 +295,27 @@ class Positivity:
 
 
 def expr_values(memo: SeqMemo, expr: PosExpr, N: int) -> list[int]:
-    """expr(0..N) as one list: const plus the shifted terms as one linear
-    form, then slices of the memo's prefix lists."""
-    form = [0] * (1 + max((off for _, off in expr.shifts), default=0))
-    for c, off in expr.shifts:
-        form[off] += c
-    out = memo.form_values(tuple(form), 0, N + 1, expr.const)
-    for c, form in expr.partials:
-        out = [v + c * p for v, p in zip(out, memo.prefix_sums(form, N))]
-    return out
+    """expr(0..N) as one list, made in one pass: const, plus or minus each
+    shifted term's slice of the memo's values and each partial sum's prefix
+    list, scaled unless its coefficient is +-1."""
+    fs = memo.values(N + max((off for _, off in expr.shifts), default=0))
+    cols = [(c, fs[off:off + N + 1]) for c, off in expr.shifts]
+    cols += [(c, memo.prefix_sums(form, N)) for c, form in expr.partials]
+    acc = repeat(expr.const, N + 1)
+    for c, col in cols:
+        acc = map(sub if c < 0 else add, acc, col if c in (1, -1) else map(mul, repeat(abs(c)), col))
+    return list(acc)
 
 
-def _verdict(vals: list[int], lo: int, hi: int, kind: str = "positive_for_all") -> Positivity:
+_POSITIVE, _UNKNOWN = Positivity("positive_for_all"), Positivity("unknown")
+
+
+def _verdict(vals: list[int], lo: int, hi: int, kind: Positivity = _POSITIVE) -> Positivity:
     """A witness at the least n in lo..hi with vals[n] <= 0, else `kind`."""
-    for n in range(lo, hi + 1):
-        if vals[n] <= 0:
-            return Positivity("not_always_positive", n)
-    return Positivity(kind)
+    if lo <= hi and min(vals[lo:hi + 1]) <= 0:
+        return Positivity("not_always_positive",
+                          next(n for n in range(lo, hi + 1) if vals[n] <= 0))
+    return kind
 
 
 def _annihilator(expr: PosExpr) -> tuple[list[int], int]:
@@ -305,18 +329,40 @@ def _annihilator(expr: PosExpr) -> tuple[list[int], int]:
 
 
 def _proves_minimal(memo: SeqMemo, expr: PosExpr, A: list[int], n0: int) -> bool:
-    """True when residues prove A the least annihilator of expr from n0 on:
-    N = R * u mod t^k (see _minimal_annihilator) is linear in expr, so N
-    mod p combines the memo's `SeqMemo.image`s, and one gcd over GF(p)
-    proves N and R coprime as `modular.proves_coprime` would on N."""
-    p = next((q for q in modular.PRIMES if A[0] % q), None)
+    """True when residues prove A the least annihilator of expr from n0 on,
+    for (A, n0) = _annihilator(expr): N = R * u mod t^k (see
+    _minimal_annihilator) is linear in expr, so its residue data combines
+    that of expr's basis elements (`SeqMemo.residues`).  N and R are coprime
+    over GF(p), as `modular.proves_coprime` would prove on N, iff N vanishes
+    at none of R's known roots and is coprime to R's rest Q."""
+    fr = memo.frames.get((len(A), n0)) or memo.frame(expr)
+    _, _, p, R, _, kept = fr
     if p is None:
         return False
-    key = tuple(A)
-    parts = [(c, basis) for c, basis in (*expr.shifts, *expr.partials, (expr.const, None)) if c]
-    images = [memo.image(key, n0, basis, p) for _, basis in parts]
-    N = [sum(map(mul, [c for c, _ in parts], col)) for col in zip(*images)]
-    return modular.gcd_degree(N, A[::-1], p) == 0
+    cs, cols = [], []
+    for c, basis in (*expr.shifts, *expr.partials, (expr.const, None)):
+        if c:
+            cs.append(c)
+            cols.append(kept.get(basis) or memo.residues(fr, basis))
+    if not cs:  # expr = 0: every polynomial annihilates it
+        return False
+    xs, Q = R
+    N = [sum(map(mul, cs, col)) % p for col in zip(*cols)]
+    return all(N[:len(xs)]) and (len(Q) == 1 or modular.gcd_degree(N[len(xs):], Q, p) == 0)
+
+
+def _split_reversed(A: list[int], p: int) -> tuple[list[int], list[int]]:
+    """R = A reversed mod p as the roots 1/r of R for A's integer roots r,
+    |r| <= 64, and the rest Q of R without them: N is coprime to R iff it
+    vanishes at none of the roots and is coprime to Q.  p must not divide
+    A(0), which every such r divides."""
+    found, Q = [], A
+    for r in range(-64, 65):
+        if r and A[0] % r == 0 and (q := polys.exact_quotient(Q, [-r, 1])) is not None:
+            found.append(pow(r, -1, p))
+            while q is not None:
+                Q, q = q, polys.exact_quotient(q, [-r, 1])
+    return found, [a % p for a in reversed(Q)]
 
 
 def _minimal_annihilator(vals: list[int], A: list[int], n0: int) -> list[int]:
@@ -350,9 +396,9 @@ def cannot_certify(expr: PosExpr, memo: SeqMemo) -> bool:
     data.  As A(0) != 0 and deg A >= 2, a minimal A is neither eventually
     constant nor geometric, so the certificate ends in a head witness or
     "unknown".  False proves nothing.  memo must belong to expr.seq."""
-    A, n0 = _annihilator(expr)
-    return (len(A) > 2 and _growth_data(memo, tuple(A), n0) is None
-            and _proves_minimal(memo, expr, A, n0))
+    fr = memo.frame(expr)
+    return (len(fr[0]) > 2 and _frame_growth(memo, fr) is None
+            and _proves_minimal(memo, expr, fr[0], fr[1]))
 
 
 def certify_eventually_positive(expr: PosExpr, horizon: int = HORIZON,
@@ -367,55 +413,58 @@ def certify_eventually_positive(expr: PosExpr, horizon: int = HORIZON,
     dominant mode provably wins, and everything up to the crossover is
     checked exactly.  Any failed sub-certificate yields "unknown".
 
-    The expression is evaluated once, as a list of its values; the bounds
-    past the horizon are integer numerators on the interval grid of `roots`.
-    memo must belong to expr.seq; without one a throwaway memo is used.
+    The expression is evaluated once, as a list of its values; its
+    annihilator, residue data and growth data come from its frame
+    (`SeqMemo.frame`), and the bounds past the horizon are integer
+    numerators on the interval grid of `roots`, rounded as `roots.Iv`
+    rounds.  memo must belong to expr.seq; without one a throwaway memo is
+    used.
     """
     if memo is None:
         memo = SeqMemo(expr.seq)
-    A, n0 = _annihilator(expr)
-    vals = expr_values(memo, expr, max(horizon, n0 + 2 * polys.degree(A) + 2))
+    fr = memo.frame(expr)
+    A, n0 = fr[0], fr[1]
+    k = len(A) - 1
+    vals = expr_values(memo, expr, max(horizon, n0 + 2 * k + 2))
     head = _verdict(vals, 0, horizon)
-    if not head.is_positive:
+    if head is not _POSITIVE:
         return head
     if not _proves_minimal(memo, expr, A, n0):
         A = _minimal_annihilator(vals, A, n0)
-    k = polys.degree(A)
+        k = len(A) - 1
 
     # eventually-zero difference => eventually constant (> 0 was checked)
-    if all(vals[n + 1] == vals[n] for n in range(n0 + k + 1, n0 + 2 * k + 2)):
+    if vals[n0 + k + 1:n0 + 2 * k + 2] == vals[n0 + k + 2:n0 + 2 * k + 3]:
         return _verdict(vals, horizon + 1, n0 + k + 1)
 
     if k == 1:
         # exactly geometric: expr(n) = expr(n0) * a^(n - n0) for n >= n0
         grows = vals[n0] > 0 and -A[0] >= 1
-        return _verdict(vals, horizon + 1, n0, "positive_for_all" if grows else "unknown")
+        return _verdict(vals, horizon + 1, n0, _POSITIVE if grows else _UNKNOWN)
 
-    gd = _growth_data(memo, tuple(A), n0)
+    gd = _frame_growth(memo, fr) if A is fr[0] else _growth_data(memo, tuple(A), n0)
     if gd is None:
-        return Positivity("unknown")
-    rho, b, (num, den), rho_pow, dA_rho_pow, rho_lo_pow = gd
+        return _UNKNOWN
+    rho_lo, b, (num, den), rho_pow, dA_rho_pow, rho_lo_pow, steps = gd
 
-    # leading projection c = w(n0) / (A'(rho) * rho^n0)
-    w0 = Iv.point(0)
-    for j in range(k):
-        w0 = w0 + b[j] * Iv.point(vals[n0 + j])
-    c = w0.divided_by(dA_rho_pow)
+    # leading projection c = w(n0) / (A'(rho) * rho^n0); b_j times an exact
+    # value needs no rounding
+    w_lo = w_hi = 0
+    for (b_lo, b_hi), v in zip(b, vals[n0:n0 + k]):
+        x, y = b_lo * v, b_hi * v
+        w_lo, w_hi = (w_lo + x, w_hi + y) if x <= y else (w_lo + y, w_hi + x)
+    c = Iv(w_lo, w_hi).divided_by(dA_rho_pow)
     if not c.lo > 0:
-        return Positivity("unknown")
+        return _UNKNOWN
 
     M = 0
-    tpow = GRID  # tau^j, rounded down: dividing by it can only inflate M
-    c_rho_pow = c * rho_pow
-    rpow = Iv.point(1)
-    for j in range(max(k - 1, 1)):
-        eps = Iv.point(vals[n0 + j]) - c_rho_pow * rpow
-        M = max(M, -(-(eps.abs_hi() << GRID_BITS) // tpow))
-        tpow = tpow * num // den
-        rpow = rpow * rho
+    c_rho_pow = grid_mul(c.lo, c.hi, *rho_pow)
+    for v, (r_lo, r_hi, tpow) in zip(vals[n0:], steps):
+        lo, hi = grid_mul(*c_rho_pow, r_lo, r_hi)
+        v <<= GRID_BITS
+        M = max(M, -(-(max(abs(v - hi), abs(v - lo)) << GRID_BITS) // tpow))
 
     # crossover: smallest n* >= n0 with c rho^n > M tau^(n - n0) onwards
-    rho_lo = rho.lo
     lo_side = c.lo * rho_lo_pow >> GRID_BITS
     hi_side = M
     n_star = n0
@@ -424,21 +473,29 @@ def certify_eventually_positive(expr: PosExpr, horizon: int = HORIZON,
         hi_side = -(-hi_side * num // den)
         n_star += 1
         if n_star > n0 + 20000:
-            return Positivity("unknown")
+            return _UNKNOWN
     if n_star >= len(vals):
         vals = expr_values(memo, expr, n_star)
     return _verdict(vals, horizon + 1, n_star)
 
 
+def _frame_growth(memo: SeqMemo, fr: list) -> tuple | None:
+    """The growth data of frame fr's annihilator, computed on first use."""
+    if fr[4] is False:
+        fr[4] = _growth_data(memo, tuple(fr[0]), fr[1])
+    return fr[4]
+
+
 def _growth_data(memo: SeqMemo, A: tuple[int, ...], n0: int) -> tuple | None:
     """Annihilator-level certificate data, reusable across expressions, as
-    the tuple (rho, b, tau, rho_pow, dA_rho_pow, rho_lo_pow): the
-    dominant-root enclosure rho, the interval coefficients b of
+    the tuple (rho.lo, b, tau, rho_pow, dA_rho_pow, rho_lo_pow, steps) for
+    the dominant-root enclosure rho: the interval coefficients b of
     B = A/(X - rho), the exact geometric tail ratio tau = (num, den) with
-    tau^(k-1) >= sum |b_j| tau^j, rho^n0, A'(rho) * rho^n0 and rho.lo^n0
-    rounded down; None when a part cannot be certified.  Bounds are
-    integer numerators on the grid of `roots.Iv`; a plain tuple, as a
-    dataclass would cost about 13 KB at import."""
+    tau^(k-1) >= sum |b_j| tau^j, rho^n0, A'(rho) * rho^n0 (an `Iv`),
+    rho.lo^n0 rounded down, and (rho^j, tau^j rounded down) for
+    j < max(k - 1, 1); None when a part cannot be certified.  Intervals
+    are (lo, hi) pairs of numerators on the grid of `roots.Iv`; a plain
+    tuple, as a dataclass would cost about 13 KB at import."""
     key = (A, n0)
     if key in memo.growth:
         return memo.growth[key]
@@ -469,7 +526,11 @@ def _growth_data(memo: SeqMemo, A: tuple[int, ...], n0: int) -> tuple | None:
             rho_pow = Iv.point(1)
             for _ in range(n0):
                 rho_pow = rho_pow * rho
-            out = (rho, tuple(b), tau, rho_pow, dA * rho_pow,
-                   rho.lo ** n0 >> (GRID_BITS * (n0 - 1)))
+            steps, rpow, tpow = [], Iv.point(1), GRID
+            for _ in range(max(k - 1, 1)):
+                steps.append((rpow.lo, rpow.hi, tpow))
+                rpow, tpow = rpow * rho, tpow * tau[0] // tau[1]
+            out = (rho.lo, tuple((bj.lo, bj.hi) for bj in b), tau, (rho_pow.lo, rho_pow.hi),
+                   dA * rho_pow, rho.lo ** n0 >> (GRID_BITS * (n0 - 1)), tuple(steps))
     memo.growth[key] = out
     return out

@@ -131,6 +131,8 @@ def root_state(alpha, L: int) -> State:
     """State of the correlation sum sum_k prod_i a(n, k+i)^alpha_i: offset i
     repeated alpha_i times, all beta zero."""
     a = validate_alpha(alpha)
+    if sum(a) > PICK_LIMIT:  # checked before the tuple of factors is built
+        raise ResourceLimitError(f"a pattern of {sum(a)} factors (limit {PICK_LIMIT})")
     zero = (0,) * L
     return State(tuple((i, zero) for i, m in enumerate(a) for _ in range(m)))
 

@@ -45,6 +45,13 @@ def _over_common_power_of_two(xs: list[float]) -> tuple[list[int], int]:
     return [a * (D // d) for a, d in ratios], D
 
 
+def grid_mul(alo: int, ahi: int, blo: int, bhi: int) -> tuple[int, int]:
+    """Grid numerators of [alo, ahi] * [blo, bhi], rounded outward: `Iv`'s
+    product on raw numerators, for callers that keep bounds as ints."""
+    c = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    return min(c) >> GRID_BITS, -(-max(c) >> GRID_BITS)
+
+
 @dataclass(frozen=True)
 class Iv:
     """Closed interval [lo/2^96, hi/2^96]: lo and hi are integer numerators
@@ -65,9 +72,7 @@ class Iv:
         return Iv(self.lo - other.hi, self.hi - other.lo)
 
     def __mul__(self, other: "Iv") -> "Iv":
-        c = (self.lo * other.lo, self.lo * other.hi,
-             self.hi * other.lo, self.hi * other.hi)
-        return Iv(min(c) >> GRID_BITS, -(-max(c) >> GRID_BITS))
+        return Iv(*grid_mul(self.lo, self.hi, other.lo, other.hi))
 
     def __neg__(self) -> "Iv":
         return Iv(-self.hi, -self.lo)

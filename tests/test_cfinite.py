@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sterngf import cfinite, cli, closure, core, gfs, polys
 from sterngf.cfinite import (
+    HORIZON,
     CFiniteSeq,
     PosExpr,
     SeqMemo,
@@ -27,6 +28,8 @@ from sterngf.cfinite import (
     shift_level,
     term,
 )
+
+import reference_certificate
 
 POW2 = CFiniteSeq((1,), (2,))
 POW2P1 = CFiniteSeq((2, 3), (3, -2))   # 2^i + 1
@@ -378,6 +381,119 @@ def test_screen_passes_expressions_of_shifted_terms_alone():
         assert _annihilator(expr)[0] == A
         assert not cannot_certify(expr, memo)
         assert certify_eventually_positive(expr, memo=memo).is_positive
+
+
+# ---------------------------------------------------------------------------
+# the reference certificate
+
+
+def matches_reference(expr, horizon=HORIZON, memo=None):
+    """Certificate and screen of expr, on memo (a fresh one by default),
+    equal the former ones of `reference_certificate`; returns the
+    certificate."""
+    memo = memo or SeqMemo(expr.seq)
+    got = certify_eventually_positive(expr, horizon, memo)
+    want = reference_certificate.certify_eventually_positive(expr, horizon)
+    assert (got.kind, got.witness) == (want.kind, want.witness), (expr, horizon)
+    assert cannot_certify(expr, memo) == reference_certificate.cannot_certify(expr), expr
+    return got
+
+
+@lru_cache(maxsize=16)
+def shared_memo(seq):
+    return SeqMemo(seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cookbook_exprs())
+@example((DIP, 0))
+def test_certificate_matches_the_reference_on_cookbook_sequences(case):
+    """On one memo per sequence, so the draws share their frames."""
+    expr, horizon = case
+    matches_reference(expr, horizon, shared_memo(expr.seq))
+
+
+def test_certificates_match_the_reference_on_closures(monkeypatch):
+    """Every certificate and screen that the five cold closures and three
+    more make, from a cleared registry, equals the reference's."""
+    made, screened = [], []
+    certify, screen = core.certify_eventually_positive, core.cannot_certify
+
+    def recording(expr, horizon=HORIZON, memo=None):
+        got = certify(expr, horizon, memo)
+        made.append((expr, horizon, got.kind, got.witness))
+        return got
+
+    def screening(expr, memo):
+        got = screen(expr, memo)
+        screened.append((expr, got))
+        return got
+
+    monkeypatch.setattr(core, "certify_eventually_positive", recording)
+    monkeypatch.setattr(core, "cannot_certify", screening)
+    core._cache.cache_clear()
+    try:
+        for name, alpha, limit in CLOSURE_COLD + [("fibonacci", [4], 5000),
+                                                  ("challenge", [1, 1], 500),
+                                                  ("tribonacci", [1, 1], 5000)]:
+            spec, _ = cli.load_spec_file(str(COOKBOOK / f"{name}.json"))
+            try:
+                closure.build_system(spec, alpha, limit=limit)
+            except closure.LimitExceeded:
+                assert name == "challenge"
+    finally:
+        core._cache.cache_clear()
+    for expr, horizon, kind, witness in made:
+        want = reference_certificate.certify_eventually_positive(expr, horizon)
+        assert (kind, witness) == (want.kind, want.witness), (expr, horizon)
+    for expr, rejected in screened:
+        assert rejected == reference_certificate.cannot_certify(expr), expr
+    assert len(made) > 400 and len(screened) > 1300 and sum(r for _, r in screened) > 900
+
+
+F321 = CFiniteSeq((3, 6, 14), (6, -11, 6))  # 3^i + 2^i + 1
+
+
+@pytest.mark.parametrize("expr", [
+    # no shifted term: n0 = 2L + 2
+    PosExpr(POW2P1, partials=((1, (1, 0)),), const=5),
+    PosExpr(FIB01, partials=((2, (0, 1)),), const=-3),
+    PosExpr(F321, partials=((-1, (1, 0, 0)),), const=40),
+    # no partial sum and no constant: A is the indicial polynomial
+    PosExpr(POW2, shifts=((3, 2),)),
+    PosExpr(POW2P1, shifts=((1, 3), (-1, 1))),
+    PosExpr(k_bonacci(3), shifts=((2, 4), (-1, 0))),
+    # two shifts at the same offset
+    PosExpr(FIB01, shifts=((3, 4), (-2, 4), (1, 0)), const=1),
+    PosExpr(POW2P1, shifts=((1, 2), (1, 2)), partials=((-1, (1, 0)),)),
+])
+def test_certificate_edge_cases_match_the_reference(expr):
+    A, n0 = _annihilator(expr)
+    assert n0 == 2 * expr.seq.order + 2 + max((off for _, off in expr.shifts), default=0)
+    assert len(A) == expr.seq.order + 1 + bool(expr.partials or expr.const)
+    for horizon in (0, 5, HORIZON):
+        matches_reference(expr, horizon)
+
+
+@pytest.mark.parametrize("expr, least", [
+    # 2f(n) - f(n+1) = 1 on 2^n + 1: the constant's X - 1 divides A
+    (PosExpr(POW2P1, shifts=((2, 0), (-1, 1))), [-1, 1]),
+    # f(n+1) - f(n) = 2 * 3^n + 2^n: a quadratic with growth data
+    (PosExpr(F321, shifts=((1, 1), (-1, 0))), [6, -5, 1]),
+])
+def test_failed_residue_proof_matches_the_reference(monkeypatch, expr, least):
+    """When the residues cannot prove A minimal, the PRS gcd finds the
+    least annihilator, and the certificate goes on from it."""
+    found = []
+    minimal = cfinite._minimal_annihilator
+
+    def recording(vals, A, n0):
+        found.append(minimal(vals, A, n0))
+        return found[-1]
+
+    monkeypatch.setattr(cfinite, "_minimal_annihilator", recording)
+    assert matches_reference(expr).is_positive
+    assert found == [least]
 
 
 # ---------------------------------------------------------------------------

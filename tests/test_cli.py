@@ -151,6 +151,20 @@ def test_matrix_with_too_many_picks_exit_1(capsys, tmp_path):
                    "(limit 1048576)\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["matrix", "--alpha", "100000000", "--limit", "5"],
+    ["oracle", "--alpha", str(core.PICK_LIMIT + 1), "-n", "3"],
+])
+def test_pattern_with_too_many_factors_exit_1(capsys, argv):
+    """A pattern of more than PICK_LIMIT factors is refused before its root
+    state is built, for the closure and for the brute-force oracle alike."""
+    cmd, *rest = argv
+    code, out, err = run(capsys, cmd, cookbook("base_stern.json"), *rest)
+    assert (code, out) == (1, "")
+    count = int(rest[1])
+    assert err == f"resource limit: a pattern of {count} factors (limit {core.PICK_LIMIT})\n"
+
+
 def test_guess_u10(capsys):
     code, out, _ = run(capsys, "guess", cookbook("base_stern.json"),
                        "--alpha", "10", "-n", "15")

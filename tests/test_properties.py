@@ -13,13 +13,19 @@ for n <= 6.  A state wrongly pruned as dead, or a term lost in evolution,
 breaks one of them.  Every target's deadness verdict must equal the former
 level-by-level spread scan's (`spread_scan.py`), and every pair record's
 outcome, screened by residues or certified, must equal a fresh certificate's.  The fitted and the
-eliminated generating functions must be equal, and a `terms` run long
+eliminated generating functions must be equal, the fitted one's series must
+begin with the oracle's u_alpha(0..8), and a `terms` run long
 enough to be served from the fitted recurrence must equal the sparse
 M^n v stream.  A system served from the spec's memo, after other specs
 ran, must equal a fresh build, and so must its fitted GF.  The brute-force
 oracle's int64 path must give every level of F_0..F_8 and u_alpha(0..8)
 exactly as its Python-integer path does, with the default chunk and a
-small one whose boundaries cut every level.  The extended tier runs every
+small one whose boundaries cut every level.  Twelve more draws have a
+sequence that is not PV (an indicial root 1, or a repeated root), so the
+residue screen rejects pairs and the PRS gcd finds smaller annihilators;
+their closures rarely close, so on the targets each closure judges within
+60 states the verdicts must equal the spread scan's and the pair records
+fresh certificates.  The extended tier runs every
 check on 40 more three-factor draws.
 """
 
@@ -36,12 +42,15 @@ from sterngf import (
     SpecValidationError,
     build_system,
     certify_eventually_positive,
+    cfinite,
     core,
     evolve,
     expand_levels,
     is_dead,
     pv_classify,
+    polys,
     root_state,
+    series,
     solve_gf,
     state_oracle,
     stream_terms,
@@ -97,6 +106,55 @@ SPECS = len(SYSTEMS)
 EXTENDED_SPECS = 40
 
 
+def judged_targets(spec, alpha, limit):
+    """Every target the closure of alpha judges until it closes or passes
+    `limit` states, in the order it judges them."""
+    judged = []
+    judge = core.is_dead
+    core.is_dead = lambda sp, st: judged.append(st) or judge(sp, st)
+    try:
+        build_system(spec, alpha, limit=limit)
+    except LimitExceeded:
+        pass
+    finally:
+        core.is_dead = judge
+    return judged
+
+
+def screened_draws(seed: int, count: int, limit: int = 60):
+    """(spec, alpha, judged targets) for `count` draws whose sequence is not
+    PV: its indicial polynomial has the root 1 or a repeated root.  Pair
+    expressions then often have a minimal annihilator without growth data,
+    which the residue screen rejects, or a smaller one, which the PRS gcd
+    finds.  Such closures rarely close, so each draw keeps the targets its
+    closure judged within `limit` states, and only a draw with 10 or more."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        L = rng.choice((2, 3))
+        r = rng.randint(2, 3)
+        indicial = [1]
+        for root in rng.choice(([1, r], [r, r])) + [rng.choice((-1, 1, 2, 3))] * (L - 2):
+            indicial = polys.mul(indicial, [-root, 1])
+        seq = CFiniteSeq(tuple(rng.randint(1, 4) for _ in range(L)),
+                         tuple(-a for a in reversed(indicial[:-1])))
+        forms = {tuple(rng.randint(0, 2) for _ in range(L)) for _ in range(rng.randint(2, 3))}
+        terms = tuple((rng.choice((1, 1, 2, -1)), e) for e in sorted(forms))
+        alpha = rng.choice(([2], [1, 1], [3], [1, 1, 1], [2, 1]))
+        try:
+            spec = ProductSpec(P=(1,), seq=seq, terms=terms)
+        except SpecValidationError:
+            continue
+        targets = judged_targets(spec, alpha, limit)
+        if len(targets) >= 10:
+            out.append((spec, alpha, targets))
+    return out
+
+
+SCREENED_DRAWS = 12
+SCREENED = screened_draws(SEED + 2, SCREENED_DRAWS)
+
+
 @lru_cache(maxsize=1)
 def extended_systems():
     """More three-factor draws, for the extended tier."""
@@ -136,18 +194,21 @@ def check_dead_targets_vanish(spec, alpha, sys_):
                    for n in range(7)), (spec, alpha, st)
 
 
-def check_deadness_matches_spread_scan(spec, alpha, sys_):
-    targets = {tgt for st in sys_.states for _, tgt in evolve(spec, st)}
-    for st in targets:
+def system_targets(spec, sys_):
+    return {tgt for st in sys_.states for _, tgt in evolve(spec, st)}
+
+
+def check_deadness_matches_spread_scan(spec, alpha, sys_, targets=None):
+    for st in targets or system_targets(spec, sys_):
         assert is_dead(spec, st) == spread_scan_is_dead(spec, st), (spec, alpha, st)
 
 
-def check_pair_records_are_fresh_certificates(spec, alpha, sys_):
+def check_pair_records_are_fresh_certificates(spec, alpha, sys_, targets=None):
     """From a cleared registry, judge every target, then compare each pair
     record's outcome, screened or certified, with a certificate made afresh
     on a throwaway sequence memo."""
     core._cache.cache_clear()
-    for st in {tgt for row_st in sys_.states for _, tgt in evolve(spec, row_st)}:
+    for st in targets or system_targets(spec, sys_):
         is_dead(spec, st)
     cache = core._cache(spec)
     for (delta, dd), rec in cache.pairs.items():
@@ -156,6 +217,13 @@ def check_pair_records_are_fresh_certificates(spec, alpha, sys_):
             expr = PosExpr(spec.seq, tuple((x, HORIZON + 1 + t) for t, x in enumerate(delta) if x),
                            ((-1, tail_form),), -dd - base)
             assert rec.certified == certify_eventually_positive(expr).is_positive, (spec, delta, dd)
+
+
+def check_series_prefix(spec, alpha, sys_):
+    """The fitted GF's series begins with u_alpha(0..ORACLE_LEVEL) as the
+    brute-force oracle computes them."""
+    assert series(solve_gf(sys_), ORACLE_LEVEL + 1) == u_alpha_terms(
+        spec, alpha, ORACLE_LEVEL), (spec, alpha)
 
 
 def check_fit_equals_eliminate(spec, alpha, sys_):
@@ -220,6 +288,37 @@ def test_deadness_matches_the_spread_scan(case):
     check_deadness_matches_spread_scan(*SYSTEMS[case])
 
 
+def test_screened_draws_are_not_pv_and_exercise_the_screen_and_the_prs_gcd(monkeypatch):
+    """From a cleared registry, the screened draws' targets make the screen
+    reject pairs and the certificate fall back to the PRS gcd, each many
+    times."""
+    rejected, fallbacks = [], []
+    screen, minimal = core.cannot_certify, cfinite._minimal_annihilator
+    monkeypatch.setattr(core, "cannot_certify",
+                        lambda expr, memo: rejected.append(screen(expr, memo)) or rejected[-1])
+    monkeypatch.setattr(cfinite, "_minimal_annihilator",
+                        lambda *args: fallbacks.append(minimal(*args)) or fallbacks[-1])
+    core._cache.cache_clear()
+    for spec, _, targets in SCREENED:
+        assert pv_classify(spec.seq).kind != "pv"
+        for st in targets:
+            is_dead(spec, st)
+    core._cache.cache_clear()
+    assert sum(rejected) > 20 and len(fallbacks) > 20
+
+
+@pytest.mark.parametrize("case", range(SCREENED_DRAWS))
+def test_screened_deadness_matches_the_spread_scan(case):
+    spec, alpha, targets = SCREENED[case]
+    check_deadness_matches_spread_scan(spec, alpha, None, targets)
+
+
+@pytest.mark.parametrize("case", range(SCREENED_DRAWS))
+def test_screened_pair_records_are_fresh_certificates(case):
+    spec, alpha, targets = SCREENED[case]
+    check_pair_records_are_fresh_certificates(spec, alpha, None, targets)
+
+
 def test_signed_draws_prune_states_whose_beta_differences_change_sign():
     """Dead targets of the signed draws hold factor pairs whose beta
     difference has a negative and a positive entry."""
@@ -235,6 +334,11 @@ def test_signed_draws_prune_states_whose_beta_differences_change_sign():
 @pytest.mark.parametrize("case", range(SPECS))
 def test_pair_records_are_fresh_certificates(case):
     check_pair_records_are_fresh_certificates(*SYSTEMS[case])
+
+
+@pytest.mark.parametrize("case", range(SPECS))
+def test_gf_series_prefix_is_the_oracle(case):
+    check_series_prefix(*SYSTEMS[case])
 
 
 @pytest.mark.parametrize("case", range(SPECS))
@@ -267,6 +371,6 @@ def test_three_factor_draw_extended(case):
     spec, alpha, sys_ = draws[case]
     for check in (check_matrix_powers, check_evolution_identity, check_dead_targets_vanish,
                   check_deadness_matches_spread_scan, check_fit_equals_eliminate,
-                  check_recurrence_stream):
+                  check_series_prefix, check_recurrence_stream):
         check(spec, alpha, sys_)
     check_memo_served_system(spec, alpha, draws[(case + 1) % EXTENDED_SPECS][:2])
