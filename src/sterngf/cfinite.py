@@ -95,12 +95,11 @@ class SeqMemo:
         return pre
 
     def frame(self, expr: PosExpr) -> list:
-        """[A, n0, p, R, growth, residues], shared by every expression with
-        expr's largest shift offset and constant-or-partial presence, built
-        on first use under the key (len(A), n0): (A, n0) = _annihilator(expr),
-        the first prime p not dividing A(0) (or None), R = A reversed split
-        mod p (`_split_reversed`), A's growth data (False until
-        `_frame_growth` asks) and `residues` by basis element."""
+        """[A, n0, p, R, residues], shared by every expression with expr's
+        largest shift offset and constant-or-partial presence, built on first
+        use under the key (len(A), n0): (A, n0) = _annihilator(expr), the
+        first prime p not dividing A(0) (or None), R = A reversed split mod p
+        (`_split_reversed`) and `residues` by basis element."""
         L = self.seq.order
         key = (L + 1 + bool(expr.partials or expr.const),
                2 * L + 2 + max((off for _, off in expr.shifts), default=0))
@@ -109,7 +108,7 @@ class SeqMemo:
             A, n0 = _annihilator(expr)
             p = next((q for q in modular.PRIMES if A[0] % q), None)
             R = _split_reversed(A, p) if p else None
-            fr = self.frames[key] = [A, n0, p, R, False, {}]
+            fr = self.frames[key] = [A, n0, p, R, {}]
         return fr
 
     def residues(self, fr: list, basis) -> list[int]:
@@ -117,7 +116,7 @@ class SeqMemo:
         the image R * u mod t^k mod p of u = b(n0..n0+k-1), with b f(n + basis)
         for an int, the partial sum S_basis(n) for a form and 1 for None, as
         its values at R's known roots, then itself if R's rest is not 1."""
-        A, n0, p, (xs, Q), _, kept = fr
+        A, n0, p, (xs, Q), kept = fr
         k = len(A) - 1
         if basis is None:
             u = [1] * k
@@ -334,10 +333,11 @@ def _proves_minimal(memo: SeqMemo, expr: PosExpr, A: list[int], n0: int) -> bool
     _minimal_annihilator) is linear in expr, so its residue data combines
     that of expr's basis elements (`SeqMemo.residues`).  N and R are coprime
     over GF(p), as `modular.proves_coprime` would prove on N, iff N vanishes
-    at none of R's known roots and is coprime to R's rest Q."""
-    fr = memo.frames.get((len(A), n0)) or memo.frame(expr)
-    _, _, p, R, _, kept = fr
-    if p is None:
+    at none of R's known roots and is coprime to R's rest Q.  False unless
+    (A, n0) is the annihilator of expr's frame, whose residues these are."""
+    fr = memo.frame(expr)
+    _, _, p, R, kept = fr
+    if p is None or n0 != fr[1] or A != fr[0]:
         return False
     cs, cols = [], []
     for c, basis in (*expr.shifts, *expr.partials, (expr.const, None)):
@@ -396,9 +396,9 @@ def cannot_certify(expr: PosExpr, memo: SeqMemo) -> bool:
     data.  As A(0) != 0 and deg A >= 2, a minimal A is neither eventually
     constant nor geometric, so the certificate ends in a head witness or
     "unknown".  False proves nothing.  memo must belong to expr.seq."""
-    fr = memo.frame(expr)
-    return (len(fr[0]) > 2 and _frame_growth(memo, fr) is None
-            and _proves_minimal(memo, expr, fr[0], fr[1]))
+    A, n0 = memo.frame(expr)[:2]
+    return (len(A) > 2 and _growth_data(memo, tuple(A), n0) is None
+            and _proves_minimal(memo, expr, A, n0))
 
 
 def certify_eventually_positive(expr: PosExpr, horizon: int = HORIZON,
@@ -414,8 +414,8 @@ def certify_eventually_positive(expr: PosExpr, horizon: int = HORIZON,
     checked exactly.  Any failed sub-certificate yields "unknown".
 
     The expression is evaluated once, as a list of its values; its
-    annihilator, residue data and growth data come from its frame
-    (`SeqMemo.frame`), and the bounds past the horizon are integer
+    annihilator and residue data come from its frame (`SeqMemo.frame`), its
+    growth data from the memo, and the bounds past the horizon are integer
     numerators on the interval grid of `roots`, rounded as `roots.Iv`
     rounds.  memo must belong to expr.seq; without one a throwaway memo is
     used.
@@ -442,7 +442,7 @@ def certify_eventually_positive(expr: PosExpr, horizon: int = HORIZON,
         grows = vals[n0] > 0 and -A[0] >= 1
         return _verdict(vals, horizon + 1, n0, _POSITIVE if grows else _UNKNOWN)
 
-    gd = _frame_growth(memo, fr) if A is fr[0] else _growth_data(memo, tuple(A), n0)
+    gd = _growth_data(memo, tuple(A), n0)
     if gd is None:
         return _UNKNOWN
     rho_lo, b, (num, den), rho_pow, dA_rho_pow, rho_lo_pow, steps = gd
@@ -477,13 +477,6 @@ def certify_eventually_positive(expr: PosExpr, horizon: int = HORIZON,
     if n_star >= len(vals):
         vals = expr_values(memo, expr, n_star)
     return _verdict(vals, horizon + 1, n_star)
-
-
-def _frame_growth(memo: SeqMemo, fr: list) -> tuple | None:
-    """The growth data of frame fr's annihilator, computed on first use."""
-    if fr[4] is False:
-        fr[4] = _growth_data(memo, tuple(fr[0]), fr[1])
-    return fr[4]
 
 
 def _growth_data(memo: SeqMemo, A: tuple[int, ...], n0: int) -> tuple | None:

@@ -55,12 +55,10 @@ def gcd_degree(a: list[int], b: list[int], p: int) -> int:
     """
     a, b = _reduced(a, p), _reduced(b, p)
     while b:
-        lb, db = b[-1], len(b) - 1
+        inv, db = pow(b[-1], -1, p), len(b) - 1
         while len(a) > db:
-            # a <- lb * a - a[-1] X^s b: a pseudo-remainder step, which needs
-            # no inverse mod p and keeps the gcd, as lb is a unit
-            q, s = a[-1], len(a) - 1 - db
-            a = [x * lb % p for x in a[:s]] + [(x * lb - q * y) % p for x, y in zip(a[s:-1], b)]
+            q, k = a[-1] * inv % p, len(a) - 1 - db
+            a[k:] = [(x - q * y) % p for x, y in zip(a[k:], b)]
             while a and not a[-1]:
                 a.pop()
         a, b = b, a

@@ -454,6 +454,18 @@ def test_certificates_match_the_reference_on_closures(monkeypatch):
 F321 = CFiniteSeq((3, 6, 14), (6, -11, 6))  # 3^i + 2^i + 1
 
 
+def test_residue_proof_refuses_an_annihilator_of_another_frame():
+    """The residues belong to expr's own frame: the indicial polynomial,
+    which annihilates f(n + 1) but not f(n + 1) + 1, proves nothing for the
+    latter, though it keys the former's frame at the same n0."""
+    memo = SeqMemo(FIB01)
+    plain, with_const = PosExpr(FIB01, shifts=((1, 1),)), PosExpr(FIB01, shifts=((1, 1),), const=1)
+    A, n0 = _annihilator(plain)
+    assert _proves_minimal(memo, plain, A, n0)
+    assert not _proves_minimal(memo, with_const, A, n0)
+    assert _proves_minimal(memo, with_const, *_annihilator(with_const))
+
+
 @pytest.mark.parametrize("expr", [
     # no shifted term: n0 = 2L + 2
     PosExpr(POW2P1, partials=((1, (1, 0)),), const=5),

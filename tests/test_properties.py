@@ -111,13 +111,12 @@ def judged_targets(spec, alpha, limit):
     `limit` states, in the order it judges them."""
     judged = []
     judge = core.is_dead
-    core.is_dead = lambda sp, st: judged.append(st) or judge(sp, st)
-    try:
-        build_system(spec, alpha, limit=limit)
-    except LimitExceeded:
-        pass
-    finally:
-        core.is_dead = judge
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "is_dead", lambda sp, st: judged.append(st) or judge(sp, st))
+        try:
+            build_system(spec, alpha, limit=limit)
+        except LimitExceeded:
+            pass
     return judged
 
 
@@ -152,7 +151,13 @@ def screened_draws(seed: int, count: int, limit: int = 60):
 
 
 SCREENED_DRAWS = 12
-SCREENED = screened_draws(SEED + 2, SCREENED_DRAWS)
+
+
+@pytest.fixture(scope="module")
+def screened():
+    """The non-PV draws, built when a test first asks for them rather than
+    when the module is collected."""
+    return screened_draws(SEED + 2, SCREENED_DRAWS)
 
 
 @lru_cache(maxsize=1)
@@ -288,7 +293,7 @@ def test_deadness_matches_the_spread_scan(case):
     check_deadness_matches_spread_scan(*SYSTEMS[case])
 
 
-def test_screened_draws_are_not_pv_and_exercise_the_screen_and_the_prs_gcd(monkeypatch):
+def test_screened_draws_are_not_pv_and_exercise_the_screen_and_the_prs_gcd(screened, monkeypatch):
     """From a cleared registry, the screened draws' targets make the screen
     reject pairs and the certificate fall back to the PRS gcd, each many
     times."""
@@ -299,7 +304,7 @@ def test_screened_draws_are_not_pv_and_exercise_the_screen_and_the_prs_gcd(monke
     monkeypatch.setattr(cfinite, "_minimal_annihilator",
                         lambda *args: fallbacks.append(minimal(*args)) or fallbacks[-1])
     core._cache.cache_clear()
-    for spec, _, targets in SCREENED:
+    for spec, _, targets in screened:
         assert pv_classify(spec.seq).kind != "pv"
         for st in targets:
             is_dead(spec, st)
@@ -308,14 +313,14 @@ def test_screened_draws_are_not_pv_and_exercise_the_screen_and_the_prs_gcd(monke
 
 
 @pytest.mark.parametrize("case", range(SCREENED_DRAWS))
-def test_screened_deadness_matches_the_spread_scan(case):
-    spec, alpha, targets = SCREENED[case]
+def test_screened_deadness_matches_the_spread_scan(screened, case):
+    spec, alpha, targets = screened[case]
     check_deadness_matches_spread_scan(spec, alpha, None, targets)
 
 
 @pytest.mark.parametrize("case", range(SCREENED_DRAWS))
-def test_screened_pair_records_are_fresh_certificates(case):
-    spec, alpha, targets = SCREENED[case]
+def test_screened_pair_records_are_fresh_certificates(screened, case):
+    spec, alpha, targets = screened[case]
     check_pair_records_are_fresh_certificates(spec, alpha, None, targets)
 
 
