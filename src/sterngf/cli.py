@@ -11,15 +11,16 @@ Spec files are JSON:
 
 Results go to stdout as JSON (polynomials as ascending integer coefficient
 lists); diagnostics go to stderr.  Exit codes: 0 success, 1 coefficient
-limit, 2 state limit, 3 guess failed, 4 invalid spec file or argument.
+limit, 2 state limit or usage error, 3 guess failed, 4 invalid spec file or
+argument.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
-from functools import lru_cache
+from types import SimpleNamespace
 
 from . import closure, core, gfs
 from .cfinite import CFiniteSeq, indicial_poly, pv_classify
@@ -30,6 +31,7 @@ EXIT_COEFF_LIMIT = 1
 EXIT_LIMIT = 2
 EXIT_GUESS_FAILED = 3
 EXIT_INVALID_SPEC = 4
+EXIT_USAGE = 2  # a usage error exits as argparse's do, with the state limit's code
 
 _LOG10_2 = 0.30102999566398114
 
@@ -147,7 +149,7 @@ def _gf_json(gf: gfs.RationalGF) -> dict:
 
 
 def _print_json(doc, stream) -> None:
-    json.dump(doc, stream)
+    stream.write(json.dumps(doc))  # one-shot dumps runs the C encoder; dump never does
     stream.write("\n")
 
 
@@ -203,6 +205,10 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_terms(args) -> int:
+    """Exact terms u(0..n) at the root state.  Fewer than twice the 2*dim+10
+    terms of the gf fit are streamed as M^n v; longer runs extend the fitted
+    gf, proven by its degree bound, through den * U = num, with no division
+    since den(0) = 1 for an integer series (Fatou)."""
     _nonnegative("-n", args.n)
     sys_ = _closed_system(args)
     if sys_ is None:
@@ -250,73 +256,187 @@ def cmd_pv(args) -> int:
     return EXIT_OK
 
 
-@lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and then shared by every call
-    of `main` in the process; `parse_args` returns a fresh namespace each
-    time, so no call sees another's arguments."""
-    ap = argparse.ArgumentParser(
-        prog="sterngf",
-        description="Exact generating functions for correlation sums of "
-                    "generalized Stern diatomic arrays.")
-    sub = ap.add_subparsers(dest="command", required=True)
+# The command table: (name, function, help line, options after the spec
+# positional).  An option is (name, kind, default, help): kind int or str if
+# it takes a value, a tuple of the values it may take, None for a flag; an
+# option whose default is REQUIRED must be given.
+REQUIRED = object()
+_ALPHA = ("--alpha", str, None, "correlation pattern, e.g. 2 or 1,1,1")
+_LIMIT = ("--limit", int, 5000, "state budget before declaring failure")
+_N = ("-n", int, REQUIRED, "last index to produce")
+_PRETTY = ("--pretty", None, False, 'add the generating function as text, under "pretty"')
+_HELP = ("-h/--help", None, False, "show this help message and exit")
+COMMANDS = (
+    ("gf", cmd_gf, "closed-form generating function via state closure",
+     (_ALPHA, _LIMIT,
+      ("--method", ("auto", "eliminate", "fit"), "auto",
+       "fit streams 2*dim+10 terms and reconstructs (auto is fit); "
+       "eliminate is Cramer's rule over a Berkowitz determinant"),
+      _PRETTY)),
+    ("matrix", cmd_matrix, "transfer matrix and initial vector",
+     (_ALPHA, _LIMIT, ("--out", str, None, "write the matrix JSON to this file"))),
+    ("terms", cmd_terms, "stream exact sequence terms from the matrix",
+     (_ALPHA, _LIMIT, _N,
+      ("--digits-only", None, False, "print decimal digit counts instead of values"))),
+    ("oracle", cmd_oracle, "brute-force terms straight from the definition", (_ALPHA, _N)),
+    ("guess", cmd_guess, "fit a generating function to brute-force data",
+     (_ALPHA, ("-n", int, REQUIRED, "data points 0..n"),
+      ("--max-deg", int, None, "denominator degree bound (default: largest certifiable)"),
+      _PRETTY)),
+    ("pv", cmd_pv, "classify the exponent sequence's dominant root", ()),
+)
 
-    def add_common(p, with_alpha=True, with_limit=True):
-        p.add_argument("spec", help="JSON spec file")
-        if with_alpha:
-            p.add_argument("--alpha", help="correlation pattern, e.g. 2 or 1,1,1")
-        if with_limit:
-            p.add_argument("--limit", type=int, default=5000,
-                           help="state budget before declaring failure")
 
-    p = sub.add_parser("gf", help="closed-form generating function via state closure")
-    add_common(p)
-    p.add_argument("--method", choices=("auto", "eliminate", "fit"), default="auto",
-                   help="fit streams 2*dim+10 terms and reconstructs (auto is fit); "
-                        "eliminate is Cramer's rule over a Berkowitz determinant")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_gf)
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
 
-    p = sub.add_parser("matrix", help="transfer matrix and initial vector")
-    add_common(p)
-    p.add_argument("--out", help="write the matrix JSON to this file")
-    p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser(
-        "terms", help="stream exact sequence terms from the matrix",
-        description="Exact terms u(0..n) at the root state.  Fewer than "
-                    "twice the 2*dim+10 terms of the gf fit are streamed as "
-                    "M^n v; longer runs extend the fitted gf, proven by its "
-                    "degree bound, through den * U = num, with no division "
-                    "since den(0) = 1 for an integer series (Fatou).")
-    add_common(p)
-    p.add_argument("-n", type=int, required=True, help="last index to produce")
-    p.add_argument("--digits-only", action="store_true",
-                   help="print decimal digit counts instead of values")
-    p.set_defaults(func=cmd_terms)
+def _usage(cmd, page: bool = False) -> str:
+    """The usage line of a command (None: of the top level); with page, its
+    -h page: usage, what it does and one line per argument."""
+    if cmd is None:
+        words = ["[-h]", "{%s} ..." % ",".join(c[0] for c in COMMANDS)]
+        rows = [(c[0], c[2]) for c in COMMANDS]
+        about = "Exact generating functions for correlation sums of generalized Stern diatomic arrays."
+    else:
+        words, rows = [cmd[0], "[-h]"], [("spec", "JSON spec file")]
+        for name, kind, default, text in cmd[3]:
+            arg = name if kind is None else f"{name} " + (
+                "{%s}" % ",".join(kind) if type(kind) is tuple else _dest(name).upper())
+            words.append(arg if default is REQUIRED else f"[{arg}]")
+            rows.append((arg, text))
+        words.append("spec")
+        about = "\n".join(line.strip() for line in (cmd[1].__doc__ or cmd[2]).splitlines())
+    usage = "usage: sterngf " + " ".join(words)
+    if not page:
+        return usage
+    rows.append(("-h, --help", _HELP[3]))
+    width = max(len(r[0]) for r in rows)
+    return "\n".join([usage, "", about, ""] + [f"  {a:<{width}}  {b}" for a, b in rows])
 
-    p = sub.add_parser("oracle", help="brute-force terms straight from the definition")
-    add_common(p, with_limit=False)
-    p.add_argument("-n", type=int, required=True)
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("guess", help="fit a generating function to brute-force data")
-    add_common(p, with_limit=False)
-    p.add_argument("-n", type=int, required=True, help="data points 0..n")
-    p.add_argument("--max-deg", type=int, default=None,
-                   help="denominator degree bound (default: largest certifiable)")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_guess)
+def _fail(cmd, msg: str):
+    """A usage error: the usage line and the message on stderr, exit 2."""
+    prog = "sterngf" if cmd is None else f"sterngf {cmd[0]}"
+    sys.stderr.write(f"{_usage(cmd)}\n{prog}: error: {msg}\n")
+    raise SystemExit(EXIT_USAGE)
 
-    p = sub.add_parser("pv", help="classify the exponent sequence's dominant root")
-    add_common(p, with_alpha=False, with_limit=False)
-    p.set_defaults(func=cmd_pv)
 
-    return ap
+def _command(name: str):
+    for cmd in COMMANDS:
+        if cmd[0] == name:
+            return cmd
+    _fail(None, f"argument command: invalid choice: {name!r} "
+                f"(choose from {', '.join(repr(c[0]) for c in COMMANDS)})")
+
+
+def _classify(cmd, opts: dict, s: str):
+    """How one argument reads: None for a value (a word, "-", a negative
+    number, text with a space), else (option, text attached by "=" or glued
+    to a short option, or None), option None when unknown; a long option may
+    be given by any unique prefix."""
+    if not s.startswith("-") or s == "-":
+        return None
+    if s in opts:
+        return s, None
+    head, eq, tail = s.partition("=")
+    if eq and head in opts:
+        return head, tail
+    if s[1] == "-":
+        hits = [(name, tail if eq else None) for name in opts if name.startswith(head)]
+    else:
+        hits = [(s[:2], s[2:])] if s[:2] in opts else []
+    if len(hits) > 1:
+        _fail(cmd, f"ambiguous option: {s} could match {', '.join(h[0] for h in hits)}")
+    if hits:
+        return hits[0]
+    return None if " " in s or re.match(r"^-\d+$|^-\d*\.\d+$", s) else (None, None)
+
+
+def _option(cmd, opts: dict, argv: list, marks: list, i: int, ns: dict) -> int:
+    """Apply the option at argv[i], after the flags glued before it (-hn5);
+    returns the index of the next argument."""
+    name, val = marks[i]
+    steps = []
+    while opts[name][1] is None and val is not None:  # a flag with text attached
+        if name[1] == "-" or not val or "-" + val[0] not in opts:
+            _fail(cmd, f"argument {opts[name][0]}: ignored explicit argument {val!r}")
+        steps.append((name, None))
+        name, val = "-" + val[0], val[1:] or None
+    i += 1
+    if opts[name][1] is not None and val is None:
+        if i == len(marks) or marks[i] is not None:
+            _fail(cmd, f"argument {name}: expected one argument")
+        val, i = argv[i], i + 1
+    for name, val in steps + [(name, val)]:
+        _, kind, _, _ = opt = opts[name]
+        if opt is _HELP:
+            sys.stdout.write(_usage(cmd, page=True) + "\n")
+            raise SystemExit(EXIT_OK)
+        if kind is None:
+            val = True
+        elif val == "--":  # argparse's value for a bare "--", refused once all is read
+            val = []
+        elif kind is int:
+            try:
+                val = int(val)
+            except ValueError:
+                _fail(cmd, f"argument {name}: invalid int value: {val!r}")
+        elif kind is not str and val not in kind:
+            _fail(cmd, f"argument {name}: invalid choice: {val!r} "
+                       f"(choose from {', '.join(map(repr, kind))})")
+        ns[_dest(name)] = val
+    return i
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """Read the command line (sys.argv[1:] by default) as argparse did: the
+    options before the command, then the command's spec and options in any
+    order, the last of a repeated option winning, and only values after
+    "--".  A usage error exits 2; -h/--help prints the help page, exits 0."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sep = argv.index("--") if "--" in argv else len(argv)
+    cmd, opts, ns = None, {"-h": _HELP, "--help": _HELP}, {}
+    marks, extras, spec_at, i = [None] * sep, [], None, 0
+    while i < sep:
+        if cmd is None:  # read the command's arguments only once it is known
+            marks[i] = _classify(None, opts, argv[i])
+        if marks[i] is not None and marks[i][0] is not None:
+            i = _option(cmd, opts, argv, marks, i, ns)
+            continue
+        if marks[i] is None and cmd is None:
+            cmd = _command(argv[i])
+            opts.update((o[0], o) for o in cmd[3])
+            ns = {"command": cmd[0], "func": cmd[1]}
+            ns.update((_dest(o[0]), o[2]) for o in cmd[3] if o[2] is not REQUIRED)
+            marks[i + 1:] = [_classify(cmd, opts, s) for s in argv[i + 1:sep]]
+        elif marks[i] is None and spec_at is None:
+            ns["spec"], spec_at = argv[i], i
+        else:
+            extras.append(argv[i])
+        i += 1
+    if cmd is None:
+        if sep + 1 < len(argv):
+            _command("--")  # a "--" before the command reads as the command
+        _fail(None, "the following arguments are required: command")
+    rest = argv[sep:]
+    if len(rest) > 1 and spec_at is None:
+        ns["spec"], spec_at, rest = rest[1], sep, rest[2:]
+    elif rest and spec_at == sep - 1:  # a spec just before "--" takes it along
+        rest = rest[1:]
+    missing = ["spec"] * (spec_at is None) + [o[0] for o in cmd[3] if _dest(o[0]) not in ns]
+    if missing:
+        _fail(cmd, f"the following arguments are required: {', '.join(missing)}")
+    if extras + rest:
+        _fail(None, f"unrecognized arguments: {' '.join(extras + rest)}")
+    for name, *_ in cmd[3]:
+        if ns[_dest(name)] == []:
+            _fail(cmd, f"argument {name}: expected one argument")
+    return SimpleNamespace(**ns)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(2_000_000)  # exact terms can be huge
     try:
