@@ -23,7 +23,7 @@ from math import gcd
 from operator import add, mul, sub
 
 from . import modular, polys, roots
-from .roots import GRID, GRID_BITS, Iv, grid_mul
+from .roots import GRID, GRID_BITS, grid_div, grid_mul
 
 HORIZON = 64  # levels a certificate checks exactly before its tail bound
 
@@ -59,7 +59,7 @@ class SeqMemo:
         self.seq = seq
         self.vals: list[int] = list(seq.init)
         self.prefix: dict[tuple[int, ...], list[int]] = {}
-        self.certs: dict[tuple[int, ...], Iv | None] = {}
+        self.certs: dict[tuple[int, ...], tuple[int, int] | None] = {}
         self.growth: dict[tuple[tuple[int, ...], int], tuple | None] = {}
         self.frames: dict[tuple[int, int], list] = {}  # (len(A), n0) -> frame
 
@@ -327,17 +327,16 @@ def _annihilator(expr: PosExpr) -> tuple[list[int], int]:
     return A, 2 * expr.seq.order + max((off for _, off in expr.shifts), default=0) + 2
 
 
-def _proves_minimal(memo: SeqMemo, expr: PosExpr, A: list[int], n0: int) -> bool:
-    """True when residues prove A the least annihilator of expr from n0 on,
-    for (A, n0) = _annihilator(expr): N = R * u mod t^k (see
-    _minimal_annihilator) is linear in expr, so its residue data combines
-    that of expr's basis elements (`SeqMemo.residues`).  N and R are coprime
-    over GF(p), as `modular.proves_coprime` would prove on N, iff N vanishes
-    at none of R's known roots and is coprime to R's rest Q.  False unless
-    (A, n0) is the annihilator of expr's frame, whose residues these are."""
+def _proves_minimal(memo: SeqMemo, expr: PosExpr) -> bool:
+    """True when residues prove the annihilator A of expr's frame the least
+    one from the frame's n0 on: N = R * u mod t^k (see _minimal_annihilator)
+    is linear in expr, so its residue data combines that of expr's basis
+    elements (`SeqMemo.residues`).  N and R are coprime over GF(p), as
+    `modular.proves_coprime` would prove on N, iff N vanishes at none of R's
+    known roots and is coprime to R's rest Q."""
     fr = memo.frame(expr)
     _, _, p, R, kept = fr
-    if p is None or n0 != fr[1] or A != fr[0]:
+    if p is None:
         return False
     cs, cols = [], []
     for c, basis in (*expr.shifts, *expr.partials, (expr.const, None)):
@@ -398,7 +397,7 @@ def cannot_certify(expr: PosExpr, memo: SeqMemo) -> bool:
     "unknown".  False proves nothing.  memo must belong to expr.seq."""
     A, n0 = memo.frame(expr)[:2]
     return (len(A) > 2 and _growth_data(memo, tuple(A), n0) is None
-            and _proves_minimal(memo, expr, A, n0))
+            and _proves_minimal(memo, expr))
 
 
 def certify_eventually_positive(expr: PosExpr, horizon: int = HORIZON,
@@ -415,10 +414,10 @@ def certify_eventually_positive(expr: PosExpr, horizon: int = HORIZON,
 
     The expression is evaluated once, as a list of its values; its
     annihilator and residue data come from its frame (`SeqMemo.frame`), its
-    growth data from the memo, and the bounds past the horizon are integer
-    numerators on the interval grid of `roots`, rounded as `roots.Iv`
-    rounds.  memo must belong to expr.seq; without one a throwaway memo is
-    used.
+    growth data from the memo, and the bounds past the horizon are (lo, hi)
+    pairs of integer numerators on the grid of `roots`, rounded outward by
+    `roots.grid_mul` and `roots.grid_div`.  memo must belong to expr.seq;
+    without one a throwaway memo is used.
     """
     if memo is None:
         memo = SeqMemo(expr.seq)
@@ -429,7 +428,7 @@ def certify_eventually_positive(expr: PosExpr, horizon: int = HORIZON,
     head = _verdict(vals, 0, horizon)
     if head is not _POSITIVE:
         return head
-    if not _proves_minimal(memo, expr, A, n0):
+    if not _proves_minimal(memo, expr):
         A = _minimal_annihilator(vals, A, n0)
         k = len(A) - 1
 
@@ -453,19 +452,19 @@ def certify_eventually_positive(expr: PosExpr, horizon: int = HORIZON,
     for (b_lo, b_hi), v in zip(b, vals[n0:n0 + k]):
         x, y = b_lo * v, b_hi * v
         w_lo, w_hi = (w_lo + x, w_hi + y) if x <= y else (w_lo + y, w_hi + x)
-    c = Iv(w_lo, w_hi).divided_by(dA_rho_pow)
-    if not c.lo > 0:
+    c_lo, c_hi = grid_div(w_lo, w_hi, *dA_rho_pow)
+    if not c_lo > 0:
         return _UNKNOWN
 
     M = 0
-    c_rho_pow = grid_mul(c.lo, c.hi, *rho_pow)
+    c_rho_pow = grid_mul(c_lo, c_hi, *rho_pow)
     for v, (r_lo, r_hi, tpow) in zip(vals[n0:], steps):
         lo, hi = grid_mul(*c_rho_pow, r_lo, r_hi)
         v <<= GRID_BITS
         M = max(M, -(-(max(abs(v - hi), abs(v - lo)) << GRID_BITS) // tpow))
 
     # crossover: smallest n* >= n0 with c rho^n > M tau^(n - n0) onwards
-    lo_side = c.lo * rho_lo_pow >> GRID_BITS
+    lo_side = c_lo * rho_lo_pow >> GRID_BITS
     hi_side = M
     n_star = n0
     while lo_side <= hi_side:
@@ -481,14 +480,14 @@ def certify_eventually_positive(expr: PosExpr, horizon: int = HORIZON,
 
 def _growth_data(memo: SeqMemo, A: tuple[int, ...], n0: int) -> tuple | None:
     """Annihilator-level certificate data, reusable across expressions, as
-    the tuple (rho.lo, b, tau, rho_pow, dA_rho_pow, rho_lo_pow, steps) for
-    the dominant-root enclosure rho: the interval coefficients b of
-    B = A/(X - rho), the exact geometric tail ratio tau = (num, den) with
-    tau^(k-1) >= sum |b_j| tau^j, rho^n0, A'(rho) * rho^n0 (an `Iv`),
-    rho.lo^n0 rounded down, and (rho^j, tau^j rounded down) for
-    j < max(k - 1, 1); None when a part cannot be certified.  Intervals
-    are (lo, hi) pairs of numerators on the grid of `roots.Iv`; a plain
-    tuple, as a dataclass would cost about 13 KB at import."""
+    the tuple (rho_lo, b, tau, rho_pow, dA_rho_pow, rho_lo_pow, steps) for
+    the dominant-root enclosure rho = (rho_lo, rho_hi): the interval
+    coefficients b of B = A/(X - rho), the exact geometric tail ratio
+    tau = (num, den) with tau^(k-1) >= sum |b_j| tau^j, rho^n0,
+    A'(rho) * rho^n0, rho_lo^n0 rounded down, and (rho^j, tau^j rounded
+    down) for j < max(k - 1, 1); None when a part cannot be certified.
+    Intervals are (lo, hi) pairs of numerators on the grid of `roots`; a
+    plain tuple, as a dataclass would cost about 13 KB at import."""
     key = (A, n0)
     if key in memo.growth:
         return memo.growth[key]
@@ -497,33 +496,38 @@ def _growth_data(memo: SeqMemo, A: tuple[int, ...], n0: int) -> tuple | None:
     rho = memo.certs[A]
     out = None
     k = len(A) - 1
-    if rho is not None and rho.lo > GRID:
+    if rho is not None and rho[0] > GRID:
         # B = A / (X - rho), interval coefficients via synthetic division
-        b: list[Iv] = [Iv.point(0)] * k
-        b[k - 1] = Iv.point(A[k])
+        b = [(A[k] << GRID_BITS,) * 2]
         for j in range(k - 1, 0, -1):
-            b[j - 1] = Iv.point(A[j]) + rho * b[j]
-        dA = roots.iv_poly_eval(polys.deriv(list(A)), rho)
-        # tau = rho.lo * i/16 for the least i that passes, tested exactly
+            a, (lo, hi) = A[j] << GRID_BITS, grid_mul(*rho, *b[-1])
+            b.append((a + lo, a + hi))
+        b.reverse()
+        # A'(rho) by Horner over k A[k], ..., 1 A[1]
+        d_lo = d_hi = 0
+        for j in range(k, 0, -1):
+            a, (lo, hi) = j * A[j] << GRID_BITS, grid_mul(d_lo, d_hi, *rho)
+            d_lo, d_hi = a + lo, a + hi
+        # tau = rho_lo * i/16 for the least i that passes, tested exactly
         # over the common denominator den = 16 * GRID
-        b_hi = [bj.abs_hi() for bj in b[: k - 1]]
+        b_hi = [max(abs(lo), abs(hi)) for lo, hi in b[: k - 1]]
         den = 16 * GRID
         tau = None
         for i in range(1, 16):
-            t = rho.lo * i
+            t = rho[0] * i
             if GRID * t ** (k - 1) >= sum(bh * t ** j * den ** (k - 1 - j)
                                           for j, bh in enumerate(b_hi)):
                 tau = (t, den)
                 break
-        if tau is not None and not dA.contains_zero():
-            rho_pow = Iv.point(1)
+        if tau is not None and not d_lo <= 0 <= d_hi:
+            rho_pow = (GRID, GRID)
             for _ in range(n0):
-                rho_pow = rho_pow * rho
-            steps, rpow, tpow = [], Iv.point(1), GRID
+                rho_pow = grid_mul(*rho_pow, *rho)
+            steps, rpow, tpow = [], (GRID, GRID), GRID
             for _ in range(max(k - 1, 1)):
-                steps.append((rpow.lo, rpow.hi, tpow))
-                rpow, tpow = rpow * rho, tpow * tau[0] // tau[1]
-            out = (rho.lo, tuple((bj.lo, bj.hi) for bj in b), tau, (rho_pow.lo, rho_pow.hi),
-                   dA * rho_pow, rho.lo ** n0 >> (GRID_BITS * (n0 - 1)), tuple(steps))
+                steps.append((*rpow, tpow))
+                rpow, tpow = grid_mul(*rpow, *rho), tpow * tau[0] // tau[1]
+            out = (rho[0], tuple(b), tau, rho_pow, grid_mul(d_lo, d_hi, *rho_pow),
+                   rho[0] ** n0 >> (GRID_BITS * (n0 - 1)), tuple(steps))
     memo.growth[key] = out
     return out

@@ -47,7 +47,7 @@ _CHUNK = 1 << 16  # values of k per slice product of the correlation sum
 SPEC_MEMO_LIMIT = 16  # per-spec memos kept at once, least recently used dropped
 SYSTEM_MEMO_LIMIT = 1 << 14  # nnz + states of the closed systems kept per spec, oldest dropped
 DEADNESS_MEMO_LIMIT = 1 << 10  # head columns, and pair records, kept per spec; oldest dropped
-PICK_LIMIT = 1 << 20  # multiset picks one evolve step may enumerate
+PICK_LIMIT = 1 << 20  # factor slots (picks times factors) one evolve step may enumerate
 # a pair's head mask holds one flag byte per level 0..HORIZON; this one has them all
 _ALL_LEVELS = int.from_bytes(b"\x01" * (HORIZON + 1), "little")
 
@@ -385,8 +385,9 @@ def evolve(spec: ProductSpec, state: State) -> list[tuple[int, State]]:
     multisets of its picks once with that multinomial weight (the spec's
     pick table of its size, which the group's factors index), and the
     product runs lazily over the groups: one canonicalization per multiset
-    pick, and rows equal to the sums over all ordered picks; their count,
-    prod C(T + m - 1, m) for T terms, must not exceed PICK_LIMIT.  The
+    pick, and rows equal to the sums over all ordered picks.  Each pick
+    fills one slot per factor, so their count, prod C(T + m - 1, m) for T
+    terms, times the number of factors must not exceed PICK_LIMIT.  The
     states are merged, and every target with a nonzero coefficient is
     kept, dead or not: pruning is the closure's decision.  The row is
     returned sorted, so system construction is deterministic.
@@ -394,9 +395,10 @@ def evolve(spec: ProductSpec, state: State) -> list[tuple[int, State]]:
     seq, terms = spec.seq, spec.terms
     groups = Counter(state.factors)
     count = prod(comb(len(terms) + m - 1, m) for m in groups.values())
-    if count > PICK_LIMIT:
-        raise ResourceLimitError(
-            f"a state of {len(state.factors)} factors needs {count} picks (limit {PICK_LIMIT})")
+    slots = count * len(state.factors)
+    if slots > PICK_LIMIT:
+        raise ResourceLimitError(f"a state of {len(state.factors)} factors needs {count} "
+                                 f"picks, {slots} factor slots (limit {PICK_LIMIT})")
     cache = _cache(spec)
     weights, picks = [], []
     for (d, beta), m in groups.items():

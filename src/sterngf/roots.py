@@ -8,9 +8,9 @@ and a connected component made of m disks contains exactly m roots (Smith's
 disk theorem).  The centres are the float approximations themselves, which
 are dyadic rationals: over one common power of two they are Gaussian
 integers, so p(z_i) and every centre difference are exact.  Radii and
-modulus bounds are rounded outward onto the integer grid of `Iv`, so a
-certificate either holds or the answer degrades to "unknown" -- it is never
-silently wrong because of rounding.
+modulus bounds are rounded outward onto the integer numerators of a dyadic
+grid, so a certificate either holds or the answer degrades to "unknown" --
+it is never silently wrong because of rounding.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from math import isqrt
 from . import polys
 
 # Disk bounds and interval endpoints are rounded outward onto this dyadic grid;
-# intervals (`Iv`) hold the integer numerators, so interval arithmetic is
-# integer arithmetic.  Enclosures only widen, so certificates stay sound, and
-# endpoint bit-sizes stay bounded instead of exploding under repeated products.
+# an interval is the pair (lo, hi) of its integer numerators, so interval
+# arithmetic is integer arithmetic.  Enclosures only widen, so certificates
+# stay sound, and endpoint bit-sizes stay bounded instead of exploding under
+# repeated products.
 GRID_BITS = 96
 GRID = 1 << GRID_BITS
 
@@ -46,62 +47,19 @@ def _over_common_power_of_two(xs: list[float]) -> tuple[list[int], int]:
 
 
 def grid_mul(alo: int, ahi: int, blo: int, bhi: int) -> tuple[int, int]:
-    """Grid numerators of [alo, ahi] * [blo, bhi], rounded outward: `Iv`'s
-    product on raw numerators, for callers that keep bounds as ints."""
+    """Grid numerators of [alo, ahi] * [blo, bhi], rounded outward."""
     c = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
     return min(c) >> GRID_BITS, -(-max(c) >> GRID_BITS)
 
 
-@dataclass(frozen=True)
-class Iv:
-    """Closed interval [lo/2^96, hi/2^96]: lo and hi are integer numerators
-    on the dyadic grid.  Every operation rounds outward onto the grid, with
-    floor/ceil shifts of exact integer products."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("empty interval")
-
-    def __add__(self, other: "Iv") -> "Iv":
-        return Iv(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "Iv") -> "Iv":
-        return Iv(self.lo - other.hi, self.hi - other.lo)
-
-    def __mul__(self, other: "Iv") -> "Iv":
-        return Iv(*grid_mul(self.lo, self.hi, other.lo, other.hi))
-
-    def __neg__(self) -> "Iv":
-        return Iv(-self.hi, -self.lo)
-
-    def divided_by(self, other: "Iv") -> "Iv":
-        if other.lo <= 0 <= other.hi:
-            raise ZeroDivisionError("interval denominator contains zero")
-        lo, hi = self.lo << GRID_BITS, self.hi << GRID_BITS
-        return Iv(min(lo // other.lo, lo // other.hi, hi // other.lo, hi // other.hi),
-                  -min(-lo // other.lo, -lo // other.hi, -hi // other.lo, -hi // other.hi))
-
-    def abs_hi(self) -> int:
-        """Numerator of max |x| over the interval."""
-        return max(abs(self.lo), abs(self.hi))
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    @staticmethod
-    def point(n: int) -> "Iv":
-        return Iv(n << GRID_BITS, n << GRID_BITS)
-
-
-def iv_poly_eval(coeffs: list[int], x: Iv) -> Iv:
-    """Interval Horner evaluation of an integer polynomial."""
-    acc = Iv.point(0)
-    for c in reversed(coeffs):
-        acc = acc * x + Iv.point(c)
-    return acc
+def grid_div(alo: int, ahi: int, blo: int, bhi: int) -> tuple[int, int]:
+    """Grid numerators of [alo, ahi] / [blo, bhi], rounded outward; raises
+    ZeroDivisionError when the divisor contains 0."""
+    if blo <= 0 <= bhi:
+        raise ZeroDivisionError("interval denominator contains zero")
+    lo, hi = alo << GRID_BITS, ahi << GRID_BITS
+    return (min(lo // blo, lo // bhi, hi // blo, hi // bhi),
+            -min(-lo // blo, -lo // bhi, -hi // blo, -hi // bhi))
 
 
 DK_ITERATIONS = 400  # Durand-Kerner sweeps at most, unless the steps settle first
@@ -213,10 +171,10 @@ def certified_disks(int_coeffs: list[int]) -> list[RootDisk] | None:
     return disks
 
 
-def dominant_root_certificate(monic_coeffs: list[int]) -> Iv | None:
+def dominant_root_certificate(monic_coeffs: list[int]) -> tuple[int, int] | None:
     """Try to certify a unique simple real dominant root of a monic integer
-    polynomial; the certificate is a grid enclosure of that root, rounded
-    outward, and None means none was found.
+    polynomial; the certificate is a grid enclosure (lo, hi) of that root,
+    rounded outward, and None means none was found.
 
     Requirements checked exactly: the maximum-modulus disk is disjoint from
     every other disk (hence contains exactly one root), every other root has
@@ -231,7 +189,7 @@ def dominant_root_certificate(monic_coeffs: list[int]) -> Iv | None:
     if n == 0:
         return None
     if n == 1:
-        return Iv.point(-p[0])
+        return (-p[0] << GRID_BITS,) * 2
     disks = certified_disks(p)
     if disks is None:
         return None
@@ -252,4 +210,4 @@ def dominant_root_certificate(monic_coeffs: list[int]) -> Iv | None:
     re_lo, re_hi = d.re_grid()
     if not re_hi - d.radius > 0:  # re - radius > 0
         return None
-    return Iv(re_lo - d.radius, re_hi + d.radius)
+    return re_lo - d.radius, re_hi + d.radius

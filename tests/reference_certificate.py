@@ -3,19 +3,73 @@ kept as the reference for certificate outcomes and screen verdicts.
 
 Each certificate evaluates its expression as one list per value column,
 rebuilds its annihilator, looks its growth data up by (A, n0) and its
-residue images by (A, n0, basis), and runs the tail bounds on `roots.Iv`
-intervals.  The certificate in `cfinite` must return the same (kind,
-witness), and its screen the same verdict, on every expression.  Images and
-growth data are memoized here per sequence, apart from any `SeqMemo`, so
-the reference reads nothing that the certificate under test filled.
+residue images by (A, n0, basis), and runs the tail bounds on `Iv`
+intervals, a copy of the former interval class of `roots` that shares no
+arithmetic with it: only the dominant-root enclosure comes from `roots`.
+The certificate in `cfinite` must return the same (kind, witness), and its
+screen the same verdict, on every expression, and `cfinite._growth_data`
+the same numerators as `_growth_data` here.  Images and growth data are
+memoized here per sequence, apart from any `SeqMemo`, so the reference
+reads nothing that the certificate under test filled.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
 from sterngf import modular, polys, roots
 from sterngf.cfinite import HORIZON, Positivity, SeqMemo, indicial_poly
-from sterngf.roots import GRID, GRID_BITS, Iv
+from sterngf.roots import GRID, GRID_BITS
+
+
+@dataclass(frozen=True)
+class Iv:
+    """Closed interval [lo/2^96, hi/2^96]: lo and hi are integer numerators
+    on the dyadic grid.  Every operation rounds outward onto the grid, with
+    floor/ceil shifts of exact integer products."""
+
+    lo: int
+    hi: int
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError("empty interval")
+
+    def __add__(self, other):
+        return Iv(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other):
+        return Iv(self.lo - other.hi, self.hi - other.lo)
+
+    def __mul__(self, other):
+        c = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
+        return Iv(min(c) >> GRID_BITS, -(-max(c) >> GRID_BITS))
+
+    def divided_by(self, other):
+        if other.lo <= 0 <= other.hi:
+            raise ZeroDivisionError("interval denominator contains zero")
+        lo, hi = self.lo << GRID_BITS, self.hi << GRID_BITS
+        return Iv(min(lo // other.lo, lo // other.hi, hi // other.lo, hi // other.hi),
+                  -min(-lo // other.lo, -lo // other.hi, -hi // other.lo, -hi // other.hi))
+
+    def abs_hi(self):
+        """Numerator of max |x| over the interval."""
+        return max(abs(self.lo), abs(self.hi))
+
+    def contains_zero(self):
+        return self.lo <= 0 <= self.hi
+
+    @staticmethod
+    def point(n):
+        return Iv(n << GRID_BITS, n << GRID_BITS)
+
+
+def iv_poly_eval(coeffs, x):
+    """Interval Horner evaluation of an integer polynomial."""
+    acc = Iv.point(0)
+    for c in reversed(coeffs):
+        acc = acc * x + Iv.point(c)
+    return acc
 
 
 @lru_cache(maxsize=64)
@@ -148,6 +202,7 @@ def certify_eventually_positive(expr, horizon=HORIZON) -> Positivity:
 @lru_cache(maxsize=256)
 def _growth_data(seq, A, n0):
     rho = roots.dominant_root_certificate(list(A))
+    rho = None if rho is None else Iv(*rho)
     k = len(A) - 1
     if rho is None or not rho.lo > GRID:
         return None
@@ -155,7 +210,7 @@ def _growth_data(seq, A, n0):
     b[k - 1] = Iv.point(A[k])
     for j in range(k - 1, 0, -1):
         b[j - 1] = Iv.point(A[j]) + rho * b[j]
-    dA = roots.iv_poly_eval(polys.deriv(list(A)), rho)
+    dA = iv_poly_eval(polys.deriv(list(A)), rho)
     b_hi = [bj.abs_hi() for bj in b[: k - 1]]
     den = 16 * GRID
     tau = None

@@ -28,6 +28,7 @@ from sterngf.cfinite import (
     shift_level,
     term,
 )
+from sterngf.roots import GRID
 
 import reference_certificate
 
@@ -345,7 +346,7 @@ def test_residue_screen_agrees_with_the_certificate(case):
     if cannot_certify(expr, memo):
         assert not certify_eventually_positive(expr, horizon, memo).is_positive
     A, n0 = _annihilator(expr)
-    if _proves_minimal(memo, expr, A, n0):
+    if _proves_minimal(memo, expr):
         assert _minimal_annihilator(expr_values(memo, expr, n0 + len(A)), A, n0) == A
 
 
@@ -362,7 +363,7 @@ def test_screen_without_shifted_terms():
     memo = SeqMemo(spec.seq)
     expr = PosExpr(spec.seq, partials=((-1, tail_form),), const=3 - base)
     assert _annihilator(expr) == ([2, -3, 1], 4)
-    assert not _proves_minimal(memo, expr, [2, -3, 1], 4)
+    assert not _proves_minimal(memo, expr)
     assert not cannot_certify(expr, memo)
     assert certify_eventually_positive(expr, memo=memo).is_positive
     expr = PosExpr(POW2P1, partials=((1, (1, 0)),), const=5)
@@ -451,19 +452,62 @@ def test_certificates_match_the_reference_on_closures(monkeypatch):
     assert len(made) > 400 and len(screened) > 1300 and sum(r for _, r in screened) > 900
 
 
+def test_growth_data_matches_the_reference_on_closures(monkeypatch):
+    """For every (A, n0) whose growth data the closures of the cold
+    benchmark workloads ask for, from a cleared registry, `_growth_data`
+    holds the reference's numerators field for field: an interval as its
+    (lo, hi) pair, the dominant root as its lower end, and the steps
+    (rho^j, tau^j) as the reference's certificate computes them."""
+    asked = {}
+    growth = cfinite._growth_data
+
+    def recording(memo, A, n0):
+        asked[memo.seq, A, n0] = growth(memo, A, n0)
+        return asked[memo.seq, A, n0]
+
+    def pair(x):
+        return (x.lo, x.hi) if hasattr(x, "lo") else x
+
+    monkeypatch.setattr(cfinite, "_growth_data", recording)
+    core._cache.cache_clear()
+    try:
+        for name, alpha, limit in CLOSURE_COLD + [("base_stern", [2], 5000)]:
+            spec, _ = cli.load_spec_file(str(COOKBOOK / f"{name}.json"))
+            try:
+                closure.build_system(spec, alpha, limit=limit)
+            except closure.LimitExceeded:
+                assert name == "challenge"
+    finally:
+        core._cache.cache_clear()
+    for (seq, A, n0), got in asked.items():
+        want = reference_certificate._growth_data(seq, A, n0)
+        if want is None:
+            assert got is None, (A, n0)
+            continue
+        rho, b, tau, rho_pow, dA_rho_pow, rho_lo_pow = want
+        steps, rpow, tpow = [], reference_certificate.Iv.point(1), GRID
+        for _ in range(max(len(A) - 2, 1)):
+            steps.append((rpow.lo, rpow.hi, tpow))
+            rpow, tpow = rpow * rho, tpow * tau[0] // tau[1]
+        assert tuple(map(pair, got)) == (
+            rho.lo, tuple(map(pair, b)), tau, pair(rho_pow), pair(dA_rho_pow),
+            rho_lo_pow, tuple(steps)), (A, n0)
+    assert len(asked) > 12 and sum(g is not None for g in asked.values()) > 10
+
+
 F321 = CFiniteSeq((3, 6, 14), (6, -11, 6))  # 3^i + 2^i + 1
 
 
-def test_residue_proof_refuses_an_annihilator_of_another_frame():
-    """The residues belong to expr's own frame: the indicial polynomial,
-    which annihilates f(n + 1) but not f(n + 1) + 1, proves nothing for the
-    latter, though it keys the former's frame at the same n0."""
+def test_residue_proofs_read_each_expressions_own_frame():
+    """f(n + 1) and f(n + 1) + 1 share n0 but not their annihilator, the
+    indicial polynomial and (X - 1) times it: each is proved minimal from
+    its own frame, and the two frames are distinct objects."""
     memo = SeqMemo(FIB01)
     plain, with_const = PosExpr(FIB01, shifts=((1, 1),)), PosExpr(FIB01, shifts=((1, 1),), const=1)
-    A, n0 = _annihilator(plain)
-    assert _proves_minimal(memo, plain, A, n0)
-    assert not _proves_minimal(memo, with_const, A, n0)
-    assert _proves_minimal(memo, with_const, *_annihilator(with_const))
+    assert _proves_minimal(memo, plain) and _proves_minimal(memo, with_const)
+    assert memo.frame(plain) is not memo.frame(with_const)
+    for expr in (plain, with_const):
+        assert tuple(memo.frame(expr)[:2]) == _annihilator(expr)
 
 
 @pytest.mark.parametrize("expr", [
@@ -562,9 +606,10 @@ def test_minimal_annihilator_matches_reference_on_closures(monkeypatch):
         window = cfinite.expr_values(memo, expr, n0 + 3 * polys.degree(A) + 8)
         assert got == reference_minimal_annihilator(window, A, n0), (expr, A, n0)
 
-    def residue_checked(memo, expr, A, n0):
-        proved = proves_minimal(memo, expr, A, n0)
+    def residue_checked(memo, expr):
+        proved = proves_minimal(memo, expr)
         if proved:
+            A, n0 = memo.frame(expr)[:2]
             check(memo, expr, A, n0, A)
             settled.append(False)
         return proved

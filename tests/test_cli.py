@@ -136,22 +136,25 @@ def test_oracle_over_coefficient_limit_exit_1(capsys):
 
 
 def test_matrix_with_too_many_picks_exit_1(capsys, tmp_path):
-    """A root state whose first evolution step would enumerate more than
-    PICK_LIMIT multiset picks is refused before any pick is made, however
-    small --limit is: twenty distinct factors over three terms make 3^20
-    picks, and 24 equal factors over ten terms C(33, 24)."""
-    code, out, err = run(capsys, "matrix", cookbook("base_stern.json"),
-                         "--alpha", ",".join(["1"] * 20), "--limit", "5")
-    assert (code, out) == (1, "")
-    assert err == ("resource limit: a state of 20 factors needs 3486784401 picks "
-                   "(limit 1048576)\n")
+    """A root state whose first evolution step would fill more than
+    PICK_LIMIT factor slots, multiset picks times factors, is refused before
+    any pick is made, however small --limit is: twenty distinct factors over
+    three terms make 3^20 picks, 400 and 1400 equal factors C(402, 2) and
+    C(1402, 2), and 24 equal factors over ten terms C(33, 24)."""
+    for alpha, m, picks in [(",".join(["1"] * 20), 20, 3486784401), ("400", 400, 80601),
+                            ("1400", 1400, 982101)]:
+        code, out, err = run(capsys, "matrix", cookbook("base_stern.json"),
+                             "--alpha", alpha, "--limit", "5")
+        assert (code, out) == (1, "")
+        assert err == (f"resource limit: a state of {m} factors needs {picks} picks, "
+                       f"{picks * m} factor slots (limit 1048576)\n")
     path = tmp_path / "ten_terms.json"
     path.write_text(json.dumps({"P": [1], "seq": {"init": [1], "rec": [2]},
                                 "factor": [{"c": 1, "e": [e]} for e in range(10)]}))
     code, out, err = run(capsys, "matrix", str(path), "--alpha", "24", "--limit", "5")
     assert (code, out) == (1, "")
-    assert err == ("resource limit: a state of 24 factors needs 38567100 picks "
-                   "(limit 1048576)\n")
+    assert err == ("resource limit: a state of 24 factors needs 38567100 picks, "
+                   "925610400 factor slots (limit 1048576)\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -83,15 +83,19 @@ def test_one_canonicalization_per_multiset_pick(monkeypatch):
 
 
 def test_pick_count_is_checked_before_anything_is_enumerated(monkeypatch):
-    """The count is the product over groups of C(T + m - 1, m); one over
-    PICK_LIMIT raises before a pick table or a product is built."""
+    """The count is the product over groups of C(T + m - 1, m), and each
+    pick fills one slot per factor; slots over PICK_LIMIT raise before a
+    pick table or a product is built, and slots at PICK_LIMIT do not."""
     spec = load("base_stern")
     monkeypatch.setattr(core, "canonicalize", None)
-    with pytest.raises(core.ResourceLimitError, match=r"needs 55 picks \(limit 54\)"):
-        monkeypatch.setattr(core, "PICK_LIMIT", 54)
+    with pytest.raises(core.ResourceLimitError,
+                       match=r"needs 55 picks, 495 factor slots \(limit 494\)"):
+        monkeypatch.setattr(core, "PICK_LIMIT", 494)
         core.evolve(spec, core.root_state([9], 1))
-    with pytest.raises(core.ResourceLimitError, match=r"needs 243 picks \(limit 242\)"):
-        monkeypatch.setattr(core, "PICK_LIMIT", 242)
+    with pytest.raises(core.ResourceLimitError,
+                       match=r"needs 243 picks, 1215 factor slots \(limit 1214\)"):
+        monkeypatch.setattr(core, "PICK_LIMIT", 1214)
         core.evolve(spec, core.root_state([1, 1, 1, 1, 1], 1))
     monkeypatch.undo()
-    core.evolve(spec, core.root_state([1, 1, 1, 1, 1], 1))
+    monkeypatch.setattr(core, "PICK_LIMIT", 1215)
+    assert core.evolve(spec, core.root_state([1, 1, 1, 1, 1], 1))

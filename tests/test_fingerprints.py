@@ -334,8 +334,7 @@ def random_root_digest() -> str:
         seq = CFiniteSeq((1,) * L, tuple(rec))
         res = pv_classify(seq)
         rho = dominant_root_certificate(indicial_poly(seq))
-        out.append((res.kind, res.reason, res.roots,
-                    None if rho is None else (rho.lo, rho.hi)))
+        out.append((res.kind, res.reason, res.roots, rho))
     return _sha(repr(out))
 
 
