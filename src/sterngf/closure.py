@@ -127,7 +127,7 @@ def build_system(spec: ProductSpec, alpha, limit: int = 5000) -> StateSystem:
     )
     v = [core.initial_value(spec, s) for s in states]
     sys_ = StateSystem(spec=spec, states=states, rows=rows, v=v, report=report)
-    cache.keep_system(root, sys_, sum(map(len, rows)) + len(states))
+    cache.keep(cache.systems, root, sys_, sum(map(len, rows)) + len(states))
     return sys_
 
 

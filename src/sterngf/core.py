@@ -161,9 +161,12 @@ class _SpecCache:
     bounds, the deadness tail certificate, the inputs of deadness verdicts
     (head columns by beta and pair records by key, at most
     DEADNESS_MEMO_LIMIT of each), the multiset pick table of each group
-    size, and the closed systems by root state (their nonzeros and states
-    at most SYSTEM_MEMO_LIMIT in all).  Each entry is a function of the
-    spec and its key alone."""
+    size, the closed systems by root state (their nonzeros and states at
+    most SYSTEM_MEMO_LIMIT in all), and the longest brute-force prefix
+    u_alpha(0..n) by root state (at most SYSTEM_MEMO_LIMIT 64-bit words in
+    all; only the expansion of F_0..F_n fills it, never the engine, so the
+    oracle stays independent of what it checks).  Each entry is a function
+    of the spec and its key alone."""
 
     def __init__(self, spec: ProductSpec):
         self.spec = spec
@@ -173,6 +176,7 @@ class _SpecCache:
         self.pairs: dict[tuple[tuple[int, ...], int], _Pair] = {}  # (dbeta, dd) -> record
         self.picks: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}  # m -> pick table
         self.systems: dict[State, tuple[object, int]] = {}  # root -> (system, size)
+        self.prefixes: dict[State, tuple[list[int], int]] = {}  # root -> (terms, words)
 
     def head(self, beta: tuple[int, ...]) -> list[int]:
         """<beta, f(n..n+L-1)> for n = 0..HORIZON + 1: the exact head of
@@ -215,18 +219,20 @@ class _SpecCache:
                  * prod(map(coeffs.__getitem__, idx)) for idx in idxs], idxs)
         return table
 
-    def keep_system(self, root: State, system, size: int) -> None:
-        """Memoize a closed system of `size` nonzeros plus states under its
-        root state, dropping the oldest systems until the sizes kept fit
-        SYSTEM_MEMO_LIMIT; a system over the limit on its own, or one
-        already kept, is not kept."""
-        if size > SYSTEM_MEMO_LIMIT or root in self.systems:
+    @staticmethod
+    def keep(table: dict, key, value, size: int) -> None:
+        """table[key] = (value, size), replacing what the key held and
+        dropping the oldest entries until the sizes kept fit
+        SYSTEM_MEMO_LIMIT; a value over the limit on its own is not kept.
+        Sizes are nonzeros plus states for a closed system and 64-bit words
+        for a prefix of terms."""
+        if size > SYSTEM_MEMO_LIMIT:
             return
-        systems = self.systems
-        total = size + sum(kept for _, kept in systems.values())
+        table.pop(key, None)
+        total = size + sum(kept for _, kept in table.values())
         while total > SYSTEM_MEMO_LIMIT:
-            total -= systems.pop(next(iter(systems)))[1]
-        systems[root] = (system, size)
+            total -= table.pop(next(iter(table)))[1]
+        table[key] = (value, size)
 
     def degree_bound(self, n: int) -> int:
         """U(n): upper bound for deg F_n, growing by the largest exponent
@@ -361,11 +367,11 @@ def is_dead(spec: ProductSpec, state: State) -> bool:
     return False
 
 
-def _offsets_at(memo: SeqMemo, state: State, n: int) -> list[int]:
+def _offsets_at(memo: SeqMemo, factors, n: int) -> list[int]:
     """<beta_i, f(n..n+L-1)> - d_i for each factor (d_i, beta_i); a zero
     beta, as at the root state, gives -d_i at every level."""
     return [memo.form_values(beta, n, n + 1, -d)[0] if any(beta) else -d
-            for d, beta in state.factors]
+            for d, beta in factors]
 
 
 # ---------------------------------------------------------------------------
@@ -527,35 +533,44 @@ def _step_in_place(buf, size: int, new_size: int, exps) -> None:
 def state_oracle(spec: ProductSpec, state: State, n: int, *, coeffs=None) -> int:
     """Direct evaluation of the state's correlation sum at level n: the sum
     over k of prod_i a[k - o_i], taken as products of shifted slices, one
-    _CHUNK of k at a time.  On an int64 array whose products provably fit,
-    numpy computes them: a chunk of two slices whose sum provably fits too is
-    one np.dot of the two views, and otherwise a copy of the first slice is
-    multiplied in place by the others.  Anything else runs on Python
-    integers."""
+    _CHUNK of k at a time.  The m_s factors whose slices start at s share
+    that slice and take one power of it, so a chunk is
+    sum_k prod_s a[s + k]^m_s.  On an int64 array whose products provably
+    fit, numpy computes them: a chunk of two factors whose sum provably fits
+    too is one np.dot of the two views, and otherwise the powers are
+    multiplied in one array.  Anything else runs on Python integers."""
     a = expand_Fn(spec, n) if coeffs is None else coeffs
-    offs = _offsets_at(_cache(spec).memo, state, n)
+    groups = {}  # each distinct factor with its count
+    for f in state.factors:
+        groups[f] = groups.get(f, 0) + 1
+    offs = _offsets_at(_cache(spec).memo, groups, n)
     k_lo = max(offs)
-    starts = [k_lo - o for o in offs]  # each factor's index at k = k_lo
+    mult = {}  # factors per slice start, the start an index at k = k_lo
+    for o, m in zip(offs, groups.values()):
+        mult[k_lo - o] = mult.get(k_lo - o, 0) + m
     count = min(offs) + len(a) - k_lo  # the k whose indices all lie in a
     np = sys.modules.get("numpy")  # an ndarray exists only once numpy is loaded
     is_arr = np is not None and isinstance(a, np.ndarray)
-    bound = _max_abs(a) ** len(offs) if is_arr and count > 0 else _INT64_GUARD
+    factors = len(state.factors)
+    bound = _max_abs(a) ** factors if is_arr and count > 0 else _INT64_GUARD
     total = 0
     for lo in range(0, count, _CHUNK):
         size = min(_CHUNK, count - lo)
-        # equal factors share one slice, so one list of Python integers
-        cols = {s: a[s + lo:s + lo + size] for s in set(starts)}
-        if len(starts) == 2 and bound * size < _INT64_GUARD:
-            total += int(np.dot(cols[starts[0]], cols[starts[1]]))
+        cols = {s: a[s + lo:s + lo + size] for s in mult}
+        if factors == 2 and bound * size < _INT64_GUARD:
+            x, *y = cols.values()  # no y when both factors share one slice
+            total += int(np.dot(x, y[0] if y else x))
         elif bound < _INT64_GUARD:
-            seg = cols[starts[0]].copy()
-            for s in starts[1:]:
-                seg *= cols[s]
+            seg = np.ones(size, dtype=np.int64)
+            for s, m in mult.items():
+                seg *= cols[s] if m == 1 else cols[s] ** m
             total += int(seg.sum()) if bound * size < _INT64_GUARD else sum(seg.tolist())
         else:
             if is_arr:
                 cols = {s: col.tolist() for s, col in cols.items()}
-            total += sum(map(prod, zip(*[cols[s] for s in starts])))
+            powers = [col if m == 1 else list(map(pow, col, itertools.repeat(m)))
+                      for col, m in zip(cols.values(), mult.values())]
+            total += sum(map(prod, zip(*powers)))
     return total
 
 
@@ -568,10 +583,20 @@ def u_alpha_oracle(spec: ProductSpec, alpha, n: int, *, coeffs=None) -> int:
 def u_alpha_terms(spec: ProductSpec, alpha, n: int) -> list[int]:
     """u_alpha(0..n) from one incremental expansion of F_0..F_n: the root
     state's correlation sum at each level; a level over the coefficient
-    limit is reported before anything is expanded."""
+    limit is reported before anything is expanded.  The spec's memo keeps
+    the longest prefix expanded so far under the root state, so a request
+    it covers is a fresh list sliced from it."""
     root = root_state(alpha, spec.seq.order)
-    return [state_oracle(spec, root, m, coeffs=coeffs)
-            for m, coeffs in enumerate(expand_levels(spec, n))]
+    cache = _cache(spec)
+    kept = cache.prefixes.get(root)
+    if kept is not None and n < len(kept[0]):
+        return kept[0][:n + 1]
+    terms = [state_oracle(spec, root, m, coeffs=coeffs)
+             for m, coeffs in enumerate(expand_levels(spec, n))]
+    if terms:  # longer than what was kept, which it replaces
+        cache.keep(cache.prefixes, root, terms,
+                   sum(t.bit_length() // 64 + 1 for t in terms))
+    return terms[:]
 
 
 def _max_abs(arr) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -119,7 +120,7 @@ def test_resource_limit_reported_before_any_expansion(capsys, monkeypatch, cmd):
     # F_30 of tribonacci is the first level over the default limit; the
     # limit is known from the degree bound, so no level is expanded
     calls = []
-    monkeypatch.setattr(core, "u_alpha_oracle", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(core, "state_oracle", lambda *a, **k: calls.append(a))
     code, out, err = run(capsys, cmd, cookbook("tribonacci.json"),
                          "--alpha", "1", "-n", "40")
     assert (code, out, calls) == (1, "", [])
@@ -133,6 +134,32 @@ def test_oracle_over_coefficient_limit_exit_1(capsys):
     assert (code, out) == (1, "")
     assert err == ("resource limit: F_27 needs 268435482 coefficients "
                    "(limit 268435456)\n")
+
+
+def test_oracle_of_equal_factors_takes_one_power_per_slice(capsys):
+    """20000 equal factors share one slice of F_n, so the Python-integer sum
+    raises each coefficient to one power; the four terms (1, 1, 6021 and
+    9544 digits) are the ones a product of 20000 slices gives."""
+    code, out, err = run(capsys, "oracle", cookbook("base_stern.json"),
+                         "--alpha", "20000", "-n", "3")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "115bdb68c366154004d030bd89b45ada4240b039d7c2cb33b574d7cb86b4de12")
+
+
+def test_oracle_of_a_million_equal_factors_ends_in_time():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(COOKBOOK.parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "sterngf", "oracle", cookbook("base_stern.json"),
+                           "--alpha", "1000000", "-n", "3"],
+                          env=env, capture_output=True, text=True, timeout=15)
+    if done.returncode == 0:
+        assert done.stderr == ""
+        assert done.stdout.startswith("[1, 3, ") and done.stdout.count(",") == 3
+    else:
+        assert done.returncode == 1 and done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
 
 
 def test_matrix_with_too_many_picks_exit_1(capsys, tmp_path):

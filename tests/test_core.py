@@ -321,10 +321,27 @@ def test_expand_levels_names_first_level_over_limit():
         expand_levels(BASE, 12, max_coeffs=200)
 
 
-def test_int64_levels_share_one_buffer_of_the_last_levels_length():
+def oracle_levels(monkeypatch) -> list[int]:
+    """Clear the spec registry, so that no kept prefix serves u_alpha_terms,
+    and return the list of levels at which the oracle then evaluates a
+    correlation sum."""
+    core._cache.cache_clear()
+    levels = []
+    kernel = core.state_oracle
+
+    def counting(spec, state, n, **kwargs):
+        levels.append(n)
+        return kernel(spec, state, n, **kwargs)
+
+    monkeypatch.setattr(core, "state_oracle", counting)
+    return levels
+
+
+def test_int64_levels_share_one_buffer_of_the_last_levels_length(monkeypatch):
     # F_20 of the challenge has about 2^21 coefficients; apart from the one
     # buffer, only chunk-sized temporaries may be allocated
     n = 20
+    levels = oracle_levels(monkeypatch)
     limit = 8 * (core._cache(CHALLENGE).degree_bound(n) + 1) + 4 * 8 * core._CHUNK
     tracemalloc.start()
     try:
@@ -332,6 +349,7 @@ def test_int64_levels_share_one_buffer_of_the_last_levels_length():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert levels == list(range(n + 1))  # expanded, not served
     assert u == ORACLE["challenge_w"][:n + 1]
     assert peak <= limit, (peak, limit)
 
@@ -396,9 +414,11 @@ def test_u_alpha_terms_match_per_level_oracle():
     assert u_alpha_terms(BASE, [2], -1) == []
 
 
-def test_u_alpha_terms_follow_the_u2_recurrence_across_chunks():
+def test_u_alpha_terms_follow_the_u2_recurrence_across_chunks(monkeypatch):
     # F_17 has 2^18 - 1 coefficients: the numpy sum runs over several chunks
+    levels = oracle_levels(monkeypatch)
     u = u_alpha_terms(BASE, [2], 17)
+    assert levels == list(range(18))  # expanded, not served
     assert u[:2] == [1, 3]
     assert all(u[n] == 5 * u[n - 1] - 2 * u[n - 2] for n in range(2, 18))
 
@@ -419,7 +439,7 @@ def non_root_state(spec, alpha):
 def direct_sum(spec, st, n, coeffs):
     """The state's correlation sum at level n, one k at a time over every k
     where some factor meets F_n's support."""
-    offs = core._offsets_at(core._cache(spec).memo, st, n)
+    offs = core._offsets_at(core._cache(spec).memo, st.factors, n)
     a = [int(v) for v in coeffs]
     return sum(prod(a[k - o] if 0 <= k - o < len(a) else 0 for o in offs)
                for k in range(min(offs), max(offs) + len(a)))
@@ -450,9 +470,11 @@ def test_oracle_paths_agree_on_cookbook_specs(alpha):
             assert oracle_values(spec, alpha, n) == {(u, u, other)}, (spec, n)
 
 
-def test_oracle_paths_agree_across_numpy_chunks():
+def test_oracle_paths_agree_across_numpy_chunks(monkeypatch):
     # F_17 has 2^18 - 1 coefficients, four chunks of the correlation sum
+    levels = oracle_levels(monkeypatch)
     u = u_alpha_terms(BASE, [2], 17)[17]
+    assert levels == list(range(18))  # expanded, not served
     other = direct_sum(BASE, non_root_state(BASE, [2]), 17, expand_Fn(BASE, 17))
     assert oracle_values(BASE, [2], 17) == {(u, u, other)}
 

@@ -8,8 +8,11 @@ no module uses Fraction, and no module loads numpy when it is imported."""
 import ast
 import importlib
 import json
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -384,4 +387,141 @@ def test_at_most_one_certificate_per_judged_target(capsys, monkeypatch):
     assert code == 2 and "limit_exceeded" in err
     assert len(judged) == len(set(judged)) > 400
     assert len(certs) <= len(judged)
+    core._cache.cache_clear()
+
+
+def fresh_cli(*argv):
+    """`python -m sterngf argv` in a new interpreter: exit code and stdout."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "sterngf", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout
+
+
+def counting_sums(monkeypatch) -> list[int]:
+    """The levels at which the brute-force oracle evaluates a correlation
+    sum from now on."""
+    levels = []
+    kernel = core.state_oracle
+
+    def counting(spec, state, n, **kwargs):
+        levels.append(n)
+        return kernel(spec, state, n, **kwargs)
+
+    monkeypatch.setattr(core, "state_oracle", counting)
+    return levels
+
+
+def kept_prefix(spec, alpha):
+    kept = core._cache(spec).prefixes.get(core.root_state(alpha, spec.seq.order))
+    return None if kept is None else kept[0]
+
+
+@pytest.mark.parametrize("name,requests", [
+    # oracle fills, then a smaller, an equal and a larger n, and a guess
+    # inside the kept prefix
+    ("base_stern", [("oracle", 10), ("oracle", 6), ("oracle", 10), ("oracle", 14),
+                    ("guess", 12)]),
+    # a guess beyond the kept prefix extends it, and an oracle reads that
+    ("fibonacci", [("oracle", 16), ("oracle", 13), ("oracle", 16), ("oracle", 21),
+                   ("guess", 24), ("oracle", 19)]),
+], ids=["base_stern[2]", "fibonacci[2]"])
+def test_served_prefixes_print_what_a_fresh_process_prints(capsys, monkeypatch, name,
+                                                           requests):
+    path = str(COOKBOOK / f"{name}.json")
+    spec, _ = cli.load_spec_file(path)
+    core._cache.cache_clear()
+    levels = counting_sums(monkeypatch)
+    longest = -1
+    for cmd, n in requests:
+        argv = [cmd, path, "--alpha", "2", "-n", str(n)]
+        levels.clear()
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == fresh_cli(*argv), argv
+        # only a request beyond the kept prefix expands, and from level 0
+        assert levels == (list(range(n + 1)) if n > longest else []), argv
+        longest = max(longest, n)
+        assert len(kept_prefix(spec, [2])) == longest + 1
+    core._cache.cache_clear()
+
+
+def test_returned_prefixes_are_copies():
+    core._cache.cache_clear()
+    want = core.u_alpha_terms(FIB, [2], 12)
+    for n in (12, 7, 12):
+        got = core.u_alpha_terms(FIB, [2], n)
+        assert got == want[:n + 1]
+        got[0] = -1
+        got.append(0)
+        assert kept_prefix(FIB, [2]) == want
+    core._cache.cache_clear()
+
+
+def test_prefix_memo_keeps_the_edge_cases(capsys):
+    core._cache.cache_clear()
+    assert core.u_alpha_terms(FIB, [2], -1) == []
+    assert core._cache(FIB).prefixes == {}  # nothing expanded, nothing kept
+    core.u_alpha_terms(FIB, [2], 5)
+    assert core.u_alpha_terms(FIB, [2], -1) == []
+    # a kept prefix does not hide the coefficient limit of a longer request
+    challenge, _ = cli.load_spec_file(CHALLENGE)
+    argv = ["oracle", CHALLENGE, "--alpha", "2", "-n", "40"]
+    fresh = run_cli(capsys, *argv)
+    assert fresh[:2] == (1, "") and fresh[2].startswith("resource limit: F_27 needs ")
+    assert run_cli(capsys, "oracle", CHALLENGE, "--alpha", "2", "-n", "21")[0] == 0
+    kept = kept_prefix(challenge, [2])
+    assert len(kept) == 22
+    assert run_cli(capsys, *argv) == fresh
+    assert kept_prefix(challenge, [2]) is kept
+    core._cache.cache_clear()
+
+
+def prefix_words(terms):
+    return sum(t.bit_length() // 64 + 1 for t in terms)
+
+
+def test_prefix_memo_stays_within_its_bound(monkeypatch):
+    """Prefixes are kept by root state up to SYSTEM_MEMO_LIMIT 64-bit words
+    in all, the oldest dropped first; a longer prefix replaces a shorter
+    one, and one over the bound on its own is not kept."""
+    spec = base_like(3)
+    alphas = [[1], [2], [1, 1], [3]]
+    core._cache.cache_clear()
+    assert [prefix_words(core.u_alpha_terms(spec, a, 2)) for a in alphas] == [3] * 4
+    big = core.u_alpha_terms(spec, [5], 12)
+    monkeypatch.setattr(core, "SYSTEM_MEMO_LIMIT", 11)  # three prefixes of 3 words fit
+    assert prefix_words(big) == 13
+    core._cache.cache_clear()
+    prefixes = core._cache(spec).prefixes
+    roots = [core.root_state(a, 1) for a in alphas]
+    for a in alphas[:3]:
+        core.u_alpha_terms(spec, a, 2)
+    assert list(prefixes) == roots[:3]
+    core.u_alpha_terms(spec, [3], 2)  # 12 words: the oldest goes
+    assert list(prefixes) == roots[1:]
+    assert core.u_alpha_terms(spec, [5], 12) == big
+    assert list(prefixes) == roots[1:]  # over the bound on its own: not kept
+    # [2] grows to 6 words: it replaces its shorter prefix, becomes the
+    # newest entry and drops the oldest ones until the sizes fit again
+    grown = core.u_alpha_terms(spec, [2], 5)
+    assert prefixes[roots[1]] == (grown, 6)
+    assert list(prefixes) == [roots[3], roots[1]]
+    core._cache.cache_clear()
+
+
+def test_prefixes_leave_with_their_spec(monkeypatch):
+    core._cache.cache_clear()
+    first = base_like(0)
+    want = core.u_alpha_terms(first, [2], 8)
+    cache = core._cache(first)
+    assert cache.prefixes
+    for k in range(1, core.SPEC_MEMO_LIMIT + 1):
+        base_like(k)  # registers a spec memo of its own
+    assert core._cache(first) is not cache
+    assert core._cache(first).prefixes == {}
+    levels = counting_sums(monkeypatch)
+    assert core.u_alpha_terms(first, [2], 8) == want
+    assert levels == list(range(9))  # expanded afresh
     core._cache.cache_clear()

@@ -246,15 +246,21 @@ def check_recurrence_stream(spec, alpha, sys_):
     assert stream_terms(sys_, n) == want, (spec, alpha)
 
 
-def check_oracle_paths_agree(spec, alpha):
+def check_oracle_paths_agree(spec, alpha, monkeypatch):
     """Each int64 level, read as it is yielded, equals the Python-integer
-    level, and u_alpha_terms equals the root state's sums over those."""
+    level, and u_alpha_terms, expanded from a cleared registry rather than
+    served by a kept prefix, equals the root state's sums over those."""
     lists = list(expand_levels(spec, ORACLE_LEVEL, force_python=True))
     for m, level in enumerate(expand_levels(spec, ORACLE_LEVEL)):
         assert [int(x) for x in level] == lists[m], (spec, m)
     root = root_state(alpha, spec.seq.order)
-    assert u_alpha_terms(spec, alpha, ORACLE_LEVEL) == [
-        state_oracle(spec, root, m, coeffs=level) for m, level in enumerate(lists)], (spec, alpha)
+    want = [state_oracle(spec, root, m, coeffs=level) for m, level in enumerate(lists)]
+    core._cache.cache_clear()
+    levels = []
+    monkeypatch.setattr(core, "state_oracle", lambda spec, state, n, **kwargs: (
+        levels.append(n) or state_oracle(spec, state, n, **kwargs)))
+    assert u_alpha_terms(spec, alpha, ORACLE_LEVEL) == want, (spec, alpha)
+    assert levels == list(range(ORACLE_LEVEL + 1))
 
 
 def check_memo_served_system(spec, alpha, other):
@@ -360,7 +366,7 @@ def test_recurrence_served_terms_equal_the_sparse_stream(case):
 @pytest.mark.parametrize("case", range(SPECS))
 def test_oracle_int64_and_list_paths_agree(case, chunk, monkeypatch):
     monkeypatch.setattr(core, "_CHUNK", chunk)
-    check_oracle_paths_agree(*SYSTEMS[case][:2])
+    check_oracle_paths_agree(*SYSTEMS[case][:2], monkeypatch)
 
 
 @pytest.mark.parametrize("case", range(SPECS))
