@@ -32,6 +32,7 @@ EXIT_LIMIT = 2
 EXIT_GUESS_FAILED = 3
 EXIT_INVALID_SPEC = 4
 EXIT_USAGE = 2  # a usage error exits as argparse's do, with the state limit's code
+INT_DIGITS_LIMIT = 2_000_000  # decimal digits of the largest integer printed
 
 _LOG10_2 = 0.30102999566398114
 
@@ -148,9 +149,25 @@ def _gf_json(gf: gfs.RationalGF) -> dict:
     return {"num": list(gf.num), "den": list(gf.den)}
 
 
+def _rendered(render, value):
+    """render(value), where render writes integers as decimal text; an
+    integer over INT_DIGITS_LIMIT digits is a resource limit, raised before
+    anything is written."""
+    try:
+        return render(value)
+    except ValueError as exc:  # the interpreter's int-to-str guard, set by main
+        raise core.ResourceLimitError(
+            f"an integer to print has more than {INT_DIGITS_LIMIT} decimal digits") from exc
+
+
+def _decimals(terms: list[int]) -> list[str]:
+    """Each term as json.dumps writes it."""
+    return _rendered(list, map(str, terms))
+
+
 def _print_json(doc, stream) -> None:
-    stream.write(json.dumps(doc))  # one-shot dumps runs the C encoder; dump never does
-    stream.write("\n")
+    # one-shot dumps runs the C encoder; dump never does
+    stream.write(_rendered(json.dumps, doc) + "\n")
 
 
 def _emit(doc: dict, pretty_gf: gfs.RationalGF | None, args) -> None:
@@ -194,9 +211,10 @@ def cmd_matrix(args) -> int:
         "root": sys_.root,
     }
     if args.out:
+        text = _rendered(json.dumps, doc) + "\n"
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                _print_json(doc, fh)
+                fh.write(text)
         except OSError as exc:
             raise SpecFileError(f"--out {args.out}: {exc.strerror or exc}") from exc
         doc = {"dim": sys_.dim, "written": args.out}
@@ -213,8 +231,11 @@ def cmd_terms(args) -> int:
     sys_ = _closed_system(args)
     if sys_ is None:
         return EXIT_LIMIT
-    terms = closure.stream_terms(sys_, args.n)
-    _print_json(decimal_digit_counts(terms) if args.digits_only else terms, sys.stdout)
+    if args.digits_only:
+        text = json.dumps(closure.rendered_terms(sys_, args.n, "digits", decimal_digit_counts))
+    else:  # json.dumps of the int list, byte for byte
+        text = "[" + ", ".join(closure.rendered_terms(sys_, args.n, "decimal", _decimals)) + "]"
+    sys.stdout.write(text + "\n")
     return EXIT_OK
 
 
@@ -438,7 +459,7 @@ def parse_args(argv=None) -> SimpleNamespace:
 def main(argv=None) -> int:
     args = parse_args(argv)
     if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(2_000_000)  # exact terms can be huge
+        sys.set_int_max_str_digits(INT_DIGITS_LIMIT)  # exact terms can be huge
     try:
         return args.func(args)
     except SpecFileError as exc:

@@ -46,6 +46,7 @@ _INT64_GUARD = 1 << 62
 _CHUNK = 1 << 16  # values of k per slice product of the correlation sum
 SPEC_MEMO_LIMIT = 16  # per-spec memos kept at once, least recently used dropped
 SYSTEM_MEMO_LIMIT = 1 << 14  # nnz + states of the closed systems kept per spec, oldest dropped
+STREAM_MEMO_LIMIT = 1 << 18  # 64-bit words of the rendered streams kept per spec, oldest dropped
 DEADNESS_MEMO_LIMIT = 1 << 10  # head columns, and pair records, kept per spec; oldest dropped
 PICK_LIMIT = 1 << 20  # factor slots (picks times factors) one evolve step may enumerate
 # a pair's head mask holds one flag byte per level 0..HORIZON; this one has them all
@@ -162,11 +163,13 @@ class _SpecCache:
     (head columns by beta and pair records by key, at most
     DEADNESS_MEMO_LIMIT of each), the multiset pick table of each group
     size, the closed systems by root state (their nonzeros and states at
-    most SYSTEM_MEMO_LIMIT in all), and the longest brute-force prefix
+    most SYSTEM_MEMO_LIMIT in all), the longest brute-force prefix
     u_alpha(0..n) by root state (at most SYSTEM_MEMO_LIMIT 64-bit words in
     all; only the expansion of F_0..F_n fills it, never the engine, so the
-    oracle stays independent of what it checks).  Each entry is a function
-    of the spec and its key alone."""
+    oracle stays independent of what it checks), and the rendered views of
+    the longest stream u(0..N) that `terms` printed, by root state (at most
+    STREAM_MEMO_LIMIT 64-bit words in all; only `closure.rendered_terms`
+    fills it).  Each entry is a function of the spec and its key alone."""
 
     def __init__(self, spec: ProductSpec):
         self.spec = spec
@@ -177,6 +180,7 @@ class _SpecCache:
         self.picks: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}  # m -> pick table
         self.systems: dict[State, tuple[object, int]] = {}  # root -> (system, size)
         self.prefixes: dict[State, tuple[list[int], int]] = {}  # root -> (terms, words)
+        self.streams: dict[State, tuple[tuple[int, dict], int]] = {}  # root -> ((N, views), words)
 
     def head(self, beta: tuple[int, ...]) -> list[int]:
         """<beta, f(n..n+L-1)> for n = 0..HORIZON + 1: the exact head of
@@ -220,17 +224,17 @@ class _SpecCache:
         return table
 
     @staticmethod
-    def keep(table: dict, key, value, size: int) -> None:
+    def keep(table: dict, key, value, size: int, limit: int) -> None:
         """table[key] = (value, size), replacing what the key held and
-        dropping the oldest entries until the sizes kept fit
-        SYSTEM_MEMO_LIMIT; a value over the limit on its own is not kept.
-        Sizes are nonzeros plus states for a closed system and 64-bit words
-        for a prefix of terms."""
-        if size > SYSTEM_MEMO_LIMIT:
+        dropping the oldest entries until the sizes kept fit the limit; a
+        value over the limit on its own is not kept.  Sizes are nonzeros
+        plus states for a closed system and 64-bit words for a prefix of
+        terms or a rendered stream."""
+        if size > limit:
             return
         table.pop(key, None)
         total = size + sum(kept for _, kept in table.values())
-        while total > SYSTEM_MEMO_LIMIT:
+        while total > limit:
             total -= table.pop(next(iter(table)))[1]
         table[key] = (value, size)
 
@@ -595,7 +599,7 @@ def u_alpha_terms(spec: ProductSpec, alpha, n: int) -> list[int]:
              for m, coeffs in enumerate(expand_levels(spec, n))]
     if terms:  # longer than what was kept, which it replaces
         cache.keep(cache.prefixes, root, terms,
-                   sum(t.bit_length() // 64 + 1 for t in terms))
+                   sum(t.bit_length() // 64 + 1 for t in terms), SYSTEM_MEMO_LIMIT)
     return terms[:]
 
 

@@ -147,6 +147,33 @@ def test_oracle_of_equal_factors_takes_one_power_per_slice(capsys):
         "115bdb68c366154004d030bd89b45ada4240b039d7c2cb33b574d7cb86b4de12")
 
 
+@pytest.fixture
+def int_str_guard():
+    """Restores the interpreter's int-to-str guard, which main sets."""
+    saved = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("argv", [
+    ["terms", "base_stern.json", "--alpha", "5", "-n", "1000"],  # u(1000) has 1184 digits
+    ["oracle", "base_stern.json", "--alpha", "2000", "-n", "3"],  # 3^2000 has 955
+], ids=["terms", "oracle"])
+def test_term_over_the_digit_guard_is_a_resource_limit(capsys, monkeypatch, int_str_guard,
+                                                       argv):
+    """A term too long to print is reported on one stderr line with exit 1,
+    and nothing is written to stdout."""
+    monkeypatch.setattr(cli, "INT_DIGITS_LIMIT", 640)  # CPython's least guard
+    core._cache.cache_clear()  # a kept decimal view would be served as it is
+    code, out, err = run(capsys, argv[0], cookbook(argv[1]), *argv[2:])
+    assert (code, out) == (1, "")
+    assert err == "resource limit: an integer to print has more than 640 decimal digits\n"
+    digits = run(capsys, "terms", cookbook("base_stern.json"), "--alpha", "5", "-n", "1000",
+                 "--digits-only")
+    assert digits[0] == 0 and max(json.loads(digits[1])) > 640  # counts need no text
+    core._cache.cache_clear()
+
+
 def test_oracle_of_a_million_equal_factors_ends_in_time():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(COOKBOOK.parents[1]),

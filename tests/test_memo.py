@@ -17,7 +17,8 @@ import sys
 import pytest
 
 import sterngf
-from sterngf import CFiniteSeq, LimitExceeded, ProductSpec, build_system, cli, core, gfs
+from sterngf import (CFiniteSeq, LimitExceeded, ProductSpec, build_system, cli, closure,
+                     core, gfs)
 from sterngf.cfinite import HORIZON, certify_eventually_positive
 
 from spread_scan import head_mask, pair_certified
@@ -269,10 +270,14 @@ def test_zero_limit_on_a_one_state_system_prints_as_fresh(capsys):
 
 
 def test_warm_requests_close_and_fit_nothing(capsys, monkeypatch):
+    """A warm gf closes and fits nothing; a warm terms request within the
+    kept stream, in a view already kept, neither streams nor counts digits."""
     gf_argv = ["gf", str(COOKBOOK / "fibonacci.json"), "--alpha", "2"]
     terms_argv = ["terms", str(COOKBOOK / "base_stern.json"), "-n", "300"]
+    argvs = [gf_argv, terms_argv, terms_argv[:-1] + ["200", "--digits-only"],
+             terms_argv[:-1] + ["17"]]
     core._cache.cache_clear()
-    first = [run_cli(capsys, *argv) for argv in (gf_argv, terms_argv)]
+    first = [run_cli(capsys, *argv) for argv in argvs]
     calls = []
 
     def counting(name, fn):
@@ -283,11 +288,16 @@ def test_warm_requests_close_and_fit_nothing(capsys, monkeypatch):
 
     monkeypatch.setattr(core, "evolve", counting("evolve", core.evolve))
     monkeypatch.setattr(gfs, "fit_recurrence", counting("fit", gfs.fit_recurrence))
-    assert [run_cli(capsys, *argv) for argv in (gf_argv, terms_argv)] == first
+    monkeypatch.setattr(closure, "stream_terms", counting("stream", closure.stream_terms))
+    monkeypatch.setattr(cli, "decimal_digit_counts", counting("digits", cli.decimal_digit_counts))
+    assert [run_cli(capsys, *argv) for argv in argvs] == first
     assert calls == []
     core._cache.cache_clear()
-    assert [run_cli(capsys, *argv) for argv in (gf_argv, terms_argv)] == first
-    assert calls.count("fit") == 2 and "evolve" in calls  # a fresh memo works again
+    assert [run_cli(capsys, *argv) for argv in argvs] == first
+    # a fresh memo works again: the gf fits, the first terms request fits and
+    # streams, the digit counts re-stream the kept u(0..300)
+    assert calls.count("fit") == 2 and "evolve" in calls
+    assert calls.count("digits") == 1 and calls.count("stream") == 4
     core._cache.cache_clear()
 
 
@@ -390,14 +400,29 @@ def test_at_most_one_certificate_per_judged_target(capsys, monkeypatch):
     core._cache.cache_clear()
 
 
-def fresh_cli(*argv):
-    """`python -m sterngf argv` in a new interpreter: exit code and stdout."""
+def fresh_clis(argvs) -> dict:
+    """`python -m sterngf argv` for each distinct argv, each in a new
+    interpreter, the interpreters running side by side: exit code and
+    stdout by argv tuple."""
     env = dict(os.environ)
     src = str(pathlib.Path(cli.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "sterngf", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
-    return done.returncode, done.stdout
+    procs = {}
+    try:
+        for argv in map(tuple, argvs):
+            if argv not in procs:
+                procs[argv] = subprocess.Popen(
+                    [sys.executable, "-m", "sterngf", *argv], env=env, text=True,
+                    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        out = {}
+        for argv, proc in procs.items():
+            stdout = proc.communicate(timeout=120)[0]
+            out[argv] = proc.returncode, stdout
+        return out
+    finally:
+        for proc in procs.values():
+            proc.kill()
+            proc.wait()
 
 
 def counting_sums(monkeypatch) -> list[int]:
@@ -432,14 +457,15 @@ def test_served_prefixes_print_what_a_fresh_process_prints(capsys, monkeypatch, 
                                                            requests):
     path = str(COOKBOOK / f"{name}.json")
     spec, _ = cli.load_spec_file(path)
+    argvs = [[cmd, path, "--alpha", "2", "-n", str(n)] for cmd, n in requests]
+    fresh = fresh_clis(argvs)
     core._cache.cache_clear()
     levels = counting_sums(monkeypatch)
     longest = -1
-    for cmd, n in requests:
-        argv = [cmd, path, "--alpha", "2", "-n", str(n)]
+    for (cmd, n), argv in zip(requests, argvs):
         levels.clear()
         code, out, _ = run_cli(capsys, *argv)
-        assert (code, out) == fresh_cli(*argv), argv
+        assert (code, out) == fresh[tuple(argv)], argv
         # only a request beyond the kept prefix expands, and from level 0
         assert levels == (list(range(n + 1)) if n > longest else []), argv
         longest = max(longest, n)
@@ -524,4 +550,125 @@ def test_prefixes_leave_with_their_spec(monkeypatch):
     levels = counting_sums(monkeypatch)
     assert core.u_alpha_terms(first, [2], 8) == want
     assert levels == list(range(9))  # expanded afresh
+    core._cache.cache_clear()
+
+
+def kept_stream(spec, alpha):
+    """(N, views) of the rendered stream the spec's memo keeps, or None."""
+    kept = core._cache(spec).streams.get(core.root_state(alpha, spec.seq.order))
+    return None if kept is None else kept[0]
+
+
+@pytest.mark.parametrize("name", ["base_stern", "fibonacci"])
+def test_served_streams_print_what_a_fresh_process_prints(capsys, monkeypatch, name):
+    """`terms` requests on one (spec, alpha), served from the kept stream or
+    not, print what a fresh process prints: a request fills, then a smaller,
+    an equal and a larger n, digit counts after values and values after
+    digit counts on the same kept stream, and a request after its entry was
+    evicted; gf and matrix after a warm `terms` too."""
+    path = str(COOKBOOK / f"{name}.json")
+    spec, _ = cli.load_spec_file(path)
+
+    def argv(n, digits=False):
+        return ["terms", path, "--alpha", "2", "-n", str(n)] + ["--digits-only"] * digits
+
+    both = {"decimal", "digits"}
+    # (argv, the stream lengths it streams, kept N and views after it)
+    steps = [(argv(200), [200], 200, {"decimal"}), (argv(120), [], 200, {"decimal"}),
+             (argv(200), [], 200, {"decimal"}), (argv(260), [260], 260, {"decimal"}),
+             (argv(200, True), [260], 260, both), (argv(120, True), [], 260, both),
+             (argv(260), [], 260, both)]
+    others = [["gf", path, "--alpha", "2"], ["matrix", path, "--alpha", "2"]]
+    fresh = fresh_clis([step[0] for step in steps] + others)
+    core._cache.cache_clear()
+    streamed = []
+    stream = closure.stream_terms
+    monkeypatch.setattr(closure, "stream_terms",
+                        lambda system, n: streamed.append(n) or stream(system, n))
+    for args, lengths, top, views in steps:
+        streamed.clear()
+        assert run_cli(capsys, *args)[:2] == fresh[tuple(args)], args
+        assert streamed[:1] == lengths, args  # a first stream fits, which streams too
+        assert (kept_stream(spec, [2])[0], set(kept_stream(spec, [2])[1])) == (top, views)
+    for args in others:
+        assert run_cli(capsys, *args)[:2] == fresh[tuple(args)], args
+    # digit counts first, then values
+    core._cache.cache_clear()
+    for args in (argv(200, True), argv(120), argv(200)):
+        assert run_cli(capsys, *args)[:2] == fresh[tuple(args)], args
+    assert set(kept_stream(spec, [2])[1]) == {"decimal", "digits"}
+    # a bound that holds this entry alone: another alpha's stream evicts it
+    monkeypatch.setattr(core, "STREAM_MEMO_LIMIT", core._cache(spec).streams[
+        core.root_state([2], spec.seq.order)][1])
+    assert run_cli(capsys, "terms", path, "--alpha", "1", "-n", "5")[0] == 0
+    assert kept_stream(spec, [2]) is None
+    for args in (argv(120), argv(200, True)):
+        assert run_cli(capsys, *args)[:2] == fresh[tuple(args)], args
+    core._cache.cache_clear()
+
+
+def test_served_streams_are_copies():
+    spec, _ = cli.load_spec_file(str(COOKBOOK / "fibonacci.json"))
+    system = build_system(spec, [2])
+    core._cache.cache_clear()
+    want = closure.rendered_terms(system, 40, "digits", cli.decimal_digit_counts)
+    for n in (40, 12, 40):
+        got = closure.rendered_terms(system, n, "digits", cli.decimal_digit_counts)
+        assert got == want[:n + 1]
+        got[0] = -1
+        got.append(0)
+        assert kept_stream(spec, [2]) == (40, {"digits": want})
+    core._cache.cache_clear()
+
+
+def test_stream_memo_stays_within_its_bound(monkeypatch):
+    """Rendered streams are kept by root state up to STREAM_MEMO_LIMIT
+    64-bit words in all, the oldest dropped first; a longer stream replaces
+    a shorter one, and one over the bound on its own is not kept.  Text
+    counts 8 characters per word, a digit count one word."""
+    spec = base_like(3)
+    alphas = [[1], [2], [1, 1], [3]]
+    systems = {tuple(a): build_system(spec, a) for a in alphas + [[5]]}
+    roots = [core.root_state(a, 1) for a in alphas]
+    monkeypatch.setattr(core, "STREAM_MEMO_LIMIT", 11)  # three streams of 3 counts fit
+    core._cache.cache_clear()
+    streams = core._cache(spec).streams
+    for a in alphas[:3]:
+        closure.rendered_terms(systems[tuple(a)], 2, "digits", cli.decimal_digit_counts)
+    assert list(streams) == roots[:3]
+    closure.rendered_terms(systems[(3,)], 2, "digits", cli.decimal_digit_counts)  # 12 words: the oldest goes
+    assert list(streams) == roots[1:]
+    closure.rendered_terms(systems[(5,)], 11, "digits", cli.decimal_digit_counts)
+    assert list(streams) == roots[1:]  # 12 words on its own: not kept
+    # [2] grows to 6 counts: it replaces its shorter stream, becomes the
+    # newest entry and drops the oldest ones until the sizes fit again
+    grown = closure.rendered_terms(systems[(2,)], 5, "digits", cli.decimal_digit_counts)
+    assert streams[roots[1]] == ((5, {"digits": grown}), 6)
+    assert list(streams) == [roots[3], roots[1]]
+    # a second view of the kept u(0..5) adds its text, 19 characters in 3
+    # words: 9 words with [3]'s 3 are over the bound, so [3] goes
+    text = closure.rendered_terms(systems[(2,)], 3, "decimal", cli._decimals)
+    full = ["10", "42", "190", "866", "3950", "18018"]
+    assert text == full[:4]
+    assert streams[roots[1]] == ((5, {"digits": grown, "decimal": full}), 9)
+    assert list(streams) == [roots[1]]
+    core._cache.cache_clear()
+
+
+def test_streams_leave_with_their_spec(monkeypatch):
+    core._cache.cache_clear()
+    first = base_like(0)
+    system = build_system(first, [2])
+    want = closure.rendered_terms(system, 30, "decimal", cli._decimals)
+    cache = core._cache(first)
+    assert cache.streams
+    for k in range(1, core.SPEC_MEMO_LIMIT + 1):
+        base_like(k)  # registers a spec memo of its own
+    assert core._cache(first) is not cache
+    assert core._cache(first).streams == {}
+    calls = []
+    stream = closure.stream_terms
+    monkeypatch.setattr(closure, "stream_terms", lambda *a: calls.append(a[1]) or stream(*a))
+    assert closure.rendered_terms(system, 30, "decimal", cli._decimals) == want
+    assert calls == [30]  # streamed afresh
     core._cache.cache_clear()
