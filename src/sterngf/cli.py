@@ -18,8 +18,8 @@ argument.
 from __future__ import annotations
 
 import json
-import re
 import sys
+from functools import lru_cache, partial
 from types import SimpleNamespace
 
 from . import closure, core, gfs
@@ -31,7 +31,6 @@ EXIT_COEFF_LIMIT = 1
 EXIT_LIMIT = 2
 EXIT_GUESS_FAILED = 3
 EXIT_INVALID_SPEC = 4
-EXIT_USAGE = 2  # a usage error exits as argparse's do, with the state limit's code
 INT_DIGITS_LIMIT = 2_000_000  # decimal digits of the largest integer printed
 
 _LOG10_2 = 0.30102999566398114
@@ -286,7 +285,6 @@ _ALPHA = ("--alpha", str, None, "correlation pattern, e.g. 2 or 1,1,1")
 _LIMIT = ("--limit", int, 5000, "state budget before declaring failure")
 _N = ("-n", int, REQUIRED, "last index to produce")
 _PRETTY = ("--pretty", None, False, 'add the generating function as text, under "pretty"')
-_HELP = ("-h/--help", None, False, "show this help message and exit")
 COMMANDS = (
     ("gf", cmd_gf, "closed-form generating function via state closure",
      (_ALPHA, _LIMIT,
@@ -312,154 +310,86 @@ def _dest(name: str) -> str:
     return name.lstrip("-").replace("-", "_")
 
 
-def _usage(cmd, page: bool = False) -> str:
-    """The usage line of a command (None: of the top level); with page, its
-    -h page: usage, what it does and one line per argument."""
+def _usual(argv: list):
+    """The namespace of argv in its usual form, which argparse reads without
+    ambiguity: the command, then one spec and the command's options, each
+    spelled out in full, the required ones included, and each value a word
+    not starting with "-" that int() or the choice list accepts; None for
+    any other form."""
+    cmd = next((c for c in COMMANDS if argv and c[0] == argv[0]), None)
     if cmd is None:
-        words = ["[-h]", "{%s} ..." % ",".join(c[0] for c in COMMANDS)]
-        rows = [(c[0], c[2]) for c in COMMANDS]
-        about = "Exact generating functions for correlation sums of generalized Stern diatomic arrays."
-    else:
-        words, rows = [cmd[0], "[-h]"], [("spec", "JSON spec file")]
-        for name, kind, default, text in cmd[3]:
-            arg = name if kind is None else f"{name} " + (
-                "{%s}" % ",".join(kind) if type(kind) is tuple else _dest(name).upper())
-            words.append(arg if default is REQUIRED else f"[{arg}]")
-            rows.append((arg, text))
-        words.append("spec")
-        about = "\n".join(line.strip() for line in (cmd[1].__doc__ or cmd[2]).splitlines())
-    usage = "usage: sterngf " + " ".join(words)
-    if not page:
-        return usage
-    rows.append(("-h, --help", _HELP[3]))
-    width = max(len(r[0]) for r in rows)
-    return "\n".join([usage, "", about, ""] + [f"  {a:<{width}}  {b}" for a, b in rows])
-
-
-def _fail(cmd, msg: str):
-    """A usage error: the usage line and the message on stderr, exit 2."""
-    prog = "sterngf" if cmd is None else f"sterngf {cmd[0]}"
-    sys.stderr.write(f"{_usage(cmd)}\n{prog}: error: {msg}\n")
-    raise SystemExit(EXIT_USAGE)
-
-
-def _command(name: str):
-    for cmd in COMMANDS:
-        if cmd[0] == name:
-            return cmd
-    _fail(None, f"argument command: invalid choice: {name!r} "
-                f"(choose from {', '.join(repr(c[0]) for c in COMMANDS)})")
-
-
-def _classify(cmd, opts: dict, s: str):
-    """How one argument reads: None for a value (a word, "-", a negative
-    number, text with a space), else (option, text attached by "=" or glued
-    to a short option, or None), option None when unknown; a long option may
-    be given by any unique prefix."""
-    if not s.startswith("-") or s == "-":
         return None
-    if s in opts:
-        return s, None
-    head, eq, tail = s.partition("=")
-    if eq and head in opts:
-        return head, tail
-    if s[1] == "-":
-        hits = [(name, tail if eq else None) for name in opts if name.startswith(head)]
-    else:
-        hits = [(s[:2], s[2:])] if s[:2] in opts else []
-    if len(hits) > 1:
-        _fail(cmd, f"ambiguous option: {s} could match {', '.join(h[0] for h in hits)}")
-    if hits:
-        return hits[0]
-    return None if " " in s or re.match(r"^-\d+$|^-\d*\.\d+$", s) else (None, None)
-
-
-def _option(cmd, opts: dict, argv: list, marks: list, i: int, ns: dict) -> int:
-    """Apply the option at argv[i], after the flags glued before it (-hn5);
-    returns the index of the next argument."""
-    name, val = marks[i]
-    steps = []
-    while opts[name][1] is None and val is not None:  # a flag with text attached
-        if name[1] == "-" or not val or "-" + val[0] not in opts:
-            _fail(cmd, f"argument {opts[name][0]}: ignored explicit argument {val!r}")
-        steps.append((name, None))
-        name, val = "-" + val[0], val[1:] or None
-    i += 1
-    if opts[name][1] is not None and val is None:
-        if i == len(marks) or marks[i] is not None:
-            _fail(cmd, f"argument {name}: expected one argument")
-        val, i = argv[i], i + 1
-    for name, val in steps + [(name, val)]:
-        _, kind, _, _ = opt = opts[name]
-        if opt is _HELP:
-            sys.stdout.write(_usage(cmd, page=True) + "\n")
-            raise SystemExit(EXIT_OK)
-        if kind is None:
-            val = True
-        elif val == "--":  # argparse's value for a bare "--", refused once all is read
-            val = []
-        elif kind is int:
-            try:
-                val = int(val)
-            except ValueError:
-                _fail(cmd, f"argument {name}: invalid int value: {val!r}")
-        elif kind is not str and val not in kind:
-            _fail(cmd, f"argument {name}: invalid choice: {val!r} "
-                       f"(choose from {', '.join(map(repr, kind))})")
-        ns[_dest(name)] = val
-    return i
-
-
-def parse_args(argv=None) -> SimpleNamespace:
-    """Read the command line (sys.argv[1:] by default) as argparse did: the
-    options before the command, then the command's spec and options in any
-    order, the last of a repeated option winning, and only values after
-    "--".  A usage error exits 2; -h/--help prints the help page, exits 0."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    sep = argv.index("--") if "--" in argv else len(argv)
-    cmd, opts, ns = None, {"-h": _HELP, "--help": _HELP}, {}
-    marks, extras, spec_at, i = [None] * sep, [], None, 0
-    while i < sep:
-        if cmd is None:  # read the command's arguments only once it is known
-            marks[i] = _classify(None, opts, argv[i])
-        if marks[i] is not None and marks[i][0] is not None:
-            i = _option(cmd, opts, argv, marks, i, ns)
+    opts = {o[0]: o for o in cmd[3]}
+    ns = {"command": cmd[0], "func": cmd[1], **{_dest(o[0]): o[2] for o in cmd[3]}}
+    spec, rest = [], iter(argv[1:])
+    for s in rest:
+        if not s.startswith("-"):
+            spec.append(s)
             continue
-        if marks[i] is None and cmd is None:
-            cmd = _command(argv[i])
-            opts.update((o[0], o) for o in cmd[3])
-            ns = {"command": cmd[0], "func": cmd[1]}
-            ns.update((_dest(o[0]), o[2]) for o in cmd[3] if o[2] is not REQUIRED)
-            marks[i + 1:] = [_classify(cmd, opts, s) for s in argv[i + 1:sep]]
-        elif marks[i] is None and spec_at is None:
-            ns["spec"], spec_at = argv[i], i
-        else:
-            extras.append(argv[i])
-        i += 1
-    if cmd is None:
-        if sep + 1 < len(argv):
-            _command("--")  # a "--" before the command reads as the command
-        _fail(None, "the following arguments are required: command")
-    rest = argv[sep:]
-    if len(rest) > 1 and spec_at is None:
-        ns["spec"], spec_at, rest = rest[1], sep, rest[2:]
-    elif rest and spec_at == sep - 1:  # a spec just before "--" takes it along
-        rest = rest[1:]
-    missing = ["spec"] * (spec_at is None) + [o[0] for o in cmd[3] if _dest(o[0]) not in ns]
-    if missing:
-        _fail(cmd, f"the following arguments are required: {', '.join(missing)}")
-    if extras + rest:
-        _fail(None, f"unrecognized arguments: {' '.join(extras + rest)}")
-    for name, *_ in cmd[3]:
-        if ns[_dest(name)] == []:
-            _fail(cmd, f"argument {name}: expected one argument")
-    return SimpleNamespace(**ns)
+        if s not in opts:
+            return None
+        kind, val = opts[s][1], True
+        if kind is not None:
+            val = next(rest, "-")
+            if val.startswith("-") or type(kind) is tuple and val not in kind:
+                return None
+            if kind is int:
+                try:
+                    val = int(val)
+                except ValueError:
+                    return None
+        ns[_dest(s)] = val
+    if len(spec) != 1 or REQUIRED in ns.values():
+        return None
+    return SimpleNamespace(spec=spec[0], **ns)
+
+
+@lru_cache(maxsize=1)
+def _argparse():
+    """The argparse parser of COMMANDS and its command parsers by name, built
+    on first use; its pages are wide, so a usage line stays on one line."""
+    import argparse
+    wide = partial(argparse.RawDescriptionHelpFormatter, width=1 << 16)
+    top = argparse.ArgumentParser(
+        prog="sterngf", formatter_class=wide,
+        description="Exact generating functions for correlation sums of "
+                    "generalized Stern diatomic arrays.")
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, func, text, opts in COMMANDS:
+        about = "\n".join(line.strip() for line in (func.__doc__ or text).splitlines())
+        p = sub.add_parser(name, help=text, description=about, formatter_class=wide)
+        p.add_argument("spec", help="JSON spec file")
+        for opt, kind, default, help_ in opts:
+            if kind is None:
+                p.add_argument(opt, action="store_true", help=help_)
+            else:
+                p.add_argument(opt, type=int if kind is int else None, default=default, help=help_,
+                               choices=kind if type(kind) is tuple else None,
+                               required=default is REQUIRED)
+        p.set_defaults(func=func)
+    return top, sub.choices
+
+
+def parse_args(argv=None):
+    """Read the command line (sys.argv[1:] by default) as argparse reads it;
+    argparse itself is loaded only for a list not in the usual form.  A
+    usage error exits 2; -h/--help prints the help page, exits 0."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _usual(argv)
+    if args is None:
+        top, commands = _argparse()
+        args = top.parse_args(argv)
+        for name, *_ in next(c for c in COMMANDS if c[0] == args.command)[3]:
+            if getattr(args, _dest(name)) == []:  # argparse's value for "--alpha=--"
+                commands[args.command].error(f"argument {name}: expected one argument")
+    return args
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(INT_DIGITS_LIMIT)  # exact terms can be huge
+    guard = getattr(sys, "get_int_max_str_digits", lambda: None)()  # CPython >= 3.10.7
+    if guard is not None:  # exact terms can be huge; restored when this call ends
+        sys.set_int_max_str_digits(INT_DIGITS_LIMIT)
     try:
         return args.func(args)
     except SpecFileError as exc:
@@ -468,6 +398,9 @@ def main(argv=None) -> int:
     except core.ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_COEFF_LIMIT
+    finally:
+        if guard is not None:
+            sys.set_int_max_str_digits(guard)
 
 
 if __name__ == "__main__":

@@ -456,7 +456,10 @@ def expand_levels(spec: ProductSpec, n: int, *, force_python: bool = False,
     Degrees grow like the dominant indicial root to the n-th power, so this
     is only for moderate n.  The level sizes are known from the degree
     bound, so they are checked before anything is expanded: the first level
-    over max_coeffs raises ResourceLimitError at once.  Dense integer
+    over max_coeffs raises ResourceLimitError at once.  The bound never
+    decreases (every exponent form is certified nonnegative), so it is
+    evaluated on doubling prefixes of 0..n, never far past that first
+    level: its C-finite values grow exponentially in n.  Dense integer
     arithmetic runs on int64 numpy arrays while a per-level bound proves no
     overflow is possible, and falls back to Python integers beyond that;
     numpy is imported only when the int64 kernel runs.
@@ -467,8 +470,11 @@ def expand_levels(spec: ProductSpec, n: int, *, force_python: bool = False,
     must copy them.  A level on Python integers is a list of its own.
     """
     cache = _cache(spec)
-    if n >= 0 and cache.degree_bound(n) + 1 > max_coeffs:
-        m = next(m for m in range(n + 1) if cache.degree_bound(m) + 1 > max_coeffs)
+    top = 0
+    while top < n and cache.degree_bound(top) + 1 <= max_coeffs:
+        top = min(n, 2 * top + 1)
+    if n >= 0 and cache.degree_bound(top) + 1 > max_coeffs:
+        m = next(m for m in range(top + 1) if cache.degree_bound(m) + 1 > max_coeffs)
         raise ResourceLimitError(
             f"F_{m} needs {cache.degree_bound(m) + 1} coefficients (limit {max_coeffs})")
     return _levels(spec, cache, n, force_python)

@@ -1,8 +1,8 @@
 """The former `cli.build_parser`, kept as the reference for how the command
-line reads: argparse, as the program used it until its own table-driven
-parser replaced it.  `cli.parse_args` must accept exactly the argument lists
-this parser accepts, with the same values, and reject the others with exit
-code 2.
+line reads: argparse, written out by hand rather than built from
+`cli.COMMANDS`.  `cli.parse_args`, whether it reads a list itself or hands
+it to argparse, must accept exactly the argument lists this parser accepts,
+with the same values, and reject the others with exit code 2.
 """
 
 import argparse

@@ -1,13 +1,15 @@
-"""The command line reads as argparse read it: `cli.parse_args` against the
-former argparse parser in `reference_parser`, on a seeded draw of argument
-lists.  Both must reject a list (exit 2, with a usage line and an error line
-on stderr) or both accept it with the same namespace; for -h/--help both
-exit 0."""
+"""The command line reads as argparse reads it: `cli.parse_args`, which
+reads a list in the usual form itself and hands any other to argparse,
+against the argparse parser in `reference_parser`, on a seeded draw of
+argument lists and on one list per command in the usual form.  Both must
+reject a list (exit 2, with a usage line and an error line on stderr) or
+both accept it with the same namespace; for -h/--help both exit 0."""
 
 import contextlib
 import io
 import re
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -91,6 +93,26 @@ def test_parse_args_reads_argv_as_argparse_did(argv):
         assert got == want
     if got == 2:
         assert re.match(r"usage: sterngf [^\n]*\nsterngf( \w+)?: error: ", err), err
+
+
+USUAL = {
+    "gf": ["gf", "s.json", "--alpha", "1,1", "--limit", "7", "--method", "eliminate", "--pretty"],
+    "matrix": ["matrix", "--alpha", "2", "s.json", "--limit", "+3", "--out", "m.json"],
+    "terms": ["terms", "s.json", "--digits-only", "--alpha", "2", "--limit", "9", "-n", "12"],
+    "oracle": ["oracle", "-n", "3", "s.json", "--alpha", "2", "-n", "4"],
+    "guess": ["guess", "s.json", "--alpha", "2", "-n", "15", "--max-deg", "4", "--pretty"],
+    "pv": ["pv", "s.json"],
+}
+
+
+@pytest.mark.parametrize("argv", USUAL.values(), ids=USUAL)
+def test_usual_argv_is_read_as_argparse_reads_it_without_argparse(monkeypatch, argv):
+    def refuse():
+        raise AssertionError(f"argparse was asked to read {argv}")
+
+    monkeypatch.setattr(cli, "_argparse", refuse)
+    want = reference_parser.build_parser().parse_args(argv)
+    assert vars(cli.parse_args(argv)) == vars(want)
 
 
 def test_help_pages_list_every_command_and_option_with_its_help():

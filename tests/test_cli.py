@@ -23,6 +23,21 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def python(*args, memory=None, timeout=120):
+    """`python args` in a new interpreter that imports this sterngf, its
+    address space capped at `memory` bytes if given."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(COOKBOOK.parents[1]),
+                                                      env.get("PYTHONPATH")]))
+
+    def cap():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout, preexec_fn=cap if memory else None)
+
+
 def test_cookbook_specs_parse_and_round_trip():
     for path in sorted(COOKBOOK.glob("*.json")):
         spec, alpha = cli.load_spec_file(str(path))
@@ -147,20 +162,11 @@ def test_oracle_of_equal_factors_takes_one_power_per_slice(capsys):
         "115bdb68c366154004d030bd89b45ada4240b039d7c2cb33b574d7cb86b4de12")
 
 
-@pytest.fixture
-def int_str_guard():
-    """Restores the interpreter's int-to-str guard, which main sets."""
-    saved = sys.get_int_max_str_digits()
-    yield
-    sys.set_int_max_str_digits(saved)
-
-
 @pytest.mark.parametrize("argv", [
     ["terms", "base_stern.json", "--alpha", "5", "-n", "1000"],  # u(1000) has 1184 digits
     ["oracle", "base_stern.json", "--alpha", "2000", "-n", "3"],  # 3^2000 has 955
 ], ids=["terms", "oracle"])
-def test_term_over_the_digit_guard_is_a_resource_limit(capsys, monkeypatch, int_str_guard,
-                                                       argv):
+def test_term_over_the_digit_guard_is_a_resource_limit(capsys, monkeypatch, argv):
     """A term too long to print is reported on one stderr line with exit 1,
     and nothing is written to stdout."""
     monkeypatch.setattr(cli, "INT_DIGITS_LIMIT", 640)  # CPython's least guard
@@ -174,13 +180,42 @@ def test_term_over_the_digit_guard_is_a_resource_limit(capsys, monkeypatch, int_
     core._cache.cache_clear()
 
 
+def test_main_restores_the_int_to_str_guard(capsys):
+    guard = sys.get_int_max_str_digits()
+    assert run(capsys, "pv", cookbook("base_stern.json"))[0] == 0
+    assert sys.get_int_max_str_digits() == guard
+    code, _, err = run(capsys, "oracle", cookbook("challenge.json"), "--alpha", "2", "-n", "40")
+    assert code == 1 and err.startswith("resource limit: F_27 needs")
+    assert sys.get_int_max_str_digits() == guard
+
+
+def test_an_int_over_the_guard_is_a_usage_error_after_any_call(capsys):
+    """-n with 5000 digits is refused as argparse's int() refuses it in a
+    fresh process, whatever an earlier main did with the guard."""
+    argv = ["oracle", cookbook("base_stern.json"), "--alpha", "2", "-n", "9" * 5000]
+    done = python("-m", "sterngf", *argv)
+    assert done.returncode == 2 and "invalid int value" in done.stderr
+    run(capsys, "pv", cookbook("base_stern.json"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2 and "invalid int value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["oracle", "guess"])
+def test_huge_n_reports_the_first_level_over_the_coefficient_limit(command):
+    """The coefficient limit is found at the first level over it; the degree
+    bound of all 10^6 levels, whose C-finite values grow exponentially, is
+    never computed."""
+    done = python("-m", "sterngf", command, cookbook("base_stern.json"), "--alpha", "2",
+                  "-n", "1000000", memory=1 << 30, timeout=30)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == ("resource limit: F_28 needs 536870911 coefficients "
+                           "(limit 268435456)\n")
+
+
 def test_oracle_of_a_million_equal_factors_ends_in_time():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(COOKBOOK.parents[1]),
-                                                      env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "sterngf", "oracle", cookbook("base_stern.json"),
-                           "--alpha", "1000000", "-n", "3"],
-                          env=env, capture_output=True, text=True, timeout=15)
+    done = python("-m", "sterngf", "oracle", cookbook("base_stern.json"), "--alpha", "1000000",
+                  "-n", "3", timeout=15)
     if done.returncode == 0:
         assert done.stderr == ""
         assert done.stdout.startswith("[1, 3, ") and done.stdout.count(",") == 3
@@ -409,17 +444,15 @@ print(json.dumps([code, out.getvalue(), err.getvalue()]))
 
 def in_fresh_process(*argv):
     """cli.main(argv) in a new interpreter: exit code, stdout, stderr."""
-    env = dict(os.environ)
-    src = str(pathlib.Path(cli.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", FRESH_MAIN, *argv], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
+    done = python("-c", FRESH_MAIN, *argv)
+    done.check_returncode()
     return tuple(json.loads(done.stdout))
 
 
 def test_main_keeps_no_state_between_calls(capsys, tmp_path):
-    """A call of main after any other call in the process, a usage error or
-    a help page included, prints what it prints in a fresh process."""
+    """A call of main after any other call in the process, a usage error, a
+    help page or a list that argparse read included, prints what it prints
+    in a fresh process."""
     base = cookbook("base_stern.json")
     histories = [
         (["gf", base, "--pretty"], ["gf", base]),
@@ -429,6 +462,8 @@ def test_main_keeps_no_state_between_calls(capsys, tmp_path):
         (["terms", base, "--limit", "7"], ["terms", base, "-n", "6"]),
         (["gf", base, "--alpha=--"], ["gf", base]),
         (["matrix", "-h"], ["matrix", base]),
+        (["gf", base, "--pre"], ["gf", base]),
+        (["terms", base, "-n6"], ["terms", base, "-n", "6"]),
     ]
     fresh = {}
     for first, second in histories:
