@@ -209,7 +209,10 @@ def pv_classify(seq: CFiniteSeq) -> PVResult:
     if L == 1:
         r = seq.rec[0]
         if r > 1:
-            return PVResult("pv", roots=((float(r), 0.0, 0.0),))
+            try:
+                return PVResult("pv", roots=((float(r), 0.0, 0.0),))
+            except OverflowError:  # the verdict is exact; no float writes the root
+                return PVResult("pv")
         if abs(r) == 1:
             return PVResult("not_pv", "root of modulus 1")
         if r < -1:

@@ -159,34 +159,11 @@ def stream_terms(sys: StateSystem, n: int) -> list[int]:
 def rendered_terms(sys: StateSystem, n: int, view: str, render) -> list:
     """render(u(0..n)) for a termwise rendering, one whose first m + 1
     entries render u(0..m) (decimal text, digit counts), named by view.
-
-    The spec's memo keeps, by root state, the views of the longest stream
-    u(0..N) rendered so far, not its terms: the closed system, and so
-    u(0..N), depends only on the spec and alpha.  A request with n <= N is
-    a fresh slice of its view; a view not yet kept renders a new stream of
-    u(0..N), which the entry then keeps too.  A longer request streams
-    u(0..n) and replaces the entry.  Entries count 8 characters of text or
-    one count per 64-bit word, at most core.STREAM_MEMO_LIMIT per spec,
-    oldest dropped; one over the limit on its own is not kept.
-    """
-    cache = core._cache(sys.spec)
-    root = sys.states[sys.root]
-    kept = cache.streams.get(root)
-    if kept is not None and n <= kept[0][0]:
-        top, views = kept[0]
-        if view in views:
-            return views[view][:n + 1]
-        views = {**views, view: render(stream_terms(sys, top))}
-    else:
-        top, views = n, {view: render(stream_terms(sys, n))}
-    cache.keep(cache.streams, root, (top, views), sum(map(_words, views.values())),
-               core.STREAM_MEMO_LIMIT)
-    return views[view][:n + 1]
-
-
-def _words(view: list) -> int:
-    """64-bit words a kept view counts: 8 characters of text, or one count."""
-    return sum(map(len, view)) // 8 + 1 if isinstance(view[0], str) else len(view)
+    The closed system, and so u(0..n), depends only on the spec and alpha:
+    the spec's memo keeps each view's longest prefix under (view, root
+    state), and a longer request streams u(0..n) afresh."""
+    return core._cache(sys.spec).prefix((view, sys.states[sys.root]), n,
+                                        lambda n: render(stream_terms(sys, n)))
 
 
 def _fit_length(sys: StateSystem) -> int:

@@ -46,7 +46,7 @@ _INT64_GUARD = 1 << 62
 _CHUNK = 1 << 16  # values of k per slice product of the correlation sum
 SPEC_MEMO_LIMIT = 16  # per-spec memos kept at once, least recently used dropped
 SYSTEM_MEMO_LIMIT = 1 << 14  # nnz + states of the closed systems kept per spec, oldest dropped
-STREAM_MEMO_LIMIT = 1 << 18  # 64-bit words of the rendered streams kept per spec, oldest dropped
+PREFIX_MEMO_LIMIT = 1 << 18  # 64-bit words of the termwise prefixes kept per spec, oldest dropped
 DEADNESS_MEMO_LIMIT = 1 << 10  # head columns, and pair records, kept per spec; oldest dropped
 PICK_LIMIT = 1 << 20  # factor slots (picks times factors) one evolve step may enumerate
 # a pair's head mask holds one flag byte per level 0..HORIZON; this one has them all
@@ -163,13 +163,12 @@ class _SpecCache:
     (head columns by beta and pair records by key, at most
     DEADNESS_MEMO_LIMIT of each), the multiset pick table of each group
     size, the closed systems by root state (their nonzeros and states at
-    most SYSTEM_MEMO_LIMIT in all), the longest brute-force prefix
-    u_alpha(0..n) by root state (at most SYSTEM_MEMO_LIMIT 64-bit words in
-    all; only the expansion of F_0..F_n fills it, never the engine, so the
-    oracle stays independent of what it checks), and the rendered views of
-    the longest stream u(0..N) that `terms` printed, by root state (at most
-    STREAM_MEMO_LIMIT 64-bit words in all; only `closure.rendered_terms`
-    fills it).  Each entry is a function of the spec and its key alone."""
+    most SYSTEM_MEMO_LIMIT in all), and the longest prefix of each termwise
+    output by (view, root state), at most PREFIX_MEMO_LIMIT 64-bit words in
+    all: "oracle" for the brute-force u_alpha(0..n), which only the
+    expansion of F_0..F_n writes, never the engine, so the oracle stays
+    independent of what it checks; "decimal" and "digits" for the views
+    `terms` prints.  Each entry is a function of the spec and its key alone."""
 
     def __init__(self, spec: ProductSpec):
         self.spec = spec
@@ -179,8 +178,7 @@ class _SpecCache:
         self.pairs: dict[tuple[tuple[int, ...], int], _Pair] = {}  # (dbeta, dd) -> record
         self.picks: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}  # m -> pick table
         self.systems: dict[State, tuple[object, int]] = {}  # root -> (system, size)
-        self.prefixes: dict[State, tuple[list[int], int]] = {}  # root -> (terms, words)
-        self.streams: dict[State, tuple[tuple[int, dict], int]] = {}  # root -> ((N, views), words)
+        self.prefixes: dict[tuple[str, State], tuple[list, int]] = {}  # (view, root) -> (list, words)
 
     def head(self, beta: tuple[int, ...]) -> list[int]:
         """<beta, f(n..n+L-1)> for n = 0..HORIZON + 1: the exact head of
@@ -223,13 +221,27 @@ class _SpecCache:
                  * prod(map(coeffs.__getitem__, idx)) for idx in idxs], idxs)
         return table
 
+    def prefix(self, key: tuple[str, State], n: int, make) -> list:
+        """A fresh list of the first n + 1 entries of a termwise output: a
+        slice of the longest one kept under key, or else make(n), which is
+        kept in place of the shorter one.  An int counts bits // 64 + 1
+        words, a text len // 8 + 1."""
+        kept = self.prefixes.get(key)
+        if kept is not None and n < len(kept[0]):
+            return kept[0][:n + 1]
+        out = make(n)
+        if n >= 0:
+            self.keep(self.prefixes, key, out, sum(
+                len(x) // 8 + 1 if isinstance(x, str) else x.bit_length() // 64 + 1
+                for x in out), PREFIX_MEMO_LIMIT)
+        return out[:n + 1]
+
     @staticmethod
     def keep(table: dict, key, value, size: int, limit: int) -> None:
         """table[key] = (value, size), replacing what the key held and
         dropping the oldest entries until the sizes kept fit the limit; a
         value over the limit on its own is not kept.  Sizes are nonzeros
-        plus states for a closed system and 64-bit words for a prefix of
-        terms or a rendered stream."""
+        plus states for a closed system and 64-bit words for a prefix."""
         if size > limit:
             return
         table.pop(key, None)
@@ -594,19 +606,11 @@ def u_alpha_terms(spec: ProductSpec, alpha, n: int) -> list[int]:
     """u_alpha(0..n) from one incremental expansion of F_0..F_n: the root
     state's correlation sum at each level; a level over the coefficient
     limit is reported before anything is expanded.  The spec's memo keeps
-    the longest prefix expanded so far under the root state, so a request
-    it covers is a fresh list sliced from it."""
+    the longest prefix expanded so far under ("oracle", root state)."""
     root = root_state(alpha, spec.seq.order)
-    cache = _cache(spec)
-    kept = cache.prefixes.get(root)
-    if kept is not None and n < len(kept[0]):
-        return kept[0][:n + 1]
-    terms = [state_oracle(spec, root, m, coeffs=coeffs)
-             for m, coeffs in enumerate(expand_levels(spec, n))]
-    if terms:  # longer than what was kept, which it replaces
-        cache.keep(cache.prefixes, root, terms,
-                   sum(t.bit_length() // 64 + 1 for t in terms), SYSTEM_MEMO_LIMIT)
-    return terms[:]
+    return _cache(spec).prefix(("oracle", root), n, lambda n: [
+        state_oracle(spec, root, m, coeffs=coeffs)
+        for m, coeffs in enumerate(expand_levels(spec, n))])
 
 
 def _max_abs(arr) -> int:

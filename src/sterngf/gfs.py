@@ -164,15 +164,15 @@ def fit_recurrence(terms: list, max_den_deg: int, guard: int = 3) -> RationalGF 
     passes 2 max |C[i]|.
 
     Acceptance is exact.  A lift that annihilates the last term is made a
-    candidate GF, and is returned only if `_reproduces` holds on every term
-    and the degree checks pass with L = max(deg den, deg num + 1) taken from
-    the candidate (else None).  It is the answer over Q: two GFs that
-    reproduce N >= L1 + L2 terms are equal, since num1*den2 - num2*den1 has
-    degree below L1 + L2 and vanishes mod t^N.  A reproducing candidate has
-    L >= L_Q by minimality, and L <= the group's L, which is L_Q once the
-    group holds one prime whose run is the image of the run over Q; and two
-    minimal fits that both pass the guard check are equal by the same
-    degree count.
+    candidate GF (den(0) = 1, since C[0] = 1), and is returned only if its
+    series is the terms and the degree checks pass with L = max(deg den,
+    deg num + 1) taken from the candidate (else None).  It is the answer
+    over Q: two GFs that reproduce N >= L1 + L2 terms are equal, since
+    num1*den2 - num2*den1 has degree below L1 + L2 and vanishes mod t^N.  A
+    reproducing candidate has L >= L_Q by minimality, and L <= the group's
+    L, which is L_Q once the group holds one prime whose run is the image of
+    the run over Q; and two minimal fits that both pass the guard check are
+    equal by the same degree count.
 
     The loop ends: the lift from such primes is C itself once the modulus
     passes the Hadamard bound of the window's Hankel minors (which bound the
@@ -216,20 +216,8 @@ def fit_recurrence(terms: list, max_den_deg: int, guard: int = 3) -> RationalGF 
             continue  # does not even annihilate the last term
         num = [sum(map(mul, den[:j + 1], terms[j::-1])) for j in range(max(L, 1))]
         gf = make_gf(num, den)
-        if _reproduces(gf, terms):
+        if series(gf, n_terms) == terms:
             den_deg = len(gf.den) - 1
             return None if rejected(max(den_deg, len(gf.num)), den_deg) else gf
     raise ArithmeticError(f"fit needs more than {len(modular.PRIMES)} primes")
 
-
-def _reproduces(gf: RationalGF, terms: list) -> bool:
-    """den * terms == num as power series through len(terms) coefficients
-    (equivalent to series(gf) == terms, and defined for any den(0))."""
-    den, num = gf.den, gf.num
-    rev = terms[::-1]  # rev[top - n:] starts terms[n], terms[n - 1], ...
-    top = len(terms) - 1
-    for n in range(len(terms)):
-        want = num[n] if n < len(num) else 0
-        if sum(map(mul, den, rev[top - n:top - n + len(den)])) != want:
-            return False
-    return True

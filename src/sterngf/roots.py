@@ -125,8 +125,8 @@ def certified_disks(int_coeffs: list[int]) -> list[RootDisk] | None:
 
     The polynomial need not be monic; it is divided by its leading
     coefficient conceptually (roots unchanged).  Returns None when the float
-    approximations are degenerate (coincident points), which callers treat as
-    an inconclusive certificate.
+    approximations are degenerate (coincident or non-finite points), which
+    callers treat as an inconclusive certificate.
 
     With the centres z = (X + iY) / D over one power of two D, D^n p(z) is
     the Gaussian integer sum p_k (X + iY)^k D^(n-k), so |W_i| = n |p(z_i)| /
@@ -143,6 +143,8 @@ def certified_disks(int_coeffs: list[int]) -> list[RootDisk] | None:
     except OverflowError:
         return None
     centres = durand_kerner(floats)
+    if not all(map(cmath.isfinite, centres)):  # huge coefficients overflow the iteration
+        return None
     nums, D = _over_common_power_of_two([x for z in centres for x in (z.real, z.imag)])
     points = list(zip(nums[::2], nums[1::2]))
     scaled = [c * D ** k for k, c in enumerate(reversed(p))]  # p_n, p_(n-1) D, ...

@@ -295,6 +295,32 @@ def test_pv_base(capsys):
     assert json.loads(out)["pv"] is True
 
 
+def huge_spec(tmp_path, rec, exps) -> str:
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"P": [1], "seq": {"init": [1] * len(rec), "rec": rec},
+                                "factor": [{"c": 1, "e": e} for e in exps]}))
+    return str(path)
+
+
+def test_pv_of_huge_coefficients_prints_a_verdict(capsys, tmp_path):
+    """Coefficients past the float range leave no finite root approximation:
+    the verdict is "undecided", or order 1's exact "pv" without the root no
+    float can write, and no traceback."""
+    code, out, err = run(capsys, "pv", huge_spec(tmp_path, [10 ** 160, 1], [[0, 0]]))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["pv"], doc["reason"], doc["roots"]) == (
+        "undecided", "root approximations degenerate", [])
+    code, out, err = run(capsys, "pv", huge_spec(tmp_path, [10 ** 400], [[0]]))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"pv": True, "reason": "", "indicial": [-10 ** 400, 1],
+                               "roots": []}
+    # a nonzero exponent form has no certificate then: an invalid spec that says so
+    code, out, err = run(capsys, "pv", huge_spec(tmp_path, [10 ** 160, 1], [[0, 0], [0, 1]]))
+    assert (code, out) == (4, "")
+    assert err.endswith(": cannot certify exponent form (0, 1) stays nonnegative\n")
+
+
 def test_invalid_spec_exit_4(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"P": [1], "seq": {"init": [1], "rec": [2]}, "factor": []}')

@@ -149,7 +149,7 @@ def reference_fit(terms, max_den_deg, guard=3):
     den_deg = polys.degree(list(gf.den))
     if den_deg > max_den_deg or len(terms) < L + den_deg + guard:
         return None
-    return gf if gfs._reproduces(gf, terms) else None
+    return gf if gf.den[0] == 1 and series(gf, len(terms)) == terms else None
 
 
 def random_gf(rng, bits, den_deg, num_deg):
@@ -252,18 +252,24 @@ def test_fit_rejects_a_lift_every_prime_agrees_on():
 
 
 def test_reproduces_matches_series():
-    # the windowed check against its definition, series(gf) == terms, on
-    # integer series, reproduced or with one term moved
+    # a fit is returned only when its series is the terms: on integer
+    # series, reproduced or with one term moved, and the series itself
+    # comes back once its window is long enough
     rng = random.Random(21)
     for _ in range(200):
         den = [rng.choice([1, -1])] + [rng.randint(-5, 5) for _ in range(rng.randint(0, 4))]
         num = [rng.randint(-5, 5) for _ in range(rng.randint(1, 7))]
         gf = make_gf(num, den)
-        n = rng.randint(1, 16)
+        n = rng.randint(4, 24)
         terms = series(gf, n)
-        if rng.random() < 0.5:
+        moved = rng.random() < 0.5
+        if moved:
             terms[rng.randrange(n)] += rng.choice((-1, 1))
-        assert gfs._reproduces(gf, terms) == (series(gf, n) == terms)
+        got = fit_recurrence(terms, max_den_deg=(n - 4) // 2)
+        assert got is None or series(got, n) == terms
+        L = max(len(gf.den) - 1, len(gf.num))
+        if not moved and n >= 2 * L + 3 and len(gf.den) - 1 <= (n - 4) // 2:
+            assert got == gf
 
 
 def is_prime(n):

@@ -270,8 +270,8 @@ def test_zero_limit_on_a_one_state_system_prints_as_fresh(capsys):
 
 
 def test_warm_requests_close_and_fit_nothing(capsys, monkeypatch):
-    """A warm gf closes and fits nothing; a warm terms request within the
-    kept stream, in a view already kept, neither streams nor counts digits."""
+    """A warm gf closes and fits nothing; a warm terms request within its
+    view's kept prefix neither streams nor counts digits."""
     gf_argv = ["gf", str(COOKBOOK / "fibonacci.json"), "--alpha", "2"]
     terms_argv = ["terms", str(COOKBOOK / "base_stern.json"), "-n", "300"]
     argvs = [gf_argv, terms_argv, terms_argv[:-1] + ["200", "--digits-only"],
@@ -295,7 +295,7 @@ def test_warm_requests_close_and_fit_nothing(capsys, monkeypatch):
     core._cache.cache_clear()
     assert [run_cli(capsys, *argv) for argv in argvs] == first
     # a fresh memo works again: the gf fits, the first terms request fits and
-    # streams, the digit counts re-stream the kept u(0..300)
+    # streams, the digit counts stream u(0..200)
     assert calls.count("fit") == 2 and "evolve" in calls
     assert calls.count("digits") == 1 and calls.count("stream") == 4
     core._cache.cache_clear()
@@ -439,49 +439,110 @@ def counting_sums(monkeypatch) -> list[int]:
     return levels
 
 
-def kept_prefix(spec, alpha):
-    kept = core._cache(spec).prefixes.get(core.root_state(alpha, spec.seq.order))
+def kept_prefix(spec, alpha, view="oracle"):
+    """The longest prefix of view the spec's memo keeps for alpha, or None."""
+    kept = core._cache(spec).prefixes.get((view, core.root_state(alpha, spec.seq.order)))
     return None if kept is None else kept[0]
+
+
+def counting_streams(monkeypatch) -> list[int]:
+    """The lengths n of the streams u(0..n) from now on."""
+    streamed = []
+    stream = closure.stream_terms
+    monkeypatch.setattr(closure, "stream_terms",
+                        lambda system, n: streamed.append(n) or stream(system, n))
+    return streamed
+
+
+# the two callers of the prefix memo: view -> prefix(spec, alpha, n)
+CALLERS = {
+    "oracle": core.u_alpha_terms,
+    "digits": lambda spec, alpha, n: closure.rendered_terms(
+        build_system(spec, alpha), n, "digits", cli.decimal_digit_counts),
+}
+
+
+def view_of(cmd: str) -> str:
+    return {"oracle": "oracle", "guess": "oracle", "terms": "decimal"}.get(cmd, cmd)
 
 
 @pytest.mark.parametrize("name,requests", [
     # oracle fills, then a smaller, an equal and a larger n, and a guess
-    # inside the kept prefix
-    ("base_stern", [("oracle", 10), ("oracle", 6), ("oracle", 10), ("oracle", 14),
-                    ("guess", 12)]),
+    # inside the kept prefix; terms fills its decimal view, the same steps,
+    # then digit counts within and beyond what the decimal view kept
+    ("base_stern", [("oracle", 10), ("terms", 200), ("oracle", 6), ("terms", 120),
+                    ("oracle", 10), ("terms", 200), ("oracle", 14), ("terms", 260),
+                    ("guess", 12), ("digits", 200), ("digits", 120), ("terms", 260)]),
     # a guess beyond the kept prefix extends it, and an oracle reads that
-    ("fibonacci", [("oracle", 16), ("oracle", 13), ("oracle", 16), ("oracle", 21),
-                   ("guess", 24), ("oracle", 19)]),
+    ("fibonacci", [("terms", 200), ("oracle", 16), ("terms", 120), ("oracle", 13),
+                   ("terms", 200), ("oracle", 16), ("terms", 260), ("oracle", 21),
+                   ("digits", 200), ("guess", 24), ("digits", 120), ("oracle", 19),
+                   ("terms", 260)]),
 ], ids=["base_stern[2]", "fibonacci[2]"])
 def test_served_prefixes_print_what_a_fresh_process_prints(capsys, monkeypatch, name,
                                                            requests):
+    """oracle, guess and terms requests on one (spec, alpha), served from
+    the kept prefixes or not, print what a fresh process prints; only a
+    request beyond its own view's kept prefix computes, so no view fills
+    another; gf and matrix after a warm `terms`, values after digit counts
+    and a request after its entries were evicted print as fresh too."""
     path = str(COOKBOOK / f"{name}.json")
     spec, _ = cli.load_spec_file(path)
-    argvs = [[cmd, path, "--alpha", "2", "-n", str(n)] for cmd, n in requests]
-    fresh = fresh_clis(argvs)
+
+    def argv(cmd, n):
+        return ([cmd if view_of(cmd) == "oracle" else "terms", path, "--alpha", "2",
+                 "-n", str(n)] + ["--digits-only"] * (cmd == "digits"))
+
+    others = [["gf", path, "--alpha", "2"], ["matrix", path, "--alpha", "2"]]
+    after = [argv("digits", 200), argv("terms", 120), argv("terms", 200)]
+    fresh = fresh_clis([argv(*req) for req in requests] + others + after)
     core._cache.cache_clear()
-    levels = counting_sums(monkeypatch)
-    longest = -1
-    for (cmd, n), argv in zip(requests, argvs):
+    levels, streamed = counting_sums(monkeypatch), counting_streams(monkeypatch)
+    longest = {"oracle": -1, "decimal": -1, "digits": -1}
+    for cmd, n in requests:
+        args, view = argv(cmd, n), view_of(cmd)
         levels.clear()
-        code, out, _ = run_cli(capsys, *argv)
-        assert (code, out) == fresh[tuple(argv)], argv
-        # only a request beyond the kept prefix expands, and from level 0
-        assert levels == (list(range(n + 1)) if n > longest else []), argv
-        longest = max(longest, n)
-        assert len(kept_prefix(spec, [2])) == longest + 1
+        streamed.clear()
+        assert run_cli(capsys, *args)[:2] == fresh[tuple(args)], args
+        computes = n > longest[view]
+        # only a request beyond its view's kept prefix computes: the oracle
+        # from level 0, terms a stream of u(0..n) (a first stream fits,
+        # which streams too)
+        if view == "oracle":
+            assert (levels, streamed) == (list(range(n + 1)) if computes else [], []), args
+        else:
+            assert streamed[:1] == ([n] if computes else []), args
+        longest[view] = max(longest[view], n)
+        assert {v: len(kept_prefix(spec, [2], v) or []) - 1 for v in longest} == longest
+    for args in others:
+        assert run_cli(capsys, *args)[:2] == fresh[tuple(args)], args
+    # digit counts first, then values
+    core._cache.cache_clear()
+    for args in after:
+        assert run_cli(capsys, *args)[:2] == fresh[tuple(args)], args
+    assert len(kept_prefix(spec, [2], "digits")) == len(kept_prefix(spec, [2], "decimal")) == 201
+    # a bound that holds the decimal view alone: another alpha's stream
+    # evicts both views
+    root = core.root_state([2], spec.seq.order)
+    monkeypatch.setattr(core, "PREFIX_MEMO_LIMIT",
+                        core._cache(spec).prefixes[("decimal", root)][1])
+    assert run_cli(capsys, "terms", path, "--alpha", "1", "-n", "5")[0] == 0
+    assert kept_prefix(spec, [2], "decimal") is kept_prefix(spec, [2], "digits") is None
+    for args in after[1::-1]:
+        assert run_cli(capsys, *args)[:2] == fresh[tuple(args)], args
     core._cache.cache_clear()
 
 
 def test_returned_prefixes_are_copies():
-    core._cache.cache_clear()
-    want = core.u_alpha_terms(FIB, [2], 12)
-    for n in (12, 7, 12):
-        got = core.u_alpha_terms(FIB, [2], n)
-        assert got == want[:n + 1]
-        got[0] = -1
-        got.append(0)
-        assert kept_prefix(FIB, [2]) == want
+    for view, prefix in CALLERS.items():
+        core._cache.cache_clear()
+        want = prefix(FIB, [2], 12)
+        for n in (12, 7, 12):
+            got = prefix(FIB, [2], n)
+            assert got == want[:n + 1], view
+            got[0] = -1
+            got.append(0)
+            assert kept_prefix(FIB, [2], view) == want, view
     core._cache.cache_clear()
 
 
@@ -509,166 +570,98 @@ def prefix_words(terms):
 
 
 def test_prefix_memo_stays_within_its_bound(monkeypatch):
-    """Prefixes are kept by root state up to SYSTEM_MEMO_LIMIT 64-bit words
-    in all, the oldest dropped first; a longer prefix replaces a shorter
-    one, and one over the bound on its own is not kept."""
+    """Prefixes are kept by (view, root state) up to PREFIX_MEMO_LIMIT
+    64-bit words in all, the oldest dropped first; a longer prefix replaces
+    a shorter one, and one over the bound on its own is not kept.  An int
+    counts one word per 64 bits, a digit count one word."""
     spec = base_like(3)
     alphas = [[1], [2], [1, 1], [3]]
-    core._cache.cache_clear()
-    assert [prefix_words(core.u_alpha_terms(spec, a, 2)) for a in alphas] == [3] * 4
-    big = core.u_alpha_terms(spec, [5], 12)
-    monkeypatch.setattr(core, "SYSTEM_MEMO_LIMIT", 11)  # three prefixes of 3 words fit
-    assert prefix_words(big) == 13
-    core._cache.cache_clear()
-    prefixes = core._cache(spec).prefixes
-    roots = [core.root_state(a, 1) for a in alphas]
-    for a in alphas[:3]:
-        core.u_alpha_terms(spec, a, 2)
-    assert list(prefixes) == roots[:3]
-    core.u_alpha_terms(spec, [3], 2)  # 12 words: the oldest goes
-    assert list(prefixes) == roots[1:]
-    assert core.u_alpha_terms(spec, [5], 12) == big
-    assert list(prefixes) == roots[1:]  # over the bound on its own: not kept
-    # [2] grows to 6 words: it replaces its shorter prefix, becomes the
-    # newest entry and drops the oldest ones until the sizes fit again
-    grown = core.u_alpha_terms(spec, [2], 5)
-    assert prefixes[roots[1]] == (grown, 6)
-    assert list(prefixes) == [roots[3], roots[1]]
+    for view, prefix in CALLERS.items():
+        core._cache.cache_clear()
+        assert [prefix_words(prefix(spec, a, 2)) for a in alphas] == [3] * 4
+        big = prefix(spec, [5], 12)
+        assert prefix_words(big) == 13
+        monkeypatch.setattr(core, "PREFIX_MEMO_LIMIT", 11)  # three prefixes of 3 words fit
+        core._cache.cache_clear()
+        prefixes = core._cache(spec).prefixes
+        keys = [(view, core.root_state(a, 1)) for a in alphas]
+        for a in alphas[:3]:
+            prefix(spec, a, 2)
+        assert list(prefixes) == keys[:3], view
+        prefix(spec, [3], 2)  # 12 words: the oldest goes
+        assert list(prefixes) == keys[1:], view
+        assert prefix(spec, [5], 12) == big
+        assert list(prefixes) == keys[1:], view  # over the bound on its own: not kept
+        # [2] grows to 6 words: it replaces its shorter prefix, becomes the
+        # newest entry and drops the oldest ones until the sizes fit again
+        grown = prefix(spec, [2], 5)
+        assert prefixes[keys[1]] == (grown, 6), view
+        assert list(prefixes) == [keys[3], keys[1]], view
+        monkeypatch.undo()
     core._cache.cache_clear()
 
 
 def test_prefixes_leave_with_their_spec(monkeypatch):
+    for view, prefix in CALLERS.items():
+        core._cache.cache_clear()
+        first = base_like(0)
+        want = prefix(first, [2], 8)
+        cache = core._cache(first)
+        assert cache.prefixes, view
+        for k in range(1, core.SPEC_MEMO_LIMIT + 1):
+            base_like(k)  # registers a spec memo of its own
+        assert core._cache(first) is not cache
+        assert core._cache(first).prefixes == {}
+        levels, streamed = counting_sums(monkeypatch), counting_streams(monkeypatch)
+        assert prefix(first, [2], 8) == want
+        # computed afresh
+        if view == "oracle":
+            assert (levels, streamed) == (list(range(9)), []), view
+        else:
+            assert streamed == [8], view
+        monkeypatch.undo()
     core._cache.cache_clear()
-    first = base_like(0)
-    want = core.u_alpha_terms(first, [2], 8)
-    cache = core._cache(first)
-    assert cache.prefixes
-    for k in range(1, core.SPEC_MEMO_LIMIT + 1):
-        base_like(k)  # registers a spec memo of its own
-    assert core._cache(first) is not cache
-    assert core._cache(first).prefixes == {}
+
+
+def test_terms_does_not_fill_the_oracle_prefix(capsys, monkeypatch):
+    """Only the expansion writes the oracle's prefix, so the oracle stays
+    independent of the engine it checks."""
+    spec, _ = cli.load_spec_file(str(COOKBOOK / "base_stern.json"))
+    core._cache.cache_clear()
+    assert run_cli(capsys, "terms", str(COOKBOOK / "base_stern.json"), "--alpha", "2",
+                   "-n", "30")[0] == 0
+    assert kept_prefix(spec, [2]) is None
     levels = counting_sums(monkeypatch)
-    assert core.u_alpha_terms(first, [2], 8) == want
-    assert levels == list(range(9))  # expanded afresh
+    assert core.u_alpha_terms(spec, [2], 10) == [
+        int(x) for x in kept_prefix(spec, [2], "decimal")[:11]]
+    assert levels == list(range(11))
     core._cache.cache_clear()
 
 
-def kept_stream(spec, alpha):
-    """(N, views) of the rendered stream the spec's memo keeps, or None."""
-    kept = core._cache(spec).streams.get(core.root_state(alpha, spec.seq.order))
-    return None if kept is None else kept[0]
-
-
-@pytest.mark.parametrize("name", ["base_stern", "fibonacci"])
-def test_served_streams_print_what_a_fresh_process_prints(capsys, monkeypatch, name):
-    """`terms` requests on one (spec, alpha), served from the kept stream or
-    not, print what a fresh process prints: a request fills, then a smaller,
-    an equal and a larger n, digit counts after values and values after
-    digit counts on the same kept stream, and a request after its entry was
-    evicted; gf and matrix after a warm `terms` too."""
-    path = str(COOKBOOK / f"{name}.json")
-    spec, _ = cli.load_spec_file(path)
-
-    def argv(n, digits=False):
-        return ["terms", path, "--alpha", "2", "-n", str(n)] + ["--digits-only"] * digits
-
-    both = {"decimal", "digits"}
-    # (argv, the stream lengths it streams, kept N and views after it)
-    steps = [(argv(200), [200], 200, {"decimal"}), (argv(120), [], 200, {"decimal"}),
-             (argv(200), [], 200, {"decimal"}), (argv(260), [260], 260, {"decimal"}),
-             (argv(200, True), [260], 260, both), (argv(120, True), [], 260, both),
-             (argv(260), [], 260, both)]
-    others = [["gf", path, "--alpha", "2"], ["matrix", path, "--alpha", "2"]]
-    fresh = fresh_clis([step[0] for step in steps] + others)
-    core._cache.cache_clear()
-    streamed = []
-    stream = closure.stream_terms
-    monkeypatch.setattr(closure, "stream_terms",
-                        lambda system, n: streamed.append(n) or stream(system, n))
-    for args, lengths, top, views in steps:
-        streamed.clear()
-        assert run_cli(capsys, *args)[:2] == fresh[tuple(args)], args
-        assert streamed[:1] == lengths, args  # a first stream fits, which streams too
-        assert (kept_stream(spec, [2])[0], set(kept_stream(spec, [2])[1])) == (top, views)
-    for args in others:
-        assert run_cli(capsys, *args)[:2] == fresh[tuple(args)], args
-    # digit counts first, then values
-    core._cache.cache_clear()
-    for args in (argv(200, True), argv(120), argv(200)):
-        assert run_cli(capsys, *args)[:2] == fresh[tuple(args)], args
-    assert set(kept_stream(spec, [2])[1]) == {"decimal", "digits"}
-    # a bound that holds this entry alone: another alpha's stream evicts it
-    monkeypatch.setattr(core, "STREAM_MEMO_LIMIT", core._cache(spec).streams[
-        core.root_state([2], spec.seq.order)][1])
-    assert run_cli(capsys, "terms", path, "--alpha", "1", "-n", "5")[0] == 0
-    assert kept_stream(spec, [2]) is None
-    for args in (argv(120), argv(200, True)):
-        assert run_cli(capsys, *args)[:2] == fresh[tuple(args)], args
-    core._cache.cache_clear()
-
-
-def test_served_streams_are_copies():
-    spec, _ = cli.load_spec_file(str(COOKBOOK / "fibonacci.json"))
+def test_decimal_and_digits_keep_their_own_lengths(monkeypatch):
+    """The views of one root are kept apart: each grows on its own, is
+    served from its own prefix, and counts its own words (a text one per 8
+    characters and one more), under the one bound of the spec's memo."""
+    spec = base_like(3)
     system = build_system(spec, [2])
     core._cache.cache_clear()
-    want = closure.rendered_terms(system, 40, "digits", cli.decimal_digit_counts)
-    for n in (40, 12, 40):
-        got = closure.rendered_terms(system, n, "digits", cli.decimal_digit_counts)
-        assert got == want[:n + 1]
-        got[0] = -1
-        got.append(0)
-        assert kept_stream(spec, [2]) == (40, {"digits": want})
-    core._cache.cache_clear()
-
-
-def test_stream_memo_stays_within_its_bound(monkeypatch):
-    """Rendered streams are kept by root state up to STREAM_MEMO_LIMIT
-    64-bit words in all, the oldest dropped first; a longer stream replaces
-    a shorter one, and one over the bound on its own is not kept.  Text
-    counts 8 characters per word, a digit count one word."""
-    spec = base_like(3)
-    alphas = [[1], [2], [1, 1], [3]]
-    systems = {tuple(a): build_system(spec, a) for a in alphas + [[5]]}
-    roots = [core.root_state(a, 1) for a in alphas]
-    monkeypatch.setattr(core, "STREAM_MEMO_LIMIT", 11)  # three streams of 3 counts fit
-    core._cache.cache_clear()
-    streams = core._cache(spec).streams
-    for a in alphas[:3]:
-        closure.rendered_terms(systems[tuple(a)], 2, "digits", cli.decimal_digit_counts)
-    assert list(streams) == roots[:3]
-    closure.rendered_terms(systems[(3,)], 2, "digits", cli.decimal_digit_counts)  # 12 words: the oldest goes
-    assert list(streams) == roots[1:]
-    closure.rendered_terms(systems[(5,)], 11, "digits", cli.decimal_digit_counts)
-    assert list(streams) == roots[1:]  # 12 words on its own: not kept
-    # [2] grows to 6 counts: it replaces its shorter stream, becomes the
-    # newest entry and drops the oldest ones until the sizes fit again
-    grown = closure.rendered_terms(systems[(2,)], 5, "digits", cli.decimal_digit_counts)
-    assert streams[roots[1]] == ((5, {"digits": grown}), 6)
-    assert list(streams) == [roots[3], roots[1]]
-    # a second view of the kept u(0..5) adds its text, 19 characters in 3
-    # words: 9 words with [3]'s 3 are over the bound, so [3] goes
-    text = closure.rendered_terms(systems[(2,)], 3, "decimal", cli._decimals)
-    full = ["10", "42", "190", "866", "3950", "18018"]
-    assert text == full[:4]
-    assert streams[roots[1]] == ((5, {"digits": grown, "decimal": full}), 9)
-    assert list(streams) == [roots[1]]
-    core._cache.cache_clear()
-
-
-def test_streams_leave_with_their_spec(monkeypatch):
-    core._cache.cache_clear()
-    first = base_like(0)
-    system = build_system(first, [2])
-    want = closure.rendered_terms(system, 30, "decimal", cli._decimals)
-    cache = core._cache(first)
-    assert cache.streams
-    for k in range(1, core.SPEC_MEMO_LIMIT + 1):
-        base_like(k)  # registers a spec memo of its own
-    assert core._cache(first) is not cache
-    assert core._cache(first).streams == {}
-    calls = []
-    stream = closure.stream_terms
-    monkeypatch.setattr(closure, "stream_terms", lambda *a: calls.append(a[1]) or stream(*a))
-    assert closure.rendered_terms(system, 30, "decimal", cli._decimals) == want
-    assert calls == [30]  # streamed afresh
+    streamed = counting_streams(monkeypatch)
+    digits = closure.rendered_terms(system, 12, "digits", cli.decimal_digit_counts)
+    text = closure.rendered_terms(system, 5, "decimal", cli._decimals)
+    assert text == ["10", "42", "190", "866", "3950", "18018"]
+    assert streamed == [12, 5]
+    assert closure.rendered_terms(system, 12, "digits", cli.decimal_digit_counts) == digits
+    assert closure.rendered_terms(system, 3, "decimal", cli._decimals) == text[:4]
+    assert streamed == [12, 5]  # each served from its own view
+    assert [len(kept_prefix(spec, [2], v)) for v in ("digits", "decimal")] == [13, 6]
+    longer = closure.rendered_terms(system, 11, "decimal", cli._decimals)
+    assert [len(x) for x in longer[9:]] == [7, 8, 9]
+    prefixes = core._cache(spec).prefixes
+    root = core.root_state([2], 1)
+    assert prefixes[("decimal", root)] == (longer, 14)  # 8 or 9 characters are two words
+    assert prefixes[("digits", root)] == (digits, 13)
+    # a bound that holds the grown decimal view alone: the older digit counts go
+    monkeypatch.setattr(core, "PREFIX_MEMO_LIMIT", 20)
+    assert len(closure.rendered_terms(system, 13, "decimal", cli._decimals)) == 14
+    assert [(key, size) for key, (_, size) in prefixes.items()] == [(("decimal", root), 18)]
     core._cache.cache_clear()
