@@ -466,41 +466,23 @@ def view_of(cmd: str) -> str:
     return {"oracle": "oracle", "guess": "oracle", "terms": "decimal"}.get(cmd, cmd)
 
 
-@pytest.mark.parametrize("name,requests", [
-    # oracle fills, then a smaller, an equal and a larger n, and a guess
-    # inside the kept prefix; terms fills its decimal view, the same steps,
-    # then digit counts within and beyond what the decimal view kept
-    ("base_stern", [("oracle", 10), ("terms", 200), ("oracle", 6), ("terms", 120),
-                    ("oracle", 10), ("terms", 200), ("oracle", 14), ("terms", 260),
-                    ("guess", 12), ("digits", 200), ("digits", 120), ("terms", 260)]),
-    # a guess beyond the kept prefix extends it, and an oracle reads that
-    ("fibonacci", [("terms", 200), ("oracle", 16), ("terms", 120), ("oracle", 13),
-                   ("terms", 200), ("oracle", 16), ("terms", 260), ("oracle", 21),
-                   ("digits", 200), ("guess", 24), ("digits", 120), ("oracle", 19),
-                   ("terms", 260)]),
-], ids=["base_stern[2]", "fibonacci[2]"])
-def test_served_prefixes_print_what_a_fresh_process_prints(capsys, monkeypatch, name,
-                                                           requests):
-    """oracle, guess and terms requests on one (spec, alpha), served from
-    the kept prefixes or not, print what a fresh process prints; only a
-    request beyond its own view's kept prefix computes, so no view fills
-    another; gf and matrix after a warm `terms`, values after digit counts
-    and a request after its entries were evicted print as fresh too."""
-    path = str(COOKBOOK / f"{name}.json")
+def request_argv(path, cmd, n):
+    """The argv of an (cmd, n) request on alpha [2]; "digits" is `terms
+    --digits-only`."""
+    return ([cmd if view_of(cmd) == "oracle" else "terms", path, "--alpha", "2",
+             "-n", str(n)] + ["--digits-only"] * (cmd == "digits"))
+
+
+def serve_requests(capsys, monkeypatch, path, requests, fresh):
+    """Run requests on one (spec, alpha) from a cleared memo: each prints
+    what a fresh process prints, and only a request beyond its own view's
+    kept prefix computes, so no view fills another."""
     spec, _ = cli.load_spec_file(path)
-
-    def argv(cmd, n):
-        return ([cmd if view_of(cmd) == "oracle" else "terms", path, "--alpha", "2",
-                 "-n", str(n)] + ["--digits-only"] * (cmd == "digits"))
-
-    others = [["gf", path, "--alpha", "2"], ["matrix", path, "--alpha", "2"]]
-    after = [argv("digits", 200), argv("terms", 120), argv("terms", 200)]
-    fresh = fresh_clis([argv(*req) for req in requests] + others + after)
     core._cache.cache_clear()
     levels, streamed = counting_sums(monkeypatch), counting_streams(monkeypatch)
     longest = {"oracle": -1, "decimal": -1, "digits": -1}
     for cmd, n in requests:
-        args, view = argv(cmd, n), view_of(cmd)
+        args, view = request_argv(path, cmd, n), view_of(cmd)
         levels.clear()
         streamed.clear()
         assert run_cli(capsys, *args)[:2] == fresh[tuple(args)], args
@@ -514,6 +496,52 @@ def test_served_prefixes_print_what_a_fresh_process_prints(capsys, monkeypatch, 
             assert streamed[:1] == ([n] if computes else []), args
         longest[view] = max(longest[view], n)
         assert {v: len(kept_prefix(spec, [2], v) or []) - 1 for v in longest} == longest
+    monkeypatch.undo()
+
+
+# terms fills its decimal view, then a smaller, an equal and a larger n,
+# then digit counts within and beyond what the decimal view kept
+TERMS_REQUESTS = [("terms", 200), ("terms", 120), ("terms", 200), ("terms", 260),
+                  ("digits", 200), ("digits", 120), ("terms", 260)]
+
+
+@pytest.mark.parametrize("name,requests", [
+    # oracle fills, then a smaller, an equal and a larger n, and a guess
+    # inside the kept prefix, between the terms requests
+    ("base_stern", [("oracle", 10), ("terms", 200), ("oracle", 6), ("terms", 120),
+                    ("oracle", 10), ("terms", 200), ("oracle", 14), ("terms", 260),
+                    ("guess", 12), ("digits", 200), ("digits", 120), ("terms", 260)]),
+    # a guess beyond the kept prefix extends it, and an oracle reads that
+    ("fibonacci", [("terms", 200), ("oracle", 16), ("terms", 120), ("oracle", 13),
+                   ("terms", 200), ("oracle", 16), ("terms", 260), ("oracle", 21),
+                   ("digits", 200), ("guess", 24), ("digits", 120), ("oracle", 19),
+                   ("terms", 260)]),
+], ids=["base_stern[2]", "fibonacci[2]"])
+def test_served_prefixes_print_what_a_fresh_process_prints(capsys, monkeypatch, name,
+                                                           requests):
+    """oracle, guess and terms requests mixed on one (spec, alpha), served
+    from the kept prefixes or not, print what a fresh process prints, and
+    no view fills another."""
+    path = str(COOKBOOK / f"{name}.json")
+    fresh = fresh_clis([request_argv(path, *req) for req in requests])
+    serve_requests(capsys, monkeypatch, path, requests, fresh)
+    core._cache.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["base_stern", "fibonacci"])
+def test_served_streams_print_what_a_fresh_process_prints(capsys, monkeypatch, name):
+    """`terms` requests on one (spec, alpha), served from the kept views or
+    not, print what a fresh process prints; gf and matrix after a warm
+    `terms`, values after digit counts and a request after its entries were
+    evicted print as fresh too."""
+    path = str(COOKBOOK / f"{name}.json")
+    spec, _ = cli.load_spec_file(path)
+    others = [["gf", path, "--alpha", "2"], ["matrix", path, "--alpha", "2"]]
+    after = [request_argv(path, "digits", 200), request_argv(path, "terms", 120),
+             request_argv(path, "terms", 200)]
+    fresh = fresh_clis([request_argv(path, *req) for req in TERMS_REQUESTS]
+                       + others + after)
+    serve_requests(capsys, monkeypatch, path, TERMS_REQUESTS, fresh)
     for args in others:
         assert run_cli(capsys, *args)[:2] == fresh[tuple(args)], args
     # digit counts first, then values
@@ -533,17 +561,27 @@ def test_served_prefixes_print_what_a_fresh_process_prints(capsys, monkeypatch, 
     core._cache.cache_clear()
 
 
-def test_returned_prefixes_are_copies():
-    for view, prefix in CALLERS.items():
-        core._cache.cache_clear()
-        want = prefix(FIB, [2], 12)
-        for n in (12, 7, 12):
-            got = prefix(FIB, [2], n)
-            assert got == want[:n + 1], view
-            got[0] = -1
-            got.append(0)
-            assert kept_prefix(FIB, [2], view) == want, view
+def check_copies(view):
+    """A caller of the prefix memo returns copies: changing what it returned
+    leaves the kept prefix as it was."""
+    prefix = CALLERS[view]
     core._cache.cache_clear()
+    want = prefix(FIB, [2], 12)
+    for n in (12, 7, 12):
+        got = prefix(FIB, [2], n)
+        assert got == want[:n + 1]
+        got[0] = -1
+        got.append(0)
+        assert kept_prefix(FIB, [2], view) == want
+    core._cache.cache_clear()
+
+
+def test_returned_prefixes_are_copies():
+    check_copies("oracle")
+
+
+def test_served_streams_are_copies():
+    check_copies("digits")
 
 
 def test_prefix_memo_keeps_the_edge_cases(capsys):
@@ -569,58 +607,74 @@ def prefix_words(terms):
     return sum(t.bit_length() // 64 + 1 for t in terms)
 
 
-def test_prefix_memo_stays_within_its_bound(monkeypatch):
+def check_bound(monkeypatch, view):
     """Prefixes are kept by (view, root state) up to PREFIX_MEMO_LIMIT
     64-bit words in all, the oldest dropped first; a longer prefix replaces
     a shorter one, and one over the bound on its own is not kept.  An int
     counts one word per 64 bits, a digit count one word."""
+    prefix = CALLERS[view]
     spec = base_like(3)
     alphas = [[1], [2], [1, 1], [3]]
-    for view, prefix in CALLERS.items():
-        core._cache.cache_clear()
-        assert [prefix_words(prefix(spec, a, 2)) for a in alphas] == [3] * 4
-        big = prefix(spec, [5], 12)
-        assert prefix_words(big) == 13
-        monkeypatch.setattr(core, "PREFIX_MEMO_LIMIT", 11)  # three prefixes of 3 words fit
-        core._cache.cache_clear()
-        prefixes = core._cache(spec).prefixes
-        keys = [(view, core.root_state(a, 1)) for a in alphas]
-        for a in alphas[:3]:
-            prefix(spec, a, 2)
-        assert list(prefixes) == keys[:3], view
-        prefix(spec, [3], 2)  # 12 words: the oldest goes
-        assert list(prefixes) == keys[1:], view
-        assert prefix(spec, [5], 12) == big
-        assert list(prefixes) == keys[1:], view  # over the bound on its own: not kept
-        # [2] grows to 6 words: it replaces its shorter prefix, becomes the
-        # newest entry and drops the oldest ones until the sizes fit again
-        grown = prefix(spec, [2], 5)
-        assert prefixes[keys[1]] == (grown, 6), view
-        assert list(prefixes) == [keys[3], keys[1]], view
-        monkeypatch.undo()
+    core._cache.cache_clear()
+    assert [prefix_words(prefix(spec, a, 2)) for a in alphas] == [3] * 4
+    big = prefix(spec, [5], 12)
+    assert prefix_words(big) == 13
+    monkeypatch.setattr(core, "PREFIX_MEMO_LIMIT", 11)  # three prefixes of 3 words fit
+    core._cache.cache_clear()
+    prefixes = core._cache(spec).prefixes
+    keys = [(view, core.root_state(a, 1)) for a in alphas]
+    for a in alphas[:3]:
+        prefix(spec, a, 2)
+    assert list(prefixes) == keys[:3]
+    prefix(spec, [3], 2)  # 12 words: the oldest goes
+    assert list(prefixes) == keys[1:]
+    assert prefix(spec, [5], 12) == big
+    assert list(prefixes) == keys[1:]  # over the bound on its own: not kept
+    # [2] grows to 6 words: it replaces its shorter prefix, becomes the
+    # newest entry and drops the oldest ones until the sizes fit again
+    grown = prefix(spec, [2], 5)
+    assert prefixes[keys[1]] == (grown, 6)
+    assert list(prefixes) == [keys[3], keys[1]]
+    core._cache.cache_clear()
+
+
+def test_prefix_memo_stays_within_its_bound(monkeypatch):
+    check_bound(monkeypatch, "oracle")
+
+
+def test_stream_memo_stays_within_its_bound(monkeypatch):
+    check_bound(monkeypatch, "digits")
+
+
+def check_leave_with_spec(monkeypatch, view):
+    """A kept prefix goes when its spec's memo is evicted, and a later
+    request computes it afresh."""
+    prefix = CALLERS[view]
+    core._cache.cache_clear()
+    first = base_like(0)
+    want = prefix(first, [2], 8)
+    cache = core._cache(first)
+    assert cache.prefixes
+    for k in range(1, core.SPEC_MEMO_LIMIT + 1):
+        base_like(k)  # registers a spec memo of its own
+    assert core._cache(first) is not cache
+    assert core._cache(first).prefixes == {}
+    levels, streamed = counting_sums(monkeypatch), counting_streams(monkeypatch)
+    assert prefix(first, [2], 8) == want
+    # computed afresh
+    if view == "oracle":
+        assert (levels, streamed) == (list(range(9)), [])
+    else:
+        assert streamed == [8]
     core._cache.cache_clear()
 
 
 def test_prefixes_leave_with_their_spec(monkeypatch):
-    for view, prefix in CALLERS.items():
-        core._cache.cache_clear()
-        first = base_like(0)
-        want = prefix(first, [2], 8)
-        cache = core._cache(first)
-        assert cache.prefixes, view
-        for k in range(1, core.SPEC_MEMO_LIMIT + 1):
-            base_like(k)  # registers a spec memo of its own
-        assert core._cache(first) is not cache
-        assert core._cache(first).prefixes == {}
-        levels, streamed = counting_sums(monkeypatch), counting_streams(monkeypatch)
-        assert prefix(first, [2], 8) == want
-        # computed afresh
-        if view == "oracle":
-            assert (levels, streamed) == (list(range(9)), []), view
-        else:
-            assert streamed == [8], view
-        monkeypatch.undo()
-    core._cache.cache_clear()
+    check_leave_with_spec(monkeypatch, "oracle")
+
+
+def test_streams_leave_with_their_spec(monkeypatch):
+    check_leave_with_spec(monkeypatch, "digits")
 
 
 def test_terms_does_not_fill_the_oracle_prefix(capsys, monkeypatch):
